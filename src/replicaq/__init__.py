@@ -17,9 +17,10 @@ from .grunsky import (GrunskyTable, GrunskyCalculator, grunsky_by_recursion,
                       denominator_bound_violations)
 from .replicable import (NORTON_BASIS, IRREDUCIBLE_GRADES, ReplicationFamily,
                          ReducingPair, DescentError, is_replicable, replicate,
-                         inverse_identity_check, mod_p_congruence,
-                         find_reducing_pair, exhaustive_reducing_pair,
-                         reconstruct_from_basis)
+                         replicate_by_grunsky, inverse_identity_check,
+                         mod_p_congruence, find_reducing_pair,
+                         exhaustive_reducing_pair, reconstruct_from_basis,
+                         reconstruct_by_grunsky)
 from .hecke import (sublattice_reps, up, vp, hecke_Tn, hecke_Tn_via_uv,
                     twisted_Tn, hecke_faber_verify, derive_p2_recurrences,
                     mahler_compute, RecurrenceSet)

@@ -18,8 +18,9 @@ from .faber import faber_by_recursion, faber_by_elimination, faber_by_determinan
 from .grunsky import (grunsky_by_recursion, grunsky_from_faber,
                       grunsky_bivariate_check, denominator_bound_violations)
 from .replicable import (NORTON_BASIS, IRREDUCIBLE_GRADES, is_replicable,
-                         replicate, find_reducing_pair, exhaustive_reducing_pair,
-                         reconstruct_from_basis)
+                         replicate, replicate_by_grunsky, find_reducing_pair,
+                         exhaustive_reducing_pair, reconstruct_from_basis,
+                         reconstruct_by_grunsky)
 from .hecke import (hecke_Tn, hecke_Tn_via_uv, up, vp, hecke_faber_verify,
                     derive_p2_recurrences, mahler_compute)
 from .functions import (FunctionSpec, SpecError, TB2_SPEC, parse_function_spec,
@@ -190,16 +191,28 @@ def _suite_grunsky(trunc: int, grade: int) -> dict:
             "denominator_bound_ok": denom, "ok": agree and bivariate and denom}
 
 
+def _coefficients(series: QSeries, trunc: int):
+    """Coefficients at q^-1 .. q^(trunc-1), or None unless known exactly to trunc."""
+    if series.trunc != trunc:
+        return None
+    return series.integer_coeffs(-1, trunc - 1)
+
+
 def _suite_replicable(trunc: int, grade: int) -> dict:
     J = j_oracle(max(trunc, 100))
     a = [J.coeff(k) for k in range(1, int(J.trunc))]
     rep = is_replicable(grunsky_by_recursion(a, min(grade, 16)))
-    k_ok = all(replicate(J, k, 9) == j_oracle(9) for k in (2, 3))
+    want = _coefficients(j_oracle(9), 9)
+    rows = {k: _coefficients(replicate(J, k, 9), 9) for k in (2, 3)}
+    k_ok = all(got == want for got in rows.values())
+    routes = all(got is not None and got == _coefficients(replicate_by_grunsky(J, k, 9), 9)
+                 for k, got in rows.items())
     fam = tb2_family(trunc)
     from .replicable import mod_p_congruence
     cong = mod_p_congruence(fam.base, fam.power(2), 2, min(trunc - 1, 20))
     return {"replicability_ok": rep.ok, "replicate_fixes_j": k_ok,
-            "mod_2_congruence_ok": cong, "ok": rep.ok and k_ok and cong}
+            "replicate_routes_agree": routes, "mod_2_congruence_ok": cong,
+            "ok": rep.ok and k_ok and routes and cong}
 
 
 def _suite_basis(trunc: int, grade: int) -> dict:
@@ -220,10 +233,13 @@ def _suite_basis(trunc: int, grade: int) -> dict:
     irr_ok = irr == IRREDUCIBLE_GRADES
     J = j_oracle(max(trunc, 31))
     basis = {k: J.coeff(k) for k in NORTON_BASIS}
-    rec_ok = reconstruct_from_basis(basis, 30) == j_oracle(30)
+    rebuilt = _coefficients(reconstruct_from_basis(basis, 30), 30)
+    rec_ok = rebuilt == _coefficients(j_oracle(30), 30)
+    routes = rebuilt is not None and rebuilt == _coefficients(
+        reconstruct_by_grunsky(basis, 30), 30)
     return {"reducing_pairs_ok": pairs_ok, "irreducible_grades_ok": irr_ok,
-            "reconstruction_ok": rec_ok, "grade_bound": grade,
-            "ok": pairs_ok and irr_ok and rec_ok}
+            "reconstruction_ok": rec_ok, "reconstruction_routes_agree": routes,
+            "grade_bound": grade, "ok": pairs_ok and irr_ok and rec_ok and routes}
 
 
 def _suite_hecke(trunc: int, grade: int) -> dict:

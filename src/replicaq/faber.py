@@ -50,7 +50,8 @@ def _coeff_accessor(a: Sequence):
     return get
 
 
-# polynomial helpers: dense ascending lists of Fractions
+# polynomial helpers: dense ascending lists of Fractions, or of ints in the
+# integer Bareiss path
 
 def _padd(p, q):
     n = max(len(p), len(q))
@@ -66,7 +67,7 @@ def _pmulz(p):
 
 
 def _pmul(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    out = [p[0] - p[0]] * (len(p) + len(q) - 1)
     for i, x in enumerate(p):
         if x:
             for j, y in enumerate(q):
@@ -125,14 +126,22 @@ def faber_by_determinant(a: Sequence, n: int) -> FaberPolynomial:
     """det(z I - A_n) for the shifted Hessenberg matrix with b_1 = 0, b_k = a_{k-1}.
 
     Evaluated by fraction-free Bareiss elimination over polynomial entries, so
-    this path shares no code with the recursion.
+    this path shares no code with the recursion.  The entries are int
+    polynomials when a_1..a_{n-1} are integral, where every Bareiss division
+    is exact in Z[z].
     """
     if n == 0:
         return FaberPolynomial(0, (Fraction(1),))
     ak = _coeff_accessor(a)
+    bs = [ak(k - 1) for k in range(2, n + 1)]  # b_2..b_n
+    if all(v.denominator == 1 for v in bs):
+        bs, one = [v.numerator for v in bs], 1
+    else:
+        one = Fraction(1)
+    zero = one - one
 
     def b(k):
-        return Fraction(0) if k == 1 else ak(k - 1)
+        return zero if k == 1 else bs[k - 2]
 
     # M[i][j] as ascending polynomials in z (0-based indices)
     M = []
@@ -140,34 +149,40 @@ def faber_by_determinant(a: Sequence, n: int) -> FaberPolynomial:
         row = []
         for j in range(1, n + 1):
             if i == j:
-                row.append([-b(1), Fraction(1)])
+                row.append([-b(1), one])
             elif j == i + 1:
-                row.append([Fraction(-1)])
+                row.append([-one])
             elif j == 1:
                 row.append([-i * b(i)])
             elif j < i:
                 row.append([-b(i - j + 1)])
             else:
-                row.append([Fraction(0)])
+                row.append([zero])
         M.append(row)
-    det = _bareiss_poly_det(M)
+    det = _bareiss_poly_det(M, one)
     return _to_poly(det)
 
 
 def _pdiv_exact(p, d):
-    """Exact polynomial division; remainder must vanish."""
+    """Exact polynomial division; remainder must vanish.  Int polynomials
+    divide in Z[z], with each quotient coefficient checked by divmod."""
     p = list(p)
     while len(p) > 1 and p[-1] == 0:
         p.pop()
     d = list(d)
     while len(d) > 1 and d[-1] == 0:
         d.pop()
-    if d == [Fraction(0)] or not d:
+    if d == [0] or not d:
         raise ZeroDivisionError
-    out = [Fraction(0)] * max(1, len(p) - len(d) + 1)
+    integral = isinstance(d[-1], int)
+    out = [0 if integral else Fraction(0)] * max(1, len(p) - len(d) + 1)
     while len(p) >= len(d) and any(p):
         k = len(p) - len(d)
-        c = p[-1] / d[-1]
+        if integral:
+            c, rem = divmod(p[-1], d[-1])
+            assert rem == 0, "Bareiss division must be exact in Z[z]"
+        else:
+            c = p[-1] / d[-1]
         out[k] = c
         for i, dv in enumerate(d):
             p[k + i] -= c * dv
@@ -177,23 +192,24 @@ def _pdiv_exact(p, d):
     return out
 
 
-def _bareiss_poly_det(M):
+def _bareiss_poly_det(M, one):
     n = len(M)
     M = [row[:] for row in M]
-    prev = [Fraction(1)]
+    prev = [one]
+    zero = one - one
     sign = 1
     for k in range(n - 1):
         if not any(M[k][k]):
             swap = next((r for r in range(k + 1, n) if any(M[r][k])), None)
             if swap is None:
-                return [Fraction(0)]
+                return [zero]
             M[k], M[swap] = M[swap], M[k]
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 num = _padd(_pmul(M[i][j], M[k][k]), _pscale(_pmul(M[i][k], M[k][j]), -1))
                 M[i][j] = _pdiv_exact(num, prev)
-            M[i][k] = [Fraction(0)]
+            M[i][k] = [zero]
         prev = M[k][k]
     det = M[n - 1][n - 1]
     return _pscale(det, sign)

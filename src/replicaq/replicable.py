@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, Mapping, Optional, Tuple
+from operator import mul
+from typing import Mapping, Optional, Tuple
 
 from .qseries import QSeries, TruncationError, _as_fraction
 from .grunsky import GrunskyCalculator, GrunskyTable
@@ -100,26 +101,104 @@ def _mobius(n: int) -> int:
     return -m if n > 1 else m
 
 
-def replicate(f: QSeries, k: int, trunc: int) -> QSeries:
-    """k-th replication power via h_i^(k) = k sum_{d|k} mu(d) h_{k/d, dki}."""
+class _FaberRows:
+    """Rows b_{n,m} = [q^m] F_n(f) = n h_{m,n} of the Faber series of f.
+
+    ``a`` holds a[p] = a_p with a[0] = 0 and is row 1 itself, shared with the
+    caller, so row 1 grows whenever the caller appends a coefficient.  Row n
+    follows from F_n = f F_{n-1} - n a_{n-1} - sum_{i=1}^{n-2} a_i F_{n-1-i}:
+
+        b_{n,m} = a_{m+n-1} + b_{n-1,m+1} + sum_{p<m} a_p b_{n-1,m-p}
+                  - sum_{i=1}^{n-2} a_i b_{n-1-i,m}      (m >= 1; b_{n,0} = 0),
+
+    so row n up to entry m needs row n-1 up to entry m+1 and a up to a_{m+n-1}.
+    Entries are ints when a is, Fractions otherwise.
+    """
+
+    def __init__(self, a: list):
+        self.a = a
+        self.rows = [None, a]
+
+    def extend(self, n: int, m: int) -> list:
+        """Row n grown to hold entry m; row j < n then holds entry m + n - j."""
+        a, rows = self.a, self.rows
+        if len(a) < m + n:
+            raise TruncationError(f"Faber row {n} to q^{m} needs a_{m + n - 1}")
+        while len(rows) <= n:
+            rows.append([0])
+        for j in range(2, n + 1):
+            row, prev = rows[j], rows[j - 1]
+            lower = list(zip(a[1:j - 1], rows[j - 2:0:-1]))  # (a_i, row j-1-i)
+            for e in range(len(row), m + n - j + 1):
+                acc = a[e + j - 1] + prev[e + 1] + sum(map(mul, a[1:e], prev[e - 1:0:-1]))
+                for ai, r in lower:
+                    acc -= ai * r[e]
+                row.append(acc)
+        return rows[n]
+
+    def entry(self, r: int, s: int):
+        """r h_{r,s} for r <= s, i.e. b_{r,s}."""
+        return self.extend(r, s)[s]
+
+    def without_top(self, n: int, grade: int):
+        """b_{n,grade-n} with the top coefficient a_{grade-1} taken as 0.
+
+        a_{grade-1} enters b_{n,grade-n} with coefficient n, so this is
+        n (h_{n,grade-n} - a_{grade-1}).  Built along the grade antidiagonal
+        from a_1..a_{grade-2} only, and not cached.
+        """
+        if n > 1:
+            self.extend(n - 1, grade - n - 1)
+        a, rows = self.a, self.rows
+        t = 0  # b_{1,grade-1} = a_{grade-1}, taken as 0
+        for j in range(2, n + 1):
+            e = grade - j
+            t += sum(map(mul, a[1:e], rows[j - 1][e - 1:0:-1]))
+            for i in range(1, j - 1):
+                t -= a[i] * rows[j - 1 - i][e]
+        return t
+
+
+def _replicate(f: QSeries, k: int, trunc: int, make_h) -> QSeries:
+    """h_i^(k) = k sum_{d|k} mu(d) h_{k/d, dki}, with h(r, s) = make_h(a)(r, s)
+    over a = [a_1, ..., a_top], the coefficients of f that the sum reads."""
     if k < 1:
         raise ValueError("replicate index must be positive")
     needed = k * k * trunc
     if f.trunc <= needed:
         raise TruncationError(
             f"replicate({k}) to {trunc} terms needs coefficients up to {needed}")
-    calc = GrunskyCalculator(lambda i: f.coeff(i))
-    divisors = [d for d in range(1, k + 1) if k % d == 0]
+    terms = [(mu, k // d, d * k) for d in range(1, k + 1)
+             if k % d == 0 and (mu := _mobius(d))]
+    top = max(r + step * (trunc - 1) - 1 for _, r, step in terms)
+    h = make_h([f.coeff(p) for p in range(1, top + 1)])
     coeffs = [Fraction(0)] * (trunc + 1)  # exponents -1, 0, 1, ..., trunc-1
     coeffs[0] = Fraction(1)
     for i in range(1, trunc):
-        total = Fraction(0)
-        for d in divisors:
-            mu = _mobius(d)
-            if mu:
-                total += mu * calc.h(k // d, d * k * i)
-        coeffs[i + 1] = k * total
+        coeffs[i + 1] = k * sum(mu * h(r, step * i) for mu, r, step in terms)
     return QSeries(-1, 1, coeffs, trunc)
+
+
+def _faber_row_h(a: list):
+    if all(v.denominator == 1 for v in a):
+        a = [v.numerator for v in a]
+    rows = _FaberRows([0] + a)
+    return lambda r, s: Fraction(rows.entry(r, s), r)
+
+
+def replicate(f: QSeries, k: int, trunc: int) -> QSeries:
+    """k-th replication power via h_i^(k) = k sum_{d|k} mu(d) h_{k/d, dki}.
+
+    Each h_{r,s} is read off row r <= k of the Faber series of f, built in
+    ints when f's coefficients are integral; ``replicate_by_grunsky`` is the
+    independent check route.
+    """
+    return _replicate(f, k, trunc, _faber_row_h)
+
+
+def replicate_by_grunsky(f: QSeries, k: int, trunc: int) -> QSeries:
+    """Check route for ``replicate``: the same formula over Norton's recursion."""
+    return _replicate(f, k, trunc, lambda a: GrunskyCalculator(a).h)
 
 
 def inverse_identity_check(fam: ReplicationFamily, t: GrunskyTable, bound: int) -> bool:
@@ -213,44 +292,87 @@ def find_reducing_pair(N: int) -> Optional[ReducingPair]:
 
 # -- reconstruction from the basis ---------------------------------------
 
-def reconstruct_from_basis(basis_values: Mapping[int, Fraction], trunc: int) -> QSeries:
-    """Rebuild a replicable function's coefficients from its 12 basis values.
+def _faber_row_step(a: list):
+    """a_{N-1} = h_{r',s'} - (h_{r,s} - a_{N-1}), both from Faber rows."""
+    rows = _FaberRows(a)
 
-    Processes grades in ascending order; at each non-basis grade N the
-    reducing pair gives h_{r,s} = h_{r',s'} (replicability) and the Grunsky
-    recursion is solved for the new top coefficient h_{N-1}.
-    """
-    missing = [k for k in NORTON_BASIS if k not in basis_values]
-    if missing:
-        raise ValueError(f"basis values missing for k in {missing}")
-    a: Dict[int, Fraction] = {}
+    def solve(pair: ReducingPair) -> Fraction:
+        (r, s), (rp, sp) = pair.from_pair, pair.to_pair
+        n, np_ = min(r, s), min(rp, sp)
+        return (Fraction(rows.entry(np_, rp + sp - np_), np_)
+                - Fraction(rows.without_top(n, pair.grade), n))
+    return solve
+
+
+def _grunsky_step(a: list):
+    """a_{N-1} = h_{r',s'} minus the correction sum of Norton's recursion."""
     calc = GrunskyCalculator(lambda i: a[i])
 
-    def correction(r: int, s: int) -> Fraction:
+    def solve(pair: ReducingPair) -> Fraction:
+        (r, s), (rp, sp) = pair.from_pair, pair.to_pair
         g = r + s
         acc = Fraction(0)
         for m in range(1, r):
             for n in range(1, s):
                 acc += a[m + n - 1] * (g - m - n) * calc.h(r - m, s - n)
-        return acc / g
+        return calc.h(rp, sp) - acc / g
+    return solve
 
-    integral_input = all(_as_fraction(v).denominator == 1 for v in basis_values.values())
+
+def _descend(values: Mapping[int, Fraction], trunc: int, step) -> Tuple[list, Optional[int]]:
+    """Fill a_1..a_{trunc-1} grade by grade from ``values``.
+
+    At grade N, a_{N-1} is taken from ``values`` when given, else solved from
+    the reducing pair by ``step(a)``.  Returns (a, None) with a[p] = a_p, or
+    (a, N) for the first grade N that is neither given nor reducible.  The
+    coefficients are ints when every given value is integral, and a
+    non-integral solution then raises ValueError.
+    """
+    given = {k: _as_fraction(v) for k, v in values.items()}
+    integral = all(v.denominator == 1 for v in given.values())
+    a: list = [0]
+    solve = step(a)
     for N in range(2, trunc + 1):
         k = N - 1
-        if k in basis_values:
-            a[k] = _as_fraction(basis_values[k])
+        if k in given:
+            value = given[k]
         else:
             pair = find_reducing_pair(N)
             if pair is None:
-                raise DescentError(f"grade {N} should be reducible but no pair was found")
-            (r, s), (rp, sp) = pair.from_pair, pair.to_pair
-            value = calc.h(rp, sp) - correction(r, s)
-            if integral_input and value.denominator != 1:
+                return a, N
+            value = solve(pair)
+            if integral and value.denominator != 1:
                 raise ValueError(
                     f"non-integral coefficient a_{k} = {value} from integral basis input")
-            a[k] = value
-    coeffs = [Fraction(1), Fraction(0)] + [a[i] for i in range(1, trunc)]
-    return QSeries(-1, 1, coeffs, trunc)
+        a.append(value.numerator if integral else value)
+    return a, None
+
+
+def _reconstruct(basis_values: Mapping[int, Fraction], trunc: int, step) -> QSeries:
+    missing = [k for k in NORTON_BASIS if k not in basis_values]
+    if missing:
+        raise ValueError(f"basis values missing for k in {missing}")
+    a, blocked = _descend(basis_values, trunc, step)
+    if blocked is not None:
+        raise DescentError(f"grade {blocked} should be reducible but no pair was found")
+    return QSeries(-1, 1, [1, 0] + a[1:trunc], trunc)
+
+
+def reconstruct_from_basis(basis_values: Mapping[int, Fraction], trunc: int) -> QSeries:
+    """Rebuild a replicable function's coefficients from its 12 basis values.
+
+    Processes grades in ascending order; at each non-basis grade N the
+    reducing pair gives h_{r,s} = h_{r',s'} (replicability), and since
+    a_{N-1} enters h_{r,s} with coefficient 1 it is h_{r',s'} less the rest
+    of h_{r,s}.  Both are read off Faber rows that grow with each new
+    coefficient; ``reconstruct_by_grunsky`` is the independent check route.
+    """
+    return _reconstruct(basis_values, trunc, _faber_row_step)
+
+
+def reconstruct_by_grunsky(basis_values: Mapping[int, Fraction], trunc: int) -> QSeries:
+    """Check route for ``reconstruct_from_basis``: solve Norton's recursion."""
+    return _reconstruct(basis_values, trunc, _grunsky_step)
 
 
 def odd_level_economy_experiment(basis_values: Mapping[int, Fraction], trunc: int) -> dict:
@@ -262,30 +384,17 @@ def odd_level_economy_experiment(basis_values: Mapping[int, Fraction], trunc: in
     never asserted.
     """
     small = {k: basis_values[k] for k in (1, 2, 3, 5) if k in basis_values}
-    a: Dict[int, Fraction] = {}
-    calc = GrunskyCalculator(lambda i: a[i])
-    for N in range(2, trunc + 1):
-        k = N - 1
-        if k in small:
-            a[k] = _as_fraction(small[k])
-            continue
-        pair = find_reducing_pair(N)
-        if pair is None:
-            return {
-                "succeeded": False,
-                "blocked_at_grade": N,
-                "coefficients_recovered": sorted(a),
-                "note": "grade irreducible by the generic pair machinery; "
-                        "the odd-level mechanism is not specified",
-            }
-        (r, s), (rp, sp) = pair.from_pair, pair.to_pair
-        g = r + s
-        acc = Fraction(0)
-        for m in range(1, r):
-            for n in range(1, s):
-                acc += a[m + n - 1] * (g - m - n) * calc.h(r - m, s - n)
-        a[k] = calc.h(rp, sp) - acc / g
-    return {"succeeded": True, "coefficients_recovered": sorted(a)}
+    a, blocked = _descend(small, trunc, _faber_row_step)
+    recovered = list(range(1, len(a)))
+    if blocked is None:
+        return {"succeeded": True, "coefficients_recovered": recovered}
+    return {
+        "succeeded": False,
+        "blocked_at_grade": blocked,
+        "coefficients_recovered": recovered,
+        "note": "grade irreducible by the generic pair machinery; "
+                "the odd-level mechanism is not specified",
+    }
 
 
 def basis_values_to_json(values: Mapping[int, Fraction]) -> dict:

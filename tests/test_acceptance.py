@@ -27,6 +27,13 @@ from replicaq.hecke import (hecke_Tn, up, vp, hecke_faber_verify,
 from replicaq.functions import j_family, fiction_family, tb2_family
 
 
+def coefficients(series, trunc):
+    """Coefficients at q^-1 .. q^(trunc-1), or None unless known exactly to trunc."""
+    if series.trunc != trunc:
+        return None
+    return series.integer_coeffs(-1, trunc - 1)
+
+
 def report(num, name, ok):
     print(f"ACCEPTANCE {num} ({name}): {'PASS' if ok else 'FAIL'}")
     assert ok, f"acceptance criterion {num} ({name}) failed"
@@ -87,8 +94,9 @@ def test_acceptance_4_replicability():
         a = base[:]
         a[i] += 1
         ok = ok and not is_replicable(grunsky_by_recursion(a, 24)).ok
+    want = coefficients(J.truncate(30), 30)
     for k in (2, 3, 4, 6):
-        ok = ok and replicate(J, k, 30) == J.truncate(30)
+        ok = ok and coefficients(replicate(J, k, 30), 30) == want
     fam = ReplicationFamily(J, {d: J for d in (2, 3, 4)})
     t = grunsky_by_recursion(base, 9)
     ok = ok and inverse_identity_check(fam, t, 4)
@@ -111,7 +119,7 @@ def test_acceptance_5_norton_basis():
     J = j_oracle(55)
     basis = {k: J.coeff(k) for k in NORTON_BASIS}
     rebuilt = reconstruct_from_basis(basis, 50)
-    ok = ok and all(rebuilt.coeff(k) == J.coeff(k) for k in range(-1, 50))
+    ok = ok and coefficients(rebuilt, 50) == coefficients(J.truncate(50), 50)
     report(5, "Norton basis", ok)
 
 

@@ -4,20 +4,41 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from replicaq.qseries import QSeries, j_oracle, j_int_coeffs
+import replicaq.replicable as replicable
+from replicaq.qseries import QSeries, TruncationError, j_oracle, j_int_coeffs
 from replicaq.grunsky import GrunskyCalculator, grunsky_by_recursion
 from replicaq.replicable import (NORTON_BASIS, IRREDUCIBLE_GRADES,
+                                 DescentError, ReducingPair,
                                  ReplicationFamily, is_replicable, replicate,
-                                 inverse_identity_check, mod_p_congruence,
-                                 find_reducing_pair, exhaustive_reducing_pair,
-                                 reconstruct_from_basis,
+                                 replicate_by_grunsky, inverse_identity_check,
+                                 mod_p_congruence, find_reducing_pair,
+                                 exhaustive_reducing_pair,
+                                 reconstruct_from_basis, reconstruct_by_grunsky,
                                  odd_level_economy_experiment)
-from replicaq.functions import fiction_series, tb2_family
+from replicaq.functions import (fiction_series, parse_function_spec, realize,
+                                tb2_family)
+
+# J and six eta-quotient hauptmoduln: 2B, 3B, 4C, 5B, 7B, 13B
+SEVEN = ("j", "eta:1^24/2^24+24", "eta:1^12/3^12+12", "eta:1^8/4^8+8",
+         "eta:1^6/5^6+6", "eta:1^4/7^4+4", "eta:1^2/13^2+2")
+FICTIONS = ("fiction:c=1", "fiction:c=-1")
+REPLICATE_KS = (1, 2, 3, 4, 5, 6, 8, 10, 12)
+REPLICATE_TS = (1, 2, 3, 5)
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+integers = st.integers(-9, 9).map(Fraction)
 
 
 def j_to(trunc):
     return QSeries(-1, 1, j_int_coeffs(trunc + 2), trunc)
+
+
+def coefficients(series, trunc):
+    """Coefficients at q^-1 .. q^(trunc-1); the series must be known to trunc exactly."""
+    assert series.trunc == trunc
+    return series.integer_coeffs(-1, trunc - 1)
 
 
 class TestIsReplicable:
@@ -46,12 +67,12 @@ class TestIsReplicable:
 class TestReplicate:
     def test_k1_identity(self):
         J = j_to(40)
-        assert replicate(J, 1, 20) == J.truncate(20)
+        assert coefficients(replicate(J, 1, 20), 20) == coefficients(J.truncate(20), 20)
 
     def test_j_self_replicate(self):
         J = j_to(600)
         for k in (2, 3, 4):
-            assert replicate(J, k, 30) == J.truncate(30)
+            assert coefficients(replicate(J, k, 30), 30) == coefficients(J.truncate(30), 30)
 
     def test_prime_case_formula(self):
         # h_n^(p) = p h_{pn,p} - p a_{p^2 n}
@@ -62,9 +83,40 @@ class TestReplicate:
             assert f2.coeff(n) == 2 * calc.h(2 * n, 2) - 2 * J.coeff(4 * n)
 
     def test_insufficient_truncation(self):
-        from replicaq.qseries import TruncationError
         with pytest.raises(TruncationError):
             replicate(j_to(20), 3, 10)
+
+    @pytest.mark.parametrize("k,T", [(1, 3), (2, 5), (3, 2), (4, 1), (6, 3)])
+    def test_truncation_boundary(self, k, T):
+        J = j_to(k * k * T + 1)
+        for route in (replicate, replicate_by_grunsky):
+            with pytest.raises(TruncationError):
+                route(J.truncate(k * k * T), k, T)
+            assert coefficients(route(J, k, T), T) == coefficients(J.truncate(T), T)
+
+
+class TestReplicateRoutes:
+    """Faber-row replicate against the Moebius formula over Norton's recursion."""
+
+    @pytest.mark.parametrize("spec", SEVEN + FICTIONS)
+    def test_faber_rows_match_grunsky(self, spec):
+        top = max(REPLICATE_TS)
+        f = realize(parse_function_spec(spec), max(REPLICATE_KS) ** 2 * top + 1)
+        for k in REPLICATE_KS:
+            # each coefficient of the formula is independent of trunc, so the
+            # shorter results are prefixes of the longest oracle result
+            want = coefficients(replicate_by_grunsky(f, k, top), top)
+            for T in REPLICATE_TS:
+                assert coefficients(replicate(f, k, T), T) == want[:T + 1], (spec, k, T)
+
+    @PROPERTY
+    @given(data=st.data(), k=st.integers(1, 6), T=st.integers(1, 4), integral=st.booleans())
+    def test_random_series(self, data, k, T, integral):
+        n = k * k * T
+        a = data.draw(st.lists(integers if integral else rationals, min_size=n, max_size=n))
+        f = QSeries(-1, 1, [1, 0] + a, n + 1)
+        assert (coefficients(replicate(f, k, T), T)
+                == coefficients(replicate_by_grunsky(f, k, T), T))
 
 
 class TestInverseIdentity:
@@ -135,13 +187,49 @@ class TestReconstruction:
         J = j_to(60)
         basis = {k: J.coeff(k) for k in NORTON_BASIS}
         rebuilt = reconstruct_from_basis(basis, 50)
-        for k in range(-1, 50):
-            assert rebuilt.coeff(k) == J.coeff(k)
+        assert coefficients(rebuilt, 50) == coefficients(J.truncate(50), 50)
+
+    def test_j_from_basis_200_terms(self):
+        J = j_oracle(200)
+        basis = {k: J.coeff(k) for k in NORTON_BASIS}
+        assert coefficients(reconstruct_from_basis(basis, 200), 200) == coefficients(J, 200)
 
     def test_fiction_from_basis(self):
         basis = {k: Fraction(1 if k == 1 else 0) for k in NORTON_BASIS}
         rebuilt = reconstruct_from_basis(basis, 20)
-        assert rebuilt == fiction_series(1, 20)
+        assert coefficients(rebuilt, 20) == coefficients(fiction_series(1, 20), 20)
+
+    @pytest.mark.parametrize("spec", SEVEN)
+    def test_faber_rows_match_grunsky_descent(self, spec):
+        f = realize(parse_function_spec(spec), 60)
+        basis = {k: f.coeff(k) for k in NORTON_BASIS}
+        want = coefficients(f, 60)
+        assert coefficients(reconstruct_from_basis(basis, 60), 60) == want
+        assert coefficients(reconstruct_by_grunsky(basis, 60), 60) == want
+
+    @PROPERTY
+    @given(values=st.lists(rationals, min_size=len(NORTON_BASIS), max_size=len(NORTON_BASIS)))
+    def test_random_bases_match_grunsky_descent(self, values):
+        basis = dict(zip(NORTON_BASIS, values))
+        assert (coefficients(reconstruct_from_basis(basis, 35), 35)
+                == coefficients(reconstruct_by_grunsky(basis, 35), 35))
+
+    def test_non_integral_descent_rejected(self, monkeypatch):
+        # a wrong pair at grade 7: h_{2,2} = a_3 + a_1^2 / 2 is not integral for odd a_1
+        real = replicable.find_reducing_pair
+        monkeypatch.setattr(replicable, "find_reducing_pair",
+                            lambda N: ReducingPair(7, (6, 1), (2, 2)) if N == 7 else real(N))
+        basis = {k: 1 for k in NORTON_BASIS}
+        for route in (reconstruct_from_basis, reconstruct_by_grunsky):
+            with pytest.raises(ValueError, match="non-integral coefficient a_6 = "):
+                route(basis, 10)
+
+    def test_missing_pair_is_descent_error(self, monkeypatch):
+        monkeypatch.setattr(replicable, "find_reducing_pair", lambda N: None)
+        basis = {k: 0 for k in NORTON_BASIS}
+        for route in (reconstruct_from_basis, reconstruct_by_grunsky):
+            with pytest.raises(DescentError, match="grade 7"):
+                route(basis, 10)
 
     def test_missing_value_rejected(self):
         with pytest.raises(ValueError):
@@ -161,3 +249,13 @@ class TestReconstruction:
         basis = {k: J.coeff(k) for k in NORTON_BASIS}
         result = odd_level_economy_experiment(basis, 30)
         assert isinstance(result, dict) and "succeeded" in result
+        assert result["succeeded"] is False and result["blocked_at_grade"] == 5
+        assert result["coefficients_recovered"] == [1, 2, 3]
+        assert set(result) == {"succeeded", "blocked_at_grade",
+                               "coefficients_recovered", "note"}
+
+    def test_odd_level_experiment_below_first_block(self):
+        J = j_to(40)
+        basis = {k: J.coeff(k) for k in NORTON_BASIS}
+        assert odd_level_economy_experiment(basis, 4) == {
+            "succeeded": True, "coefficients_recovered": [1, 2, 3]}
