@@ -287,6 +287,11 @@ def cmd_verify(args) -> int:
     if args.suite != "all" and args.suite not in SUITES:
         return _emit("error", {"error": f"unknown suite {args.suite!r}"},
                      f"unknown suite {args.suite!r}")
+    # below these sizes a suite compares next to nothing and would pass vacuously
+    if args.trunc < 10:
+        return _emit("error", {"error": "trunc must be >= 10"}, "trunc must be >= 10")
+    if args.grade < 2:
+        return _emit("error", {"error": "grade must be >= 2"}, "grade must be >= 2")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     results = {name: SUITES[name](args.trunc, args.grade) for name in names}
     ok = all(r["ok"] for r in results.values())

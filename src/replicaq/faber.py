@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .qseries import QSeries, TruncationError, _as_fraction
+from .qseries import QSeries, TruncationError, _as_fraction, _int_conv
 
 
 @dataclass(frozen=True)
@@ -64,16 +64,6 @@ def _pscale(p, c):
 
 def _pmulz(p):
     return [Fraction(0)] + list(p)
-
-
-def _pmul(p, q):
-    out = [p[0] - p[0]] * (len(p) + len(q) - 1)
-    for i, x in enumerate(p):
-        if x:
-            for j, y in enumerate(q):
-                if y:
-                    out[i + j] += x * y
-    return out
 
 
 def _to_poly(ascending) -> FaberPolynomial:
@@ -193,6 +183,9 @@ def _pdiv_exact(p, d):
 
 
 def _bareiss_poly_det(M, one):
+    def pmul(p, q):
+        return _int_conv(p, q, len(p) + len(q) - 1)
+
     n = len(M)
     M = [row[:] for row in M]
     prev = [one]
@@ -207,7 +200,7 @@ def _bareiss_poly_det(M, one):
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                num = _padd(_pmul(M[i][j], M[k][k]), _pscale(_pmul(M[i][k], M[k][j]), -1))
+                num = _padd(pmul(M[i][j], M[k][k]), _pscale(pmul(M[i][k], M[k][j]), -1))
                 M[i][j] = _pdiv_exact(num, prev)
             M[i][k] = [zero]
         prev = M[k][k]
@@ -223,16 +216,6 @@ def symmetric_function_check(x: Sequence, order: int) -> bool:
     xs = [_as_fraction(v) for v in x]
     n = order + 1
 
-    def trunc_mul(p, q):
-        out = [Fraction(0)] * n
-        for i, a in enumerate(p):
-            if a and i < n:
-                for j, bv in enumerate(q):
-                    if i + j >= n:
-                        break
-                    out[i + j] += a * bv
-        return out
-
     def series_exp(u):
         # u has zero constant term
         out = [Fraction(0)] * n
@@ -240,7 +223,7 @@ def symmetric_function_check(x: Sequence, order: int) -> bool:
         term = [Fraction(0)] * n
         term[0] = Fraction(1)
         for j in range(1, n):
-            term = trunc_mul(term, u)
+            term = _int_conv(term, u, n)
             fact = 1
             for i in range(2, j + 1):
                 fact *= i
@@ -253,7 +236,7 @@ def symmetric_function_check(x: Sequence, order: int) -> bool:
     hom[0] = Fraction(1)
     for v in xs:
         geo = [v ** i for i in range(n)]
-        hom = trunc_mul(hom, geo)
+        hom = _int_conv(hom, geo, n)
     u = [Fraction(0)] + [Fraction(power_sums[m - 1], m) for m in range(1, n)]
     if hom != series_exp(u):
         return False
@@ -261,6 +244,6 @@ def symmetric_function_check(x: Sequence, order: int) -> bool:
     elem = [Fraction(0)] * n
     elem[0] = Fraction(1)
     for v in xs:
-        elem = trunc_mul(elem, [Fraction(1), v])
+        elem = _int_conv(elem, [Fraction(1), v], n)
     u2 = [Fraction(0)] + [Fraction(-((-1) ** m) * power_sums[m - 1], m) for m in range(1, n)]
     return elem == series_exp(u2)

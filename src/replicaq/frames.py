@@ -157,7 +157,6 @@ def _product_int_coeffs(exponents: dict, n_terms: int) -> list:
                 s[i] += te
     b = [0] * (n_terms + 1)
     b[0] = 1
-    srev = s[1:]
     for n in range(1, n_terms + 1):
         total = 0
         for i in range(1, n + 1):

@@ -70,35 +70,33 @@ def hecke_Tn(f: QSeries, n: int) -> QSeries:
     return QSeries(-n, 1, out, trunc)
 
 
-def hecke_Tn_via_uv(f: QSeries, n: int) -> QSeries:
-    """Oracle route: T_n f = (1/n) sum_{ad=n} d V_a(U_d f) with the pole restored.
-
-    U_d drops the q^-1 term of f (d does not divide -1), so the a = n, d = 1
-    summand is the only one contributing the q^-n pole; no correction needed.
-    """
-    _require_integer_grid(f)
-    acc = None
-    for a in range(1, n + 1):
-        if n % a == 0:
-            d = n // a
-            term = vp(up(f, d), a) * d
-            acc = term if acc is None else acc + term
-    return acc * Fraction(1, n)
-
-
-def twisted_Tn(fam: ReplicationFamily, n: int) -> QSeries:
-    """Twisted Hecke operator: the a-divisor slice acts on the replicate f^(a)."""
+def _uv_sum(power: Callable[[int], QSeries], n: int) -> QSeries:
+    """(1/n) sum_{ad=n} d V_a(U_d g_a) with g_a = power(a)."""
     if n < 1:
         raise ValueError("index must be positive")
     acc = None
     for a in range(1, n + 1):
         if n % a == 0:
             d = n // a
-            g = fam.power(a)
+            g = power(a)
             _require_integer_grid(g)
             term = vp(up(g, d), a) * d
             acc = term if acc is None else acc + term
     return acc * Fraction(1, n)
+
+
+def hecke_Tn_via_uv(f: QSeries, n: int) -> QSeries:
+    """Oracle route: T_n f = (1/n) sum_{ad=n} d V_a(U_d f) with the pole restored.
+
+    U_d drops the q^-1 term of f (d does not divide -1), so the a = n, d = 1
+    summand is the only one contributing the q^-n pole; no correction needed.
+    """
+    return _uv_sum(lambda a: f, n)
+
+
+def twisted_Tn(fam: ReplicationFamily, n: int) -> QSeries:
+    """Twisted Hecke operator: the a-divisor slice acts on the replicate f^(a)."""
+    return _uv_sum(fam.power, n)
 
 
 @dataclass(frozen=True)
@@ -207,27 +205,11 @@ def _rule_a4k3(a: CoeffFn, h2: CoeffFn, k: int) -> Num:
     return _halved(whole, doubled)
 
 
-RULES = {
-    "a_4k": _rule_a4k,
-    "a_4k+1": _rule_a4k1,
-    "a_4k+2": _rule_a4k2,
-    "a_4k+3": _rule_a4k3,
-}
-
-
 def _rule_for(n: int):
     """(rule, k) computing a_n; defined for n >= 6."""
     if n < 6:
         raise ValueError("rules start at a_6; a_1..a_5 are seeds")
-    r = n % 4
-    k = n // 4
-    if r == 0:
-        return _rule_a4k, k
-    if r == 1:
-        return _rule_a4k1, k
-    if r == 2:
-        return _rule_a4k2, k
-    return _rule_a4k3, k
+    return (_rule_a4k, _rule_a4k1, _rule_a4k2, _rule_a4k3)[n % 4], n // 4
 
 
 @dataclass(frozen=True)

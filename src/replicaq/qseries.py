@@ -64,9 +64,7 @@ class QSeries:
         if cs:
             n_known = (trunc - lead_exp) / step
             limit = n_known.numerator // n_known.denominator
-            if n_known == limit:
-                limit = limit  # exponent == trunc is already unknown
-            else:
+            if n_known != limit:  # when equal, the exponent at trunc is already unknown
                 limit += 1
             if limit < len(cs):
                 del cs[limit:]
@@ -289,26 +287,9 @@ class QSeries:
         n = max(len(self.coeffs),
                 span.numerator // span.denominator + (1 if span.denominator > 1 else 0))
         u = self.coeffs + [Fraction(0)] * (n - len(self.coeffs))
-        inv = [Fraction(0)] * n
-        inv[0] = 1 / c0
-        if all(c.denominator == 1 for c in u) and abs(c0) == 1:
-            ui = [c.numerator for c in u]
-            vi = [0] * n
-            vi[0] = ui[0]  # +-1
-            for k in range(1, n):
-                s = 0
-                for j in range(1, k + 1):
-                    if ui[j]:
-                        s += ui[j] * vi[k - j]
-                vi[k] = -s * ui[0]
-            inv = [Fraction(v) for v in vi]
-        else:
-            for k in range(1, n):
-                s = Fraction(0)
-                for j in range(1, k + 1):
-                    if u[j]:
-                        s += u[j] * inv[k - j]
-                inv[k] = -s / c0
+        if abs(c0) == 1 and all(c.denominator == 1 for c in u):
+            u = [c.numerator for c in u]
+        inv = _int_series_inverse(u, n)
         trunc = self.trunc - 2 * lead
         return QSeries(-lead, self.step, inv, trunc, self.extended)
 
@@ -322,29 +303,15 @@ class QSeries:
 
 
 def _convolve(a: Sequence[Fraction], b: Sequence[Fraction], n_out: int) -> list:
-    """First n_out coefficients of the Cauchy product."""
-    if n_out <= 0:
-        return []
-    int_path = all(c.denominator == 1 for c in a) and all(c.denominator == 1 for c in b)
-    if int_path:
-        xs = [c.numerator for c in a]
-        ys = [c.numerator for c in b]
-        out = [0] * n_out
-    else:
-        xs, ys = list(a), list(b)
-        out = [Fraction(0)] * n_out
-    for i, x in enumerate(xs):
-        if i >= n_out:
-            break
-        if x:
-            hi = min(len(ys), n_out - i)
-            for j in range(hi):
-                y = ys[j]
-                if y:
-                    out[i + j] += x * y
-    if int_path:
-        out = [Fraction(v) for v in out]
-    return out
+    """First n_out coefficients of the Cauchy product, as Fractions.
+
+    Integral operands run through ``_int_conv`` on ints: Fraction arithmetic
+    on integral values is the slow path.
+    """
+    if all(c.denominator == 1 for c in a) and all(c.denominator == 1 for c in b):
+        out = _int_conv([c.numerator for c in a], [c.numerator for c in b], n_out)
+        return [Fraction(v) for v in out]
+    return _int_conv(a, b, n_out)
 
 
 # -- classical oracles ---------------------------------------------------
@@ -407,29 +374,37 @@ def delta_int_coeffs(n_terms: int) -> list:
 
 
 def _int_conv(a: list, b: list, n_out: int) -> list:
-    out = [0] * n_out
-    for i, x in enumerate(a):
-        if i >= n_out:
-            break
+    """First n_out coefficients of the Cauchy product of a and b.
+
+    The one truncated product loop of the package.  Entries keep the operands'
+    type: ints stay ints and Fractions stay Fractions (never floats).
+    """
+    out = [a[0] - a[0] if a else 0] * n_out
+    nonzero_b = [(j, y) for j, y in enumerate(b[:n_out]) if y]
+    for i, x in enumerate(a[:n_out]):
         if x:
-            hi = min(len(b), n_out - i)
-            for j in range(hi):
-                if b[j]:
-                    out[i + j] += x * b[j]
+            hi = n_out - i
+            for j, y in nonzero_b:
+                if j >= hi:
+                    break
+                out[i + j] += x * y
     return out
 
 
 def _int_series_inverse(a: list, n_out: int) -> list:
-    """Inverse of a power series with a[0] = +-1, integer coefficients."""
-    assert a[0] in (1, -1)
-    inv = [0] * n_out
-    inv[0] = a[0]
+    """First n_out coefficients of 1/a for a power series with a[0] != 0.
+
+    The one series-inverse recurrence of the package; it stays in ints when a
+    is integral with a[0] = +-1, and otherwise works in Fractions.
+    """
+    inv0 = a[0] if a[0] in (1, -1) else 1 / Fraction(a[0])
+    inv = [inv0] * n_out
     for k in range(1, n_out):
         s = 0
         for j in range(1, min(k, len(a) - 1) + 1):
             if a[j]:
                 s += a[j] * inv[k - j]
-        inv[k] = -s * a[0]
+        inv[k] = -s * inv0
     return inv
 
 

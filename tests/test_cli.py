@@ -88,6 +88,18 @@ class TestVerify:
         code, payload, _ = run(capsys, "verify", "all")
         assert code == 0 and len(payload["suites"]) == 6
 
+    @pytest.mark.parametrize("argv", [("faber", "--trunc", "2"), ("hecke", "--trunc", "0"),
+                                      ("all", "--trunc", "9"), ("basis", "--grade", "1")])
+    def test_sizes_that_compare_nothing_rejected(self, capsys, argv):
+        code, payload, _ = run(capsys, "verify", *argv)
+        assert code == 2 and payload["status"] == "error"
+        assert "must be >=" in payload["error"]
+
+    @pytest.mark.parametrize("argv", [("faber", "--trunc", "10"), ("basis", "--grade", "2")])
+    def test_size_floors_accepted(self, capsys, argv):
+        code, payload, _ = run(capsys, "verify", *argv)
+        assert code == 0 and payload["status"] == "verified"
+
     def test_unknown_suite(self, capsys):
         code, payload, _ = run(capsys, "verify", "bogus")
         assert code == 2 and payload["status"] == "error"

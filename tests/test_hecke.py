@@ -86,6 +86,15 @@ class TestTn:
             for n in (2, 3, 4, 6, 12):
                 assert hecke_Tn(f, n) == hecke_Tn_via_uv(f, n)
 
+    def test_index_zero_rejected(self):
+        for n in (0, -2):
+            with pytest.raises(ValueError):
+                hecke_Tn(j_oracle(20), n)
+            with pytest.raises(ValueError):
+                hecke_Tn_via_uv(j_oracle(20), n)
+            with pytest.raises(ValueError):
+                twisted_Tn(j_family(20), n)
+
     def test_substitution_oracle_small_n(self):
         J = j_oracle(25)
         for n in (1, 2, 3, 4):

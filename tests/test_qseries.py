@@ -4,11 +4,21 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from replicaq.qseries import (QSeries, GridError, TruncationError, eta,
                               eisenstein_e4, delta, delta_int_coeffs, j_oracle,
                               j_int_coeffs, euler_phi_int_coeffs,
-                              qseries_to_json, qseries_from_json)
+                              qseries_to_json, qseries_from_json,
+                              _int_conv, _int_series_inverse)
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+# small entries with plenty of zeros, so the kernels' zero skips are exercised
+INTS = st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -7, 10**30]), max_size=12)
+FRACTIONS = st.lists(st.sampled_from([Fraction(0), Fraction(0), Fraction(1),
+                                      Fraction(-3, 5), Fraction(7, 2), Fraction(4)]),
+                     max_size=12)
 
 
 def random_series(rng, trunc=12):
@@ -94,6 +104,60 @@ class TestArithmetic:
         prod_lo, prod_hi = lo * lo - 2 * lo, hi * hi - 2 * hi
         for e in range(-2, int(prod_lo.trunc)):
             assert prod_lo.coeff(e) == prod_hi.coeff(e)
+
+
+def naive_product(a, b, n_out):
+    return [sum((a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b)),
+                start=Fraction(0)) for k in range(n_out)]
+
+
+class TestKernels:
+    @PROPERTY
+    @given(st.one_of(st.tuples(INTS, INTS), st.tuples(FRACTIONS, FRACTIONS)))
+    def test_conv_is_the_double_sum(self, ab):
+        a, b = ab
+        for n_out in range(len(a) + len(b) + 2):
+            out = _int_conv(a, b, n_out)
+            assert out == naive_product(a, b, n_out)
+            # ints stay ints, Fractions stay Fractions; never a float
+            assert {type(v) for v in out} <= {type(a[0]) if a else int}
+
+    def test_conv_empty_output(self):
+        assert _int_conv([1, 2], [3], 0) == []
+        assert _int_conv([Fraction(1, 2)], [Fraction(3)], 0) == []
+        assert _int_conv([], [1], 3) == [0, 0, 0]
+
+    def test_conv_fraction_zero_stays_fraction(self):
+        out = _int_conv([Fraction(0), Fraction(1, 3)], [Fraction(0)], 3)
+        assert out == [0, 0, 0] and all(type(v) is Fraction for v in out)
+
+    @PROPERTY
+    @given(st.sampled_from([1, -1]), INTS, st.integers(1, 14))
+    def test_inverse_of_unit_led_int_series(self, c0, tail, n):
+        a = [c0] + tail
+        inv = _int_series_inverse(a, n)
+        assert all(type(v) is int for v in inv)
+        assert _int_conv(a, inv, n) == [1] + [0] * (n - 1)
+
+    @PROPERTY
+    @given(st.sampled_from([Fraction(2), Fraction(-3, 5), Fraction(7)]), FRACTIONS,
+           st.integers(1, 14))
+    def test_inverse_of_fraction_series(self, c0, tail, n):
+        a = [c0] + tail
+        inv = _int_series_inverse(a, n)
+        assert not any(isinstance(v, float) for v in inv)
+        assert _int_conv(a, inv, n) == [1] + [0] * (n - 1)
+
+    @pytest.mark.parametrize("c0", [-1, 1, 2])
+    def test_invert_roundtrip_integral(self, c0):
+        rng = random.Random(c0 + 5)
+        for _ in range(20):
+            f = QSeries(rng.randint(-2, 1), 1,
+                        [c0] + [rng.choice([0, 0, 1, -3, 8]) for _ in range(11)], 12)
+            prod = f * f.invert()
+            assert prod.coeff(0) == 1
+            assert prod.trunc == 12 - f.lead_exp
+            assert all(prod.coeff(e) == 0 for e in range(1, int(prod.trunc)))
 
 
 class TestOracles:
