@@ -5,7 +5,7 @@ classification, Faber polynomials, Grunsky tables, Norton's replication
 machinery and weight-0 Hecke operators, all cross-checked against each other.
 """
 
-from .qseries import (QSeries, GridError, TruncationError, eta, eisenstein_e4,
+from .qseries import (QSeries, GridError, TruncationError, agree, eta, eisenstein_e4,
                       delta, j_oracle, qseries_to_json, qseries_from_json)
 from .frames import (Partition, FrameShape, FrameShapeError, parse_frame_shape,
                      is_balanced, eta_product, weak_multiplicativity,
@@ -21,9 +21,9 @@ from .replicable import (NORTON_BASIS, IRREDUCIBLE_GRADES, ReplicationFamily,
                          mod_p_congruence, find_reducing_pair,
                          exhaustive_reducing_pair, reconstruct_from_basis,
                          reconstruct_by_grunsky)
-from .hecke import (sublattice_reps, up, vp, hecke_Tn, hecke_Tn_via_uv,
-                    twisted_Tn, hecke_faber_verify, derive_p2_recurrences,
-                    mahler_compute, RecurrenceSet)
+from .hecke import (up, vp, hecke_Tn, hecke_Tn_via_uv, twisted_Tn,
+                    hecke_faber_verify, p2_identities, first_p2_rule_failure,
+                    mahler_compute)
 from .functions import (FunctionSpec, SpecError, parse_function_spec, realize,
                         fiction_series, j_family, fiction_family, tb2_family,
                         TB2_SPEC)

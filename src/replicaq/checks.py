@@ -1,0 +1,268 @@
+"""The cross-route checks, each written once.
+
+The acceptance tests call these checks at their fixed bounds and ``replicaq
+verify`` at sizes derived from its options, so the two callers cannot drift
+apart.  A check returns one ``CheckReport`` per sub-check, keyed as in the
+``verify`` payload.  Series comparisons go through ``agree``, which refuses to
+compare past what either side knows.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd
+from typing import Iterable, Optional
+
+from .qseries import QSeries, TruncationError, agree, j_oracle, _exponents_below
+from .faber import faber_by_recursion, faber_by_elimination, faber_by_determinant
+from .grunsky import (GrunskyCalculator, grunsky_by_recursion, grunsky_from_faber,
+                      bivariate_comparisons, denominator_bound_violations)
+from .replicable import (NORTON_BASIS, IRREDUCIBLE_GRADES, ReplicationFamily,
+                         is_replicable, replicate, replicate_by_grunsky,
+                         inverse_identity_sum, mod_p_residues, find_reducing_pair,
+                         exhaustive_reducing_pair, reconstruct_from_basis,
+                         reconstruct_by_grunsky)
+from .hecke import (hecke_Tn, hecke_Tn_via_uv, up, vp, hecke_faber_verify,
+                    p2_identities, first_p2_rule_failure, mahler_compute, _int_valued)
+from .functions import j_family, tb2_family
+
+
+@dataclass(frozen=True)
+class CheckReport:
+    name: str
+    compared: int
+    first_mismatch: Optional[tuple] = None
+
+    @property
+    def ok(self) -> bool:
+        """Something was compared and nothing differed."""
+        return self.compared > 0 and self.first_mismatch is None
+
+
+def _scan(name: str, items: Iterable[tuple]) -> CheckReport:
+    """Compare (label, got, want) items in order, stopping at the first got != want."""
+    compared = 0
+    for label, got, want in items:
+        compared += 1
+        if got != want:
+            return CheckReport(name, compared, (label, got, want))
+    return CheckReport(name, compared)
+
+
+def _series(name: str, items: Iterable[tuple], exact: bool = False) -> CheckReport:
+    """Compare (label, a, b, order) items by ``agree``, counting exponents; a
+    side known only below order is a mismatch, and so, when ``exact``, is a
+    side known to any order but q^order."""
+    compared = 0
+    for label, a, b, order in items:
+        try:
+            if exact and not a.trunc == b.trunc == order:
+                raise TruncationError(f"known below q^{a.trunc} and q^{b.trunc}, not q^{order}")
+            mismatch = agree(a, b, order)
+        except TruncationError as exc:
+            return CheckReport(name, compared, (label, str(exc)))
+        compared += len(_exponents_below(a, b, order))
+        if mismatch is not None:
+            return CheckReport(name, compared, (label,) + mismatch)
+    return CheckReport(name, compared)
+
+
+def mahler(trunc: int, terms: int, top: int) -> dict:
+    """For J and 2B known to q^trunc: the identities E1 and E2 behind the
+    p = 2 rules, the rules against a_6 .. a_terms, and ``mahler_compute`` from
+    a_1 .. a_5 and f^(2) against f below q^top.  Also J's first four
+    coefficients against their published values."""
+    out = {}
+    rules_to = min(terms, trunc - 1)
+    for name, fam in (("j", j_family(trunc)), ("2b", tb2_family(trunc))):
+        f, a, h2 = fam.base, _int_valued(fam.base.coeff), _int_valued(fam.power(2).coeff)
+        fail = first_p2_rule_failure(fam, rules_to)
+        g = mahler_compute([a(i) for i in range(1, 6)], h2, top)
+        out[name] = {
+            "identities_ok": _series("mahler_identities", p2_identities(fam)),
+            "rules_ok": CheckReport("mahler_rules", (fail[0] if fail else rules_to) - 5, fail),
+            "compute_matches_oracle": _series("mahler_vs_oracle", [("f", g, f, top)]),
+        }
+    J = j_oracle(5)
+    out["j_published_values"] = _scan("j_published_values", (
+        (k, J.coeff(k), want)
+        for k, want in enumerate((196884, 21493760, 864299970, 20245856256), 1)))
+    return out
+
+
+def faber(trunc: int, n_max: int, randoms: int) -> dict:
+    """Faber polynomials F_n, n <= n_max, of J known to q^trunc and of
+    ``randoms`` seeded random normalized series known to q^(trunc-1): the
+    recursion against the determinant, the closed forms F_2 = z^2 - 2 a_1 and
+    F_3 = z^3 - 3 a_1 z - 3 a_2, and, where f is known to q^(n+1), against
+    pole-killing elimination, with F_n(f) = q^-n + O(q)."""
+    J = j_oracle(trunc)
+    inputs = [("J", J, [J.coeff(k) for k in range(1, trunc)])]
+    rng = random.Random(2024)
+    for i in range(randoms):
+        a = [Fraction(rng.randint(-7, 7)) for _ in range(trunc - 2)]
+        inputs.append((f"random {i}", QSeries(-1, 1, [1, 0] + a, trunc - 1), a))
+    routes, poles = [], []
+    for label, f, a in inputs:
+        for n in range(n_max + 1):
+            rec = faber_by_recursion(a, n)
+            routes.append(((label, n, "determinant"), faber_by_determinant(a, n).coeffs,
+                           rec.coeffs))
+            if 1 <= n and n + 1 < f.trunc:
+                routes.append(((label, n, "elimination"), faber_by_elimination(f, n).coeffs,
+                               rec.coeffs))
+                poles.append(((label, n), rec(f), QSeries(-n, 1, [1], 1), 1))
+        routes.append(((label, 2, "closed form"), faber_by_recursion(a, 2).coeffs,
+                       (1, 0, -2 * a[0])))
+        routes.append(((label, 3, "closed form"), faber_by_recursion(a, 3).coeffs,
+                       (1, 0, -3 * a[0], -3 * a[1])))
+    return {"routes_agree": _scan("faber_routes", routes),
+            "poles_killed": _series("faber_poles", poles)}
+
+
+def grunsky(trunc: int, grade: int, denominator_grade: int) -> dict:
+    """J's Grunsky table to ``grade`` by Norton's recursion and from F_n(J);
+    the bivariate log expansion against both tables to min(grade, 12); and
+    gcd(m, n) h_{m,n} integral on the recursion table to ``denominator_grade``."""
+    J = j_oracle(trunc)
+    a = [J.coeff(k) for k in range(1, trunc)]
+    calc = GrunskyCalculator(a)
+    rec, fab = calc.table(grade), grunsky_from_faber(J, grade)
+    bi = min(grade, 12)
+    t = calc.table(denominator_grade)
+    bad = denominator_bound_violations(t)
+    keys = sorted(rec.entries.keys() | fab.entries.keys())
+    return {
+        "routes_agree": _scan("grunsky_routes", (
+            (k, rec.entries.get(k), fab.entries.get(k)) for k in keys)),
+        "bivariate_ok": _scan("grunsky_bivariate", (
+            ((route,) + pair, got, want)
+            for route, table in (("recursion", rec), ("faber", fab))
+            for pair, got, want in bivariate_comparisons(J, bi, table))),
+        "denominator_bound_ok": CheckReport("grunsky_denominators", len(t.entries),
+                                            bad[0] if bad else None),
+    }
+
+
+def replicable(grade: int, perturbations: int, trunc: int, ks: tuple,
+               route_ks: tuple) -> dict:
+    """J's Grunsky table to ``grade`` is replicable, and adding 1 to any one
+    of a_1 .. a_perturbations makes it not; replicate(J, k) = J below q^trunc
+    for k in ks, and equals replicate_by_grunsky for k in route_ks; and the
+    inverse identity h_{m,n} = sum_{d | gcd(m,n)} (1/d) h^(d)_{mn/d^2} holds
+    on J's table to grade 9 for gcd(m, n) <= 4, J being its own replicate."""
+    # replicate(J, k, trunc) reads J to q^(k^2 trunc); the grade-9 sums to q^20
+    J = j_oracle(max(max(ks + route_ks) ** 2 * trunc, grade, 20) + 1)
+    a = [J.coeff(k) for k in range(1, grade + 1)]
+    rep = is_replicable(grunsky_by_recursion(a, grade))
+    bumped = (a[:i] + [a[i] + 1] + a[i + 1:] for i in range(perturbations))
+    controls = _scan("replicability", (
+        (f"a_{i + 1} + 1", is_replicable(grunsky_by_recursion(b, grade)).ok, False)
+        for i, b in enumerate(bumped)))
+    fam = ReplicationFamily(J, {d: J for d in (2, 3, 4)})
+    t = grunsky_by_recursion(J.coeff, 9)
+    return {
+        "replicability_ok": CheckReport("replicability", rep.checked_pairs + controls.compared,
+                                        rep.counterexample or controls.first_mismatch),
+        "replicate_fixes_j": _series("replicate_fixes_j", (
+            (f"k={k}", replicate(J, k, trunc), J.truncate(trunc), trunc) for k in ks),
+            exact=True),
+        "replicate_routes_agree": _series("replicate_routes", (
+            (f"k={k}", replicate(J, k, trunc), replicate_by_grunsky(J, k, trunc), trunc)
+            for k in route_ks), exact=True),
+        "inverse_identity_ok": _scan("inverse_identity", (
+            ((m, n), t.get(m, n), inverse_identity_sum(fam, m, n))
+            for m, n in t.pairs() if gcd(m, n) <= 4)),
+    }
+
+
+def mod2_congruence(trunc: int, bound: int) -> CheckReport:
+    """a_i(2B) = a_i(J) mod 2 for 1 <= i <= bound, J being 2B's duplicate."""
+    fam = tb2_family(trunc)
+    return _scan("mod2_congruence", ((i, r, 0) for i, r in
+                                     mod_p_residues(fam.base, fam.power(2), 2, bound)))
+
+
+def basis(grade: int, trunc: int) -> dict:
+    """For 2 <= N <= grade the case analysis finds a reducing pair exactly
+    when the exhaustive search does, and each pair found is valid; the
+    grades 2..24 without a pair against the published list and the Norton
+    basis; and J rebuilt from its 12 basis values, by Faber rows and by
+    Norton's recursion, against J below q^trunc."""
+    def pairs():
+        for N in range(2, grade + 1):
+            mine = find_reducing_pair(N)
+            yield (N, "reducible"), mine is not None, exhaustive_reducing_pair(N) is not None
+            if mine is not None:
+                yield (N, mine.from_pair, mine.to_pair), (mine.grade, mine.valid), (N, True)
+
+    irr = tuple(N for N in range(2, 25) if find_reducing_pair(N) is None)
+    J = j_oracle(max(trunc, NORTON_BASIS[-1] + 1))
+    values = {k: J.coeff(k) for k in NORTON_BASIS}
+    rebuilt = reconstruct_from_basis(values, trunc)
+    return {
+        "reducing_pairs_ok": _scan("reducing_pairs", pairs()),
+        "irreducible_grades_ok": _scan("irreducible_grades", [
+            ("irreducible grades", irr, (2, 3, 4, 5, 6, 8, 9, 10, 12, 18, 20, 24)),
+            ("IRREDUCIBLE_GRADES", IRREDUCIBLE_GRADES, irr),
+            ("NORTON_BASIS", NORTON_BASIS, (1, 2, 3, 4, 5, 7, 8, 9, 11, 17, 19, 23))]),
+        "reconstruction_ok": _series("reconstruction", [("J", rebuilt, J.truncate(trunc), trunc)],
+                                     exact=True),
+        "reconstruction_routes_agree": _series("reconstruction_routes", [
+            ("J", rebuilt, reconstruct_by_grunsky(values, trunc), trunc)], exact=True),
+    }
+
+
+def hecke(trunc: int, randoms: int, families: dict, faber_trunc: int) -> dict:
+    """On J and ``randoms`` seeded random normalized series known to q^trunc:
+    T_p f = V_p f / p + U_p f for p in 2, 3, 5, 7, and the closed formula for
+    T_n against the U/V composition for n in 2, 4, 6.  For each named family,
+    n T_n f = F_n(f) (twisted T_n) for n <= 6 below q^faber_trunc; and 2B
+    posing as its own duplicate (which is J) must break it at n = 2."""
+    inputs = [("J", j_oracle(trunc))]
+    rng = random.Random(616)
+    for i in range(randoms):
+        coeffs = [1, 0] + [rng.randint(-9, 9) for _ in range(trunc + 1)]
+        inputs.append((f"random {i}", QSeries(-1, 1, coeffs, trunc)))
+    f2b = tb2_family(62).base
+    wrong = hecke_faber_verify(ReplicationFamily(f2b, {a: f2b for a in range(2, 8)}), 2, 20)
+    return {
+        "tp_decomposition_ok": _series("tp_decomposition", (
+            ((label, p), hecke_Tn(f, p), vp(f, p) * Fraction(1, p) + up(f, p), f.trunc / p)
+            for label, f in inputs for p in (2, 3, 5, 7))),
+        "uv_route_ok": _series("tn_routes", (
+            ((label, n), hecke_Tn(f, n), hecke_Tn_via_uv(f, n), f.trunc / n)
+            for label, f in inputs for n in (2, 4, 6))),
+        "hecke_faber": {name: _hecke_faber(fam, faber_trunc) for name, fam in families.items()},
+        "wrong_family_rejected": CheckReport("wrong_family_rejected", 1,
+                                             ("n=2", "accepted") if wrong[1].ok else None),
+    }
+
+
+def _hecke_faber(fam: ReplicationFamily, trunc: int) -> CheckReport:
+    reports = hecke_faber_verify(fam, 6, trunc)
+    bad = next((r for r in reports if not r.ok), None)
+    return CheckReport("hecke_faber", sum(r.compared_exponents for r in reports),
+                       bad and (bad.n,) + bad.first_mismatch)
+
+
+def numerology():
+    """(values, reports): the numbers behind the numerology, and one report
+    per identity: 1^2 + ... + 24^2 = 70^2; the squares of J's a_1 .. a_24 sum
+    to 42 mod 70; 360 + 256 = 120 + 2 * 248 = 616."""
+    J = j_oracle(26)
+    values = {"sum_squares_1_to_24": sum(k * k for k in range(1, 25)),
+              "j_coefficient_squares_mod_70": sum(J.coeff(k) ** 2 for k in range(1, 25)) % 70,
+              "360+256": 360 + 256,
+              "120+2*248": 120 + 2 * 248}
+    reports = {
+        "sum_squares_1_to_24": _scan("sum_squares_1_to_24", [
+            ("sum", values["sum_squares_1_to_24"], 70 ** 2)]),
+        "j_coefficient_squares_mod_70": _scan("j_coefficient_squares_mod_70", [
+            ("mod 70", values["j_coefficient_squares_mod_70"], 42)]),
+        "census_sums": _scan("census_sums", [
+            (key, values[key], 616) for key in ("360+256", "120+2*248")]),
+    }
+    return values, reports

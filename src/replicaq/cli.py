@@ -12,17 +12,10 @@ import json
 import sys
 from fractions import Fraction
 
-from .qseries import QSeries, j_oracle, qseries_to_json
-from .frames import classify_degree24, euler_factor_check, parse_frame_shape
-from .faber import faber_by_recursion, faber_by_elimination, faber_by_determinant
-from .grunsky import (grunsky_by_recursion, grunsky_from_faber,
-                      grunsky_bivariate_check, denominator_bound_violations)
-from .replicable import (NORTON_BASIS, IRREDUCIBLE_GRADES, is_replicable,
-                         replicate, replicate_by_grunsky, find_reducing_pair,
-                         exhaustive_reducing_pair, reconstruct_from_basis,
-                         reconstruct_by_grunsky)
-from .hecke import (hecke_Tn, hecke_Tn_via_uv, up, vp, hecke_faber_verify,
-                    derive_p2_recurrences, mahler_compute)
+from . import checks
+from .frames import classify_degree24
+from .replicable import NORTON_BASIS, reconstruct_from_basis
+from .hecke import mahler_compute
 from .functions import (FunctionSpec, SpecError, TB2_SPEC, parse_function_spec,
                         realize, j_family, fiction_family, tb2_family)
 
@@ -131,156 +124,69 @@ def cmd_classify24(args) -> int:
 
 
 def cmd_numerology(args) -> int:
-    sq = sum(k * k for k in range(1, 25))
-    J = j_oracle(26)
-    jsq = sum(J.coeff(k) ** 2 for k in range(1, 25))
-    checks = {
-        "sum_squares_1_to_24": {"value": str(sq), "equals_70_squared": sq == 4900},
-        "j_coefficient_squares_mod_70": {
-            "value_mod_70": str(jsq % 70),
-            "equals_42": jsq % 70 == 42,
-        },
-        "census_sums": {
-            "360+256": 360 + 256,
-            "120+2*248": 120 + 2 * 248,
-            "both_616": 360 + 256 == 616 and 120 + 2 * 248 == 616,
-        },
-    }
-    ok = (checks["sum_squares_1_to_24"]["equals_70_squared"]
-          and checks["j_coefficient_squares_mod_70"]["equals_42"]
-          and checks["census_sums"]["both_616"])
+    values, reports = checks.numerology()
     payload = {
-        "checks": checks,
+        "checks": {
+            "sum_squares_1_to_24": {
+                "value": str(values["sum_squares_1_to_24"]),
+                "equals_70_squared": reports["sum_squares_1_to_24"].ok,
+            },
+            "j_coefficient_squares_mod_70": {
+                "value_mod_70": str(values["j_coefficient_squares_mod_70"]),
+                "equals_42": reports["j_coefficient_squares_mod_70"].ok,
+            },
+            "census_sums": {
+                "360+256": values["360+256"],
+                "120+2*248": values["120+2*248"],
+                "both_616": reports["census_sums"].ok,
+            },
+        },
         "replicable_function_census": {"count": 616, "provenance": "quoted"},
     }
+    ok = all(r.ok for r in reports.values())
     status = "verified" if ok else "falsified"
     return _emit(status, payload, f"numerology {status}")
 
 
 # -- verify suites -------------------------------------------------------
 
-def _suite_faber(trunc: int, grade: int) -> dict:
-    J = j_oracle(trunc)
-    a = [J.coeff(k) for k in range(1, trunc)]
-    routes_agree = True
-    poles_killed = True
-    for n in range(0, min(8, trunc - 2) + 1):
-        r = faber_by_recursion(a, n)
-        if faber_by_determinant(a, n) != r:
-            routes_agree = False
-        if n >= 1 and n + 1 < trunc and faber_by_elimination(J, n) != r:
-            routes_agree = False
-        if n >= 1 and n + 1 < trunc:
-            series = r(J)
-            if any(series.coeff(-j) != (1 if j == n else 0) for j in range(0, n + 1)):
-                poles_killed = False
-    return {"routes_agree": routes_agree, "poles_killed": poles_killed,
-            "ok": routes_agree and poles_killed}
-
-
-def _suite_grunsky(trunc: int, grade: int) -> dict:
-    grade = min(grade, trunc - 1)
-    J = j_oracle(trunc)
-    a = [J.coeff(k) for k in range(1, trunc)]
-    t_rec = grunsky_by_recursion(a, grade)
-    t_fab = grunsky_from_faber(J, grade)
-    agree = t_rec.entries == t_fab.entries
-    bivariate = grunsky_bivariate_check(J, min(grade, 12), t_fab if grade <= 12 else None)
-    denom = not denominator_bound_violations(t_rec)
-    return {"routes_agree": agree, "bivariate_ok": bivariate,
-            "denominator_bound_ok": denom, "ok": agree and bivariate and denom}
-
-
-def _coefficients(series: QSeries, trunc: int):
-    """Coefficients at q^-1 .. q^(trunc-1), or None unless known exactly to trunc."""
-    if series.trunc != trunc:
-        return None
-    return series.integer_coeffs(-1, trunc - 1)
-
-
-def _suite_replicable(trunc: int, grade: int) -> dict:
-    J = j_oracle(max(trunc, 100))
-    a = [J.coeff(k) for k in range(1, int(J.trunc))]
-    rep = is_replicable(grunsky_by_recursion(a, min(grade, 16)))
-    want = _coefficients(j_oracle(9), 9)
-    rows = {k: _coefficients(replicate(J, k, 9), 9) for k in (2, 3)}
-    k_ok = all(got == want for got in rows.values())
-    routes = all(got is not None and got == _coefficients(replicate_by_grunsky(J, k, 9), 9)
-                 for k, got in rows.items())
-    fam = tb2_family(trunc)
-    from .replicable import mod_p_congruence
-    cong = mod_p_congruence(fam.base, fam.power(2), 2, min(trunc - 1, 20))
-    return {"replicability_ok": rep.ok, "replicate_fixes_j": k_ok,
-            "replicate_routes_agree": routes, "mod_2_congruence_ok": cong,
-            "ok": rep.ok and k_ok and routes and cong}
-
-
-def _suite_basis(trunc: int, grade: int) -> dict:
-    pairs_ok = True
-    for N in range(2, grade + 1):
-        mine = find_reducing_pair(N)
-        oracle = exhaustive_reducing_pair(N)
-        if (mine is None) != (oracle is None):
-            pairs_ok = False
-            break
-        if mine is not None:
-            try:
-                mine.validate()
-            except AssertionError:
-                pairs_ok = False
-                break
-    irr = tuple(N for N in range(2, 25) if find_reducing_pair(N) is None)
-    irr_ok = irr == IRREDUCIBLE_GRADES
-    J = j_oracle(max(trunc, 31))
-    basis = {k: J.coeff(k) for k in NORTON_BASIS}
-    rebuilt = _coefficients(reconstruct_from_basis(basis, 30), 30)
-    rec_ok = rebuilt == _coefficients(j_oracle(30), 30)
-    routes = rebuilt is not None and rebuilt == _coefficients(
-        reconstruct_by_grunsky(basis, 30), 30)
-    return {"reducing_pairs_ok": pairs_ok, "irreducible_grades_ok": irr_ok,
-            "reconstruction_ok": rec_ok, "reconstruction_routes_agree": routes,
-            "grade_bound": grade, "ok": pairs_ok and irr_ok and rec_ok and routes}
-
-
-def _suite_hecke(trunc: int, grade: int) -> dict:
-    J = j_oracle(max(trunc, 31))
-    tp_ok = all(hecke_Tn(J, p) == (vp(J, p) * Fraction(1, p) + up(J, p))
-                for p in (2, 3, 5))
-    uv_ok = all(hecke_Tn(J, n) == hecke_Tn_via_uv(J, n) for n in (2, 4, 6))
-    fams = {"j": j_family(max(trunc, 31)), "2b": tb2_family(max(trunc, 31))}
-    hf = {name: all(r.ok for r in hecke_faber_verify(fam, 6, trunc))
-          for name, fam in fams.items()}
-    return {"tp_decomposition_ok": tp_ok, "uv_route_ok": uv_ok,
-            "hecke_faber": hf, "ok": tp_ok and uv_ok and all(hf.values())}
-
-
-def _suite_mahler(trunc: int, grade: int) -> dict:
-    out = {}
-    ok = True
-    for name, fam in (("j", j_family(max(trunc, 31))),
-                      ("2b", tb2_family(max(trunc, 31)))):
-        rs = derive_p2_recurrences(fam, max(trunc - 2, 10))
-        f, f2 = fam.base, fam.power(2)
-        seeds = [f.coeff(i) for i in range(1, 6)]
-        top = int(f.trunc) // 2
-        g = mahler_compute(seeds, lambda i: f2.coeff(i), top)
-        match = all(g.coeff(i) == f.coeff(i) for i in range(-1, top))
-        out[name] = {"identities_ok": rs.e1_ok and rs.e2_ok,
-                     "rules_ok": rs.first_rule_failure is None,
-                     "compute_matches_oracle": match}
-        ok = ok and rs.ok and match
-    out["ok"] = ok
-    return out
-
-
+# suite name -> (trunc, grade) -> {payload key: CheckReport, or a dict of them}
 SUITES = {
-    "faber": _suite_faber,
-    "grunsky": _suite_grunsky,
-    "replicable": _suite_replicable,
-    "basis": _suite_basis,
-    "hecke": _suite_hecke,
-    "mahler": _suite_mahler,
+    "faber": lambda t, g: checks.faber(t, min(8, t - 2), 4),
+    "grunsky": lambda t, g: checks.grunsky(t, min(g, t - 1), min(g, t - 1)),
+    # is_replicable compares no pair of J's table below grade 7
+    "replicable": lambda t, g: {
+        **checks.replicable(max(7, min(g, 16)), 0, 9, (2, 3), (2, 3)),
+        "mod_2_congruence_ok": checks.mod2_congruence(t, min(t - 1, 20))},
+    "basis": lambda t, g: {**checks.basis(g, 30), "grade_bound": g},
+    "hecke": lambda t, g: checks.hecke(max(t, 31), 10, {"j": j_family(max(t, 31)),
+                                                        "2b": tb2_family(max(t, 31))}, t),
+    "mahler": lambda t, g: checks.mahler(max(t, 31), max(t - 2, 10), max(t, 31) // 2),
 }
+
+
+def _plain(x):
+    """A mismatch tuple as JSON: numbers become decimal strings."""
+    if isinstance(x, tuple):
+        return [_plain(v) for v in x]
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+        return _rat(x)
+    return x
+
+
+def _reports_json(tree: dict):
+    """(JSON form, every report ok) of a dict of CheckReports and plain values."""
+    out, ok = {}, True
+    for key, value in tree.items():
+        if isinstance(value, checks.CheckReport):
+            ok = ok and value.ok
+            value = {"ok": value.ok, "compared": value.compared,
+                     "first_mismatch": _plain(value.first_mismatch)}
+        elif isinstance(value, dict):
+            value, sub_ok = _reports_json(value)
+            ok = ok and sub_ok
+        out[key] = value
+    return out, ok
 
 
 def cmd_verify(args) -> int:
@@ -293,7 +199,10 @@ def cmd_verify(args) -> int:
     if args.grade < 2:
         return _emit("error", {"error": "grade must be >= 2"}, "grade must be >= 2")
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    results = {name: SUITES[name](args.trunc, args.grade) for name in names}
+    results = {}
+    for name in names:
+        results[name], suite_ok = _reports_json(SUITES[name](args.trunc, args.grade))
+        results[name]["ok"] = suite_ok
     ok = all(r["ok"] for r in results.values())
     payload = {"suites": results, "trunc": args.trunc, "grade": args.grade}
     status = "verified" if ok else "falsified"

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .qseries import QSeries, Rat, _as_fraction, j_oracle
 from .frames import FrameShape, FrameShapeError, eta_product, parse_frame_shape

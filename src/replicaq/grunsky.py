@@ -157,19 +157,21 @@ def bivariate_log_coefficients(f: QSeries, grade: int) -> dict:
     return {k: v for k, v in result.items() if v}
 
 
+def bivariate_comparisons(f: QSeries, grade: int, table: GrunskyTable):
+    """((m, n), log coefficient, h_{m,n}) for m + n <= grade: the bivariate
+    log expansion of f against a Grunsky table, entry by entry."""
+    coeffs = bivariate_log_coefficients(f, grade)
+    return (((m, n), coeffs.get((n, m), Fraction(0)), table.get(m, n))
+            for m in range(1, grade) for n in range(1, grade - m + 1))
+
+
 def grunsky_bivariate_check(f: QSeries, grade: int,
                             table: GrunskyTable | None = None) -> bool:
-    """True iff the bivariate log expansion matches the Faber extraction."""
+    """True iff the bivariate log expansion matches the table (by default the
+    Faber extraction)."""
     if table is None:
         table = grunsky_from_faber(f, grade)
-    coeffs = bivariate_log_coefficients(f, grade)
-    for m in range(1, grade):
-        for n in range(1, grade - m + 1):
-            want = table.get(m, n)
-            got = coeffs.get((n, m), Fraction(0))
-            if want != got:
-                return False
-    return True
+    return all(got == want for _, got, want in bivariate_comparisons(f, grade, table))
 
 
 def denominator_bound_violations(t: GrunskyTable) -> list:

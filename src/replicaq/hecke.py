@@ -11,19 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from functools import lru_cache
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
-from .qseries import QSeries, TruncationError, _as_fraction
+from .qseries import QSeries, _as_fraction
 from .faber import faber_by_recursion
 from .replicable import ReplicationFamily
-
-
-def sublattice_reps(n: int) -> List[Tuple[int, int, int]]:
-    """Upper-triangular representatives (a, b, d): ad = n, 0 <= b < d."""
-    if n < 1:
-        raise ValueError("index must be positive")
-    return [(a, b, n // a) for a in range(1, n + 1) if n % a == 0
-            for b in range(n // a)]
 
 
 def _require_integer_grid(f: QSeries) -> None:
@@ -212,23 +205,9 @@ def _rule_for(n: int):
     return (_rule_a4k, _rule_a4k1, _rule_a4k2, _rule_a4k3)[n % 4], n // 4
 
 
-@dataclass(frozen=True)
-class RecurrenceSet:
-    """Verified p = 2 recurrence system for one replicable function."""
-
-    e1_ok: bool
-    e2_ok: bool
-    rules_verified_to: int
-    first_rule_failure: Optional[tuple] = None  # (n, predicted, actual)
-
-    @property
-    def ok(self) -> bool:
-        return self.e1_ok and self.e2_ok and self.first_rule_failure is None
-
-
-def derive_p2_recurrences(fam: ReplicationFamily, terms: int) -> RecurrenceSet:
-    """Numerically certify the two symmetric-function identities behind the
-    rules and then the four rules themselves, against the family's expansion.
+def p2_identities(fam: ReplicationFamily) -> list:
+    """The two symmetric-function identities behind the p = 2 rules, as
+    (name, lhs, rhs, order): each side is known, and must agree, below order.
 
     E1: A + B + C = f^2 - 2 a_1, with A = f(z/2), B its q^(1/2) -> -q^(1/2)
     twist and C = f^(2)(2z).  E2: AB + AC + BC = 2 a_2 f - f^(2) + 2 (a_4 - a_1);
@@ -242,20 +221,29 @@ def derive_p2_recurrences(fam: ReplicationFamily, terms: int) -> RecurrenceSet:
     B = _half_twist(A)
     C = f2.substitute(2)
     a1, a2, a4 = f.coeff(1), f.coeff(2), f.coeff(4)
-    e1_ok = (A + B + C) == (f * f - 2 * a1)
-    e2_ok = (A * B + A * C + B * C) == (f * (2 * a2) - f2 + 2 * (a4 - a1))
+    half = f.trunc / 2
+    return [("E1", A + B + C, f * f - 2 * a1, half),
+            ("E2", A * B + A * C + B * C, f * (2 * a2) - f2 + 2 * (a4 - a1), half - 2)]
 
-    a = lambda i: f.coeff(i)
-    h2 = lambda i: f2.coeff(i)
-    first_fail = None
-    top = min(terms, int(f.trunc) - 1)
+
+def _int_valued(c: CoeffFn) -> CoeffFn:
+    """c memoised, with integral values as ints so the rules run in int arithmetic."""
+    @lru_cache(maxsize=None)
+    def get(i: int) -> Num:
+        v = _as_fraction(c(i))
+        return v.numerator if v.denominator == 1 else v
+    return get
+
+
+def first_p2_rule_failure(fam: ReplicationFamily, top: int) -> Optional[tuple]:
+    """First (n, predicted, actual) with 6 <= n <= top where a rule misses a_n."""
+    a, h2 = _int_valued(fam.base.coeff), _int_valued(fam.power(2).coeff)
     for n in range(6, top + 1):
         rule, k = _rule_for(n)
         predicted = rule(a, h2, k)
-        if predicted != f.coeff(n):
-            first_fail = (n, predicted, f.coeff(n))
-            break
-    return RecurrenceSet(e1_ok, e2_ok, top, first_fail)
+        if predicted != a(n):
+            return (n, predicted, a(n))
+    return None
 
 
 def mahler_compute(seeds: Sequence[Num], h2: CoeffFn, trunc: int) -> QSeries:

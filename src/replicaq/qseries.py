@@ -10,7 +10,7 @@ boundary of its operands.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 from typing import Iterable, Sequence, Union
 
 Rat = Union[int, Fraction]
@@ -89,15 +89,6 @@ class QSeries:
     @classmethod
     def one(cls, trunc: Rat) -> "QSeries":
         return cls(0, 1, [1], trunc)
-
-    @classmethod
-    def from_integer_coeffs(cls, lead: int, coeffs: Sequence[Rat], trunc: Rat) -> "QSeries":
-        """Series on the integer exponent grid starting at q^lead."""
-        return cls(lead, 1, coeffs, trunc)
-
-    @classmethod
-    def monomial(cls, exp: Rat, trunc: Rat, coeff: Rat = 1) -> "QSeries":
-        return cls(exp, 1, [coeff], trunc)
 
     # -- inspection ------------------------------------------------------
 
@@ -300,6 +291,36 @@ class QSeries:
             raise ValueError("substitution exponent must be positive")
         return QSeries(self.lead_exp * k, self.step * k, self.coeffs,
                        self.trunc * k, extended or self.extended)
+
+
+def _exponents_below(a: QSeries, b: QSeries, order: Fraction) -> list:
+    """Exponents below ``order`` held by either series, ascending."""
+    return sorted({e for s in (a, b) for e in s.exponents() if e < order})
+
+
+def agree(a: QSeries, b: QSeries, order: Rat):
+    """First (exponent, a's coefficient, b's coefficient) where a and b differ
+    below ``order``, or None.
+
+    Unlike ``==``, which looks only below the smaller truncation order, this
+    raises TruncationError when either side is known only below ``order``.
+    """
+    order = _as_fraction(order)
+    for s in (a, b):
+        if s.trunc < order:
+            raise TruncationError(f"series known below q^{s.trunc} compared to q^{order}")
+    for e in _exponents_below(a, b, order):
+        if a.coeff(e) != b.coeff(e):
+            return (e, a.coeff(e), b.coeff(e))
+    return None
+
+
+def coefficients(series: QSeries, trunc: int) -> list:
+    """Coefficients at q^-1 .. q^(trunc-1) of a series known exactly to q^trunc;
+    raises TruncationError for any other truncation order."""
+    if series.trunc != trunc:
+        raise TruncationError(f"series known below q^{series.trunc}, not q^{trunc}")
+    return series.integer_coeffs(-1, trunc - 1)
 
 
 def _convolve(a: Sequence[Fraction], b: Sequence[Fraction], n_out: int) -> list:

@@ -54,13 +54,13 @@ class ReducingPair:
     from_pair: Tuple[int, int]
     to_pair: Tuple[int, int]
 
-    def validate(self) -> None:
+    @property
+    def valid(self) -> bool:
+        """r + s is the grade, r' + s' is smaller, and gcd and lcm agree."""
         r, s = self.from_pair
         rp, sp = self.to_pair
-        assert r + s == self.grade
-        assert gcd(r, s) == gcd(rp, sp)
-        assert lcm(r, s) == lcm(rp, sp)
-        assert rp + sp < self.grade
+        return (r + s == self.grade and rp + sp < self.grade
+                and gcd(r, s) == gcd(rp, sp) and lcm(r, s) == lcm(rp, sp))
 
 
 @dataclass(frozen=True)
@@ -201,30 +201,32 @@ def replicate_by_grunsky(f: QSeries, k: int, trunc: int) -> QSeries:
     return _replicate(f, k, trunc, lambda a: GrunskyCalculator(a).h)
 
 
+def inverse_identity_sum(fam: ReplicationFamily, m: int, n: int) -> Fraction:
+    """sum_{d | gcd(m,n)} (1/d) h^(d)_{mn/d^2}, which is h_{m,n} for a replicable family."""
+    g = gcd(m, n)
+    return sum((Fraction(1, d) * fam.power(d).coeff(m * n // (d * d))
+                for d in range(1, g + 1) if g % d == 0), Fraction(0))
+
+
 def inverse_identity_check(fam: ReplicationFamily, t: GrunskyTable, bound: int) -> bool:
     """h_{m,n} = sum_{d | gcd(m,n)} (1/d) h^(d)_{mn/d^2} against the family."""
-    for (m, n) in t.pairs():
-        g = gcd(m, n)
-        if g > bound:
-            continue
-        total = Fraction(0)
-        for d in range(1, g + 1):
-            if g % d == 0:
-                total += Fraction(1, d) * fam.power(d).coeff(m * n // (d * d))
-        if total != t.get(m, n):
-            return False
-    return True
+    return all(t.get(m, n) == inverse_identity_sum(fam, m, n)
+               for (m, n) in t.pairs() if gcd(m, n) <= bound)
 
 
-def mod_p_congruence(f: QSeries, fp: QSeries, p: int, bound: int) -> bool:
-    """a_i(f) == a_i(f^(p)) mod p for 1 <= i <= bound."""
+def mod_p_residues(f: QSeries, fp: QSeries, p: int, bound: int):
+    """(i, (a_i(f) - a_i(f^(p))) mod p) for 1 <= i <= bound, in order; raises
+    ValueError on reaching a coefficient that is not an integer."""
     for i in range(1, bound + 1):
         a, b = f.coeff(i), fp.coeff(i)
         if a.denominator != 1 or b.denominator != 1:
             raise ValueError("congruence check needs integer coefficients")
-        if (a.numerator - b.numerator) % p:
-            return False
-    return True
+        yield i, (a.numerator - b.numerator) % p
+
+
+def mod_p_congruence(f: QSeries, fp: QSeries, p: int, bound: int) -> bool:
+    """a_i(f) == a_i(f^(p)) mod p for 1 <= i <= bound."""
+    return not any(r for _, r in mod_p_residues(f, fp, p, bound))
 
 
 # -- reducing pairs ------------------------------------------------------
@@ -285,7 +287,7 @@ def find_reducing_pair(N: int) -> Optional[ReducingPair]:
         raise ValueError("grade must be at least 2")
     pair = _case_reducing_pair(N)
     if pair is not None:
-        pair.validate()
+        assert pair.valid
         return pair
     return exhaustive_reducing_pair(N)
 
@@ -395,9 +397,3 @@ def odd_level_economy_experiment(basis_values: Mapping[int, Fraction], trunc: in
         "note": "grade irreducible by the generic pair machinery; "
                 "the odd-level mechanism is not specified",
     }
-
-
-def basis_values_to_json(values: Mapping[int, Fraction]) -> dict:
-    return {"h": {str(k): f"{_as_fraction(values[k]).numerator}"
-                  if _as_fraction(values[k]).denominator == 1
-                  else f"{_as_fraction(values[k])}" for k in sorted(values)}}

@@ -1,11 +1,12 @@
 """Command-line interface: JSON payloads, exit codes, mutation control."""
 
+import dataclasses
 import json
 
 import pytest
 
-import replicaq.cli as cli
-from replicaq.cli import main
+import replicaq.checks as checks
+from replicaq.cli import SUITES, main
 
 
 def run(capsys, *argv):
@@ -100,6 +101,26 @@ class TestVerify:
         code, payload, _ = run(capsys, "verify", *argv)
         assert code == 0 and payload["status"] == "verified"
 
+    @pytest.mark.parametrize("suite", ["replicable", "all"])
+    @pytest.mark.parametrize("grade", ["2", "3", "6"])
+    def test_low_grades_compare_a_replicability_pair(self, capsys, suite, grade):
+        code, payload, _ = run(capsys, "verify", suite, "--grade", grade)
+        assert code == 0 and payload["status"] == "verified"
+        assert payload["suites"]["replicable"]["replicability_ok"]["compared"] >= 1
+
+    @pytest.mark.parametrize("suite", list(SUITES))
+    def test_every_report_compares_something_at_the_floor(self, capsys, suite):
+        code, payload, _ = run(capsys, "verify", suite, "--trunc", "10", "--grade", "2")
+        assert code == 0
+
+        def reports(tree):
+            for value in tree.values():
+                if isinstance(value, dict):
+                    yield from ([value] if "compared" in value else reports(value))
+
+        found = list(reports(payload["suites"][suite]))
+        assert found and all(r["ok"] and r["compared"] >= 1 for r in found)
+
     def test_unknown_suite(self, capsys):
         code, payload, _ = run(capsys, "verify", "bogus")
         assert code == 2 and payload["status"] == "error"
@@ -115,10 +136,34 @@ class TestVerify:
                 c[3] += 1  # perturbs a_2
             return c
 
-        monkeypatch.setattr(cli, "j_oracle",
+        monkeypatch.setattr(checks, "j_oracle",
                             lambda t: qs.QSeries(-1, 1, corrupted(int(t) + 2), t))
         code, payload, _ = run(capsys, "verify", "replicable")
         assert code == 1 and payload["status"] == "falsified"
+
+
+def test_report_that_compares_nothing_is_not_ok():
+    assert not checks.CheckReport("empty", 0).ok
+    assert not checks.CheckReport("bad", 3, ("x", 1, 2)).ok
+    assert checks.CheckReport("one", 1).ok
+
+
+def test_result_known_past_the_requested_order_is_a_mismatch(monkeypatch):
+    # agree alone would pass: each stand-in is J itself, known to q^40
+    monkeypatch.setattr(checks, "replicate", lambda f, k, trunc: checks.j_oracle(40))
+    out = checks.replicable(7, 0, 9, (2,), (2,))
+    assert not out["replicate_fixes_j"].ok and not out["replicate_routes_agree"].ok
+    monkeypatch.setattr(checks, "reconstruct_by_grunsky", lambda v, trunc: checks.j_oracle(40))
+    out = checks.basis(2, 30)
+    assert out["reconstruction_ok"].ok and not out["reconstruction_routes_agree"].ok
+
+
+def test_invalid_reducing_pair_is_a_mismatch(monkeypatch):
+    real = checks.exhaustive_reducing_pair
+    monkeypatch.setattr(checks, "find_reducing_pair",
+                        lambda N: real(N) and dataclasses.replace(real(N), to_pair=(1, 1)))
+    report = checks.basis(7, 30)["reducing_pairs_ok"]
+    assert report.first_mismatch[1:] == ((7, False), (7, True))
 
 
 class TestOutputContract:

@@ -5,12 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from replicaq.qseries import QSeries, j_oracle
-from replicaq.faber import faber_by_recursion
+from replicaq.qseries import QSeries, agree, j_oracle
 from replicaq.replicable import ReplicationFamily
-from replicaq.hecke import (sublattice_reps, up, vp, hecke_Tn, hecke_Tn_via_uv,
-                            twisted_Tn, hecke_faber_verify,
-                            derive_p2_recurrences, mahler_compute, _half_twist)
+from replicaq.hecke import (up, vp, hecke_Tn, hecke_Tn_via_uv, twisted_Tn,
+                            hecke_faber_verify, p2_identities,
+                            first_p2_rule_failure, mahler_compute, _half_twist)
 from replicaq.functions import j_family, fiction_family, tb2_family
 
 
@@ -40,17 +39,6 @@ def substitution_oracle(f, n):
         if key < bound:
             out = out + QSeries(key, 1, [v], bound)
     return out * Fraction(1, n)
-
-
-class TestSublattices:
-    def test_counts(self):
-        assert sublattice_reps(1) == [(1, 0, 1)]
-        assert len(sublattice_reps(2)) == 3
-        assert len(sublattice_reps(6)) == 12
-
-    def test_shape(self):
-        for a, b, d in sublattice_reps(12):
-            assert a * d == 12 and 0 <= b < d
 
 
 class TestUpVp:
@@ -134,6 +122,12 @@ class TestHeckeFaber:
         assert reports[1].first_mismatch is not None
 
 
+def assert_identities_and_rules(fam, top):
+    for name, lhs, rhs, order in p2_identities(fam):
+        assert agree(lhs, rhs, order) is None, name
+    assert first_p2_rule_failure(fam, top) is None
+
+
 class TestMahler:
     def test_half_twist(self):
         f = QSeries(Fraction(-1, 2), Fraction(1, 2), [1, 2, 3], 4)
@@ -143,12 +137,16 @@ class TestMahler:
         assert g.coeff(Fraction(1, 2)) == -3
 
     def test_identities_and_rules_j(self):
-        rs = derive_p2_recurrences(j_family(60), 50)
-        assert rs.e1_ok and rs.e2_ok and rs.first_rule_failure is None
+        assert_identities_and_rules(j_family(60), 50)
 
     def test_identities_and_rules_2b(self):
-        rs = derive_p2_recurrences(tb2_family(60), 50)
-        assert rs.e1_ok and rs.e2_ok and rs.first_rule_failure is None
+        assert_identities_and_rules(tb2_family(60), 50)
+
+    def test_rule_failure_reported(self):
+        fam = j_family(60)
+        bent = ReplicationFamily(fam.base + QSeries(7, 1, [1], 60), {2: fam.power(2)})
+        n, predicted, actual = first_p2_rule_failure(bent, 50)
+        assert (n, actual) == (7, predicted + 1)
 
     def test_compute_j_200_terms(self):
         J = j_oracle(205)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from replicaq.qseries import (QSeries, GridError, TruncationError, eta,
+from replicaq.qseries import (QSeries, GridError, TruncationError, agree, eta,
                               eisenstein_e4, delta, delta_int_coeffs, j_oracle,
                               j_int_coeffs, euler_phi_int_coeffs,
                               qseries_to_json, qseries_from_json,
@@ -55,6 +55,25 @@ class TestConstruction:
             f.coeff(5)
         with pytest.raises(TruncationError):
             f.coeff(7)
+
+
+class TestAgree:
+    def test_short_side_raises(self):
+        short = QSeries(-1, 1, [1], 1)
+        assert short == j_oracle(30)  # == looks only below the smaller trunc
+        with pytest.raises(TruncationError):
+            agree(short, j_oracle(30), 30)
+        with pytest.raises(TruncationError):
+            agree(j_oracle(30), short, 30)
+        with pytest.raises(TruncationError):  # no coefficient of short is read past q^1
+            agree(short, QSeries(-1, 1, [1], 30), 30)
+
+    def test_first_mismatch(self):
+        J = j_oracle(40)
+        assert agree(J, j_oracle(30), 30) is None
+        bent = J + QSeries(3, 1, [1], 40) + QSeries(5, 1, [1], 40)
+        assert agree(J, bent, 30) == (3, J.coeff(3), J.coeff(3) + 1)
+        assert agree(J, bent, 3) is None
 
 
 class TestArithmetic:

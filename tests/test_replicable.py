@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import replicaq.replicable as replicable
-from replicaq.qseries import QSeries, TruncationError, j_oracle, j_int_coeffs
+from replicaq.qseries import (QSeries, TruncationError, coefficients, j_oracle,
+                              j_int_coeffs)
 from replicaq.grunsky import GrunskyCalculator, grunsky_by_recursion
 from replicaq.replicable import (NORTON_BASIS, IRREDUCIBLE_GRADES,
                                  DescentError, ReducingPair,
@@ -33,12 +34,6 @@ integers = st.integers(-9, 9).map(Fraction)
 
 def j_to(trunc):
     return QSeries(-1, 1, j_int_coeffs(trunc + 2), trunc)
-
-
-def coefficients(series, trunc):
-    """Coefficients at q^-1 .. q^(trunc-1); the series must be known to trunc exactly."""
-    assert series.trunc == trunc
-    return series.integer_coeffs(-1, trunc - 1)
 
 
 class TestIsReplicable:
@@ -156,6 +151,11 @@ class TestModPCongruence:
         J = j_to(30)
         assert not mod_p_congruence(J, J + QSeries(1, 1, [1], 30), 2, 10)
 
+    def test_non_integral_rejected_even_when_the_difference_is_integral(self):
+        f = j_to(30) + QSeries(1, 1, [Fraction(1, 2)], 30)
+        with pytest.raises(ValueError):
+            mod_p_congruence(f, f, 2, 10)
+
 
 class TestReducingPairs:
     def test_known_cases(self):
@@ -163,6 +163,13 @@ class TestReducingPairs:
         assert (p16.from_pair, p16.to_pair) == ((1, 15), (3, 5))
         p40 = find_reducing_pair(40)
         assert (p40.from_pair, p40.to_pair) == ((1, 39), (3, 13))
+
+    def test_validity(self):
+        assert ReducingPair(16, (1, 15), (3, 5)).valid
+        assert not ReducingPair(17, (1, 15), (3, 5)).valid  # r + s is not the grade
+        assert not ReducingPair(8, (3, 5), (1, 15)).valid  # r' + s' is not smaller
+        assert not ReducingPair(16, (1, 15), (1, 14)).valid  # lcm differs
+        assert not ReducingPair(16, (2, 14), (1, 14)).valid  # gcd differs
 
     def test_irreducible_grades(self):
         got = tuple(N for N in range(2, 25) if find_reducing_pair(N) is None)
