@@ -219,7 +219,8 @@ def hecke(trunc: int, randoms: int, families: dict, faber_trunc: int) -> dict:
     """On J and ``randoms`` seeded random normalized series known to q^trunc:
     T_p f = V_p f / p + U_p f for p in 2, 3, 5, 7, and the closed formula for
     T_n against the U/V composition for n in 2, 4, 6.  For each named family,
-    n T_n f = F_n(f) (twisted T_n) for n <= 6 below q^faber_trunc; and 2B
+    n T_n f = F_n(f) (twisted T_n) for n <= 6 below q^faber_trunc (a family
+    known to less than q^(6 faber_trunc) is a mismatch); and 2B
     posing as its own duplicate (which is J) must break it at n = 2."""
     inputs = [("J", j_oracle(trunc))]
     rng = random.Random(616)
@@ -242,7 +243,10 @@ def hecke(trunc: int, randoms: int, families: dict, faber_trunc: int) -> dict:
 
 
 def _hecke_faber(fam: ReplicationFamily, trunc: int) -> CheckReport:
-    reports = hecke_faber_verify(fam, 6, trunc)
+    try:
+        reports = hecke_faber_verify(fam, 6, trunc)
+    except TruncationError as exc:
+        return CheckReport("hecke_faber", 0, (str(exc),))
     bad = next((r for r in reports if not r.ok), None)
     return CheckReport("hecke_faber", sum(r.compared_exponents for r in reports),
                        bad and (bad.n,) + bad.first_mismatch)

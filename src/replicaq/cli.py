@@ -159,8 +159,9 @@ SUITES = {
         **checks.replicable(max(7, min(g, 16)), 0, 9, (2, 3), (2, 3)),
         "mod_2_congruence_ok": checks.mod2_congruence(t, min(t - 1, 20))},
     "basis": lambda t, g: {**checks.basis(g, 30), "grade_bound": g},
-    "hecke": lambda t, g: checks.hecke(max(t, 31), 10, {"j": j_family(max(t, 31)),
-                                                        "2b": tb2_family(max(t, 31))}, t),
+    # the Hecke-Faber identity for n <= 6 below q^t reads the family past q^(6 t)
+    "hecke": lambda t, g: checks.hecke(max(t, 31), 10, {"j": j_family(6 * (t + 1) + 2),
+                                                        "2b": tb2_family(6 * (t + 1) + 2)}, t),
     "mahler": lambda t, g: checks.mahler(max(t, 31), max(t - 2, 10), max(t, 31) // 2),
 }
 

@@ -11,9 +11,11 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Optional
 
-from .qseries import QSeries, Rat, _as_fraction
+from .qseries import (QSeries, Rat, _as_fraction, _int_conv, _int_power,
+                      _int_series_inverse, euler_phi_int_coeffs)
 
 
 class FrameShapeError(ValueError):
@@ -140,10 +142,35 @@ def is_balanced(p: Partition) -> Optional[int]:
 # -- eta products --------------------------------------------------------
 
 def _product_int_coeffs(exponents: dict, n_terms: int) -> list:
-    """Coefficients of prod_k (prod_n (1 - q^(kn)))^(c_k) via d/dq log.
+    """Coefficients b_0..b_n_terms of prod_k phi(q^k)^(c_k), phi = prod_n (1 - q^n).
+
+    The factor route: on the q^g grid, g the gcd of the parts, each factor
+    phi(q^m), m = k/g, is the pentagonal series (inverted when c_k < 0) raised
+    to |c_k| on its own q^m grid, spread onto the q^g grid and multiplied in.
+    """
+    g = gcd(*exponents)
+    n = n_terms // g + 1  # coefficients on the q^g grid
+    prod = [1]
+    for k, c in exponents.items():
+        m = k // g
+        size = (n - 1) // m + 1  # coefficients on the q^k grid
+        phi = euler_phi_int_coeffs(size)
+        if c < 0:
+            phi = _int_series_inverse(phi, size)
+        factor = [0] * n
+        factor[::m] = _int_power(phi, abs(c), size)
+        prod = _int_conv(prod, factor, n)
+    out = [0] * (n_terms + 1)
+    out[::g] = prod
+    return out
+
+
+def _log_derivative_coeffs(exponents: dict, n_terms: int) -> list:
+    """The same coefficients as _product_int_coeffs, via d/dq log.
 
     n * b_n = -sum_{i=1..n} s_i b_{n-i} with s_i = sum_{k | i} k * c_k;
     the division is exact because the product has integer coefficients.
+    Cheaper than the factor route for short series, and its oracle.
     """
     e = [0] * (n_terms + 1)  # e[t] = sum of c_k over parts k dividing t
     for k, c in exponents.items():
@@ -158,10 +185,7 @@ def _product_int_coeffs(exponents: dict, n_terms: int) -> list:
     b = [0] * (n_terms + 1)
     b[0] = 1
     for n in range(1, n_terms + 1):
-        total = 0
-        for i in range(1, n + 1):
-            if s[i]:
-                total += s[i] * b[n - i]
+        total = sum(map(mul, s[1:n + 1], b[n - 1::-1]))  # sum of s_i b_(n-i)
         q, r = divmod(-total, n)
         assert r == 0, "eta-product recurrence must stay integral"
         b[n] = q
@@ -242,7 +266,8 @@ def classify_degree24(bound: int) -> list:
     """The weakly multiplicative eta products among the partitions of 24.
 
     Screens every partition numerically up to ``bound`` coprime products;
-    a cheap low-order screen rejects most candidates first.
+    a cheap low-order screen, on the log-derivative recurrence, rejects most
+    candidates first, and the survivors are rechecked on the factor route.
     """
     if bound < 100:
         raise ValueError("screening bound must be at least 100")
@@ -250,7 +275,7 @@ def classify_degree24(bound: int) -> list:
     survivors = []
     for parts in partitions_of(24):
         shape = FrameShape(parts)
-        c = _product_int_coeffs(shape.exponents(), screen - 1)
+        c = _log_derivative_coeffs(shape.exponents(), screen - 1)
         if _first_mult_failure(c, screen) is None:
             survivors.append(shape)
     out = []

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
-from .qseries import QSeries, _as_fraction
+from .qseries import QSeries, _as_fraction, agree
 from .faber import faber_by_recursion
 from .replicable import ReplicationFamily
 
@@ -100,29 +100,22 @@ class HeckeFaberReport:
     first_mismatch: Optional[tuple] = None  # (exponent, n*T_n side, Faber side)
 
 
-def hecke_faber_verify(fam: ReplicationFamily, n_max: int,
-                       trunc: Optional[int] = None) -> List[HeckeFaberReport]:
-    """Check n T_n f = F_n(f) (twisted T_n) for n = 1..n_max, per-n reports."""
+def hecke_faber_verify(fam: ReplicationFamily, n_max: int, trunc: int) -> List[HeckeFaberReport]:
+    """Check n T_n f = F_n(f) (twisted T_n) below q^trunc for n = 1..n_max,
+    per-n reports.  Both sides must be known to q^trunc, and U_n f is known
+    only below q^(f.trunc / n); a shorter family raises TruncationError."""
     f = fam.base
-    avail = int(f.trunc)
-    a_list = [f.coeff(k) for k in range(1, avail)]
+    a_list = [f.coeff(k) for k in range(1, int(f.trunc))]
     out = []
     for n in range(1, n_max + 1):
         lhs = twisted_Tn(fam, n) * n
         rhs = faber_by_recursion(a_list, n)(f)
-        bound = min(lhs.trunc, rhs.trunc)
-        if trunc is not None:
-            bound = min(bound, Fraction(trunc))
-        mismatch = None
-        count = 0
-        j = -n
-        while j < bound:
-            count += 1
-            if lhs.coeff(j) != rhs.coeff(j):
-                mismatch = (j, lhs.coeff(j), rhs.coeff(j))
-                break
-            j += 1
-        out.append(HeckeFaberReport(n, mismatch is None, count, mismatch))
+        mismatch = agree(lhs, rhs, trunc)
+        if mismatch is None:
+            out.append(HeckeFaberReport(n, True, n + trunc))
+        else:
+            j = int(mismatch[0])
+            out.append(HeckeFaberReport(n, False, n + j + 1, (j,) + mismatch[1:]))
     return out
 
 

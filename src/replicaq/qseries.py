@@ -385,21 +385,32 @@ def eisenstein_e4(trunc: Rat) -> "QSeries":
 
 def delta_int_coeffs(n_terms: int) -> list:
     """tau(1..n_terms): Delta = q prod (1-q^n)^24, integer coefficients."""
-    phi = euler_phi_int_coeffs(n_terms)
-    p2 = _int_conv(phi, phi, n_terms)
-    p3 = _int_conv(p2, phi, n_terms)
-    p6 = _int_conv(p3, p3, n_terms)
-    p12 = _int_conv(p6, p6, n_terms)
-    p24 = _int_conv(p12, p12, n_terms)
-    return p24
+    return _int_power(euler_phi_int_coeffs(n_terms), 24, n_terms)
+
+
+# Shorter operand length from which one packed big-int product replaces the
+# loop on int lists.  The loop is faster below 20 to 30 terms on dense
+# operands, and on sparse ones such as phi(q) at any length measured (to 300).
+_KRONECKER_MIN_LEN = 40
 
 
 def _int_conv(a: list, b: list, n_out: int) -> list:
     """First n_out coefficients of the Cauchy product of a and b.
 
-    The one truncated product loop of the package.  Entries keep the operands'
-    type: ints stay ints and Fractions stay Fractions (never floats).
+    The one truncated product of the package.  Entries keep the operands'
+    type: ints stay ints and Fractions stay Fractions (never floats).  Int
+    lists whose shorter operand has at least _KRONECKER_MIN_LEN terms go
+    through Kronecker substitution; everything else runs the schoolbook loop.
     """
+    a, b = a[:n_out], b[:n_out]
+    if (min(len(a), len(b)) >= _KRONECKER_MIN_LEN
+            and set(map(type, a)) | set(map(type, b)) == {int}):
+        return _kronecker_conv(a, b, n_out)
+    return _schoolbook_conv(a, b, n_out)
+
+
+def _schoolbook_conv(a: list, b: list, n_out: int) -> list:
+    """The truncated product by the double loop over nonzero entries."""
     out = [a[0] - a[0] if a else 0] * n_out
     nonzero_b = [(j, y) for j, y in enumerate(b[:n_out]) if y]
     for i, x in enumerate(a[:n_out]):
@@ -412,19 +423,63 @@ def _int_conv(a: list, b: list, n_out: int) -> list:
     return out
 
 
+def _kronecker_conv(a: list, b: list, n_out: int) -> list:
+    """The truncated product of two nonempty int lists by one big-int product.
+
+    Each list is packed into an int with one byte-aligned slot per coefficient,
+    A = sum a_i 2^(8wi).  Every product coefficient is bounded by
+    max|a| max|b| min(len), which fixes the slot width w so that it fits in
+    (-2^(8w-1), 2^(8w-1)).  Adding half the slot range to every slot makes all
+    slots nonnegative, so A*B reads off slot by slot as unsigned bytes.
+    """
+    top = max(map(abs, a)) * max(map(abs, b))
+    if not top:
+        return [0] * n_out
+    width = (top * min(len(a), len(b))).bit_length() // 8 + 1
+    half = 1 << (8 * width - 1)
+    halves = half.to_bytes(width, "little")
+
+    def packed(xs: list) -> int:
+        raw = b"".join([(x + half).to_bytes(width, "little") for x in xs])
+        return int.from_bytes(raw, "little") - int.from_bytes(halves * len(xs), "little")
+
+    m = len(a) + len(b) - 1
+    prod = packed(a) * packed(b) + int.from_bytes(halves * m, "little")
+    raw = prod.to_bytes(width * m, "little")
+    k = min(m, n_out)
+    out = [int.from_bytes(raw[i:i + width], "little") - half
+           for i in range(0, width * k, width)]
+    return out + [0] * (n_out - k)
+
+
+def _int_power(a: list, e: int, n_out: int) -> list:
+    """First n_out coefficients of a^e, e >= 1, by repeated squaring."""
+    result = None
+    while True:
+        if e & 1:
+            result = a[:n_out] if result is None else _int_conv(result, a, n_out)
+        e >>= 1
+        if not e:
+            return result + [0] * (n_out - len(result))
+        a = _int_conv(a, a, n_out)
+
+
 def _int_series_inverse(a: list, n_out: int) -> list:
     """First n_out coefficients of 1/a for a power series with a[0] != 0.
 
     The one series-inverse recurrence of the package; it stays in ints when a
-    is integral with a[0] = +-1, and otherwise works in Fractions.
+    is integral with a[0] = +-1, and otherwise works in Fractions.  Only a's
+    nonzero entries enter the sums, so a sparse a costs its own density.
     """
     inv0 = a[0] if a[0] in (1, -1) else 1 / Fraction(a[0])
     inv = [inv0] * n_out
+    nonzero_a = [(j, x) for j, x in enumerate(a[1:n_out], 1) if x]
     for k in range(1, n_out):
         s = 0
-        for j in range(1, min(k, len(a) - 1) + 1):
-            if a[j]:
-                s += a[j] * inv[k - j]
+        for j, x in nonzero_a:
+            if j > k:
+                break
+            s += x * inv[k - j]
         inv[k] = -s * inv0
     return inv
 

@@ -8,7 +8,9 @@ from replicaq import checks
 from replicaq.frames import (Partition, parse_frame_shape, is_balanced,
                              eta_product, weak_multiplicativity,
                              classify_degree24, euler_factor_check,
-                             partitions_of)
+                             partitions_of, _log_derivative_coeffs,
+                             _product_int_coeffs)
+from replicaq.qseries import QSeries
 from replicaq.functions import j_family, fiction_family, tb2_family
 
 
@@ -47,17 +49,24 @@ def test_acceptance_5_norton_basis():
 
 
 def test_acceptance_6_hecke():
-    families = {"j": j_family(40), "c=-1": fiction_family(-1, 40), "c=0": fiction_family(0, 40),
-                "c=1": fiction_family(1, 40), "2b": tb2_family(62)}
+    # n T_n f = F_n(f) for n <= 6 below q^30 reads each family past q^(6 * 30)
+    top = 6 * 31 + 2
+    families = {"j": j_family(top), "c=-1": fiction_family(-1, top),
+                "c=0": fiction_family(0, top), "c=1": fiction_family(1, top),
+                "2b": tb2_family(top)}
     report(6, "Hecke operators and Hecke-Faber identity", checks.hecke(43, 50, families, 30))
 
 
 def test_acceptance_7_degree24_classification():
     assert sum(1 for _ in partitions_of(24)) == 1575
-    shapes = classify_degree24(3000)
+    shapes = classify_degree24(3000)  # its recheck runs on the factor route
     ok = len(shapes) == 30
     for s in shapes:
-        ok = ok and weak_multiplicativity(eta_product(s, 3002), 3000).verdict
+        # recheck on the log-derivative recurrence, and compare the two routes
+        oracle = _log_derivative_coeffs(s.exponents(), 3000)
+        ok = ok and _product_int_coeffs(s.exponents(), 3000) == oracle
+        series = QSeries(s.lead_exponent(), 1, oracle, 3002)
+        ok = ok and weak_multiplicativity(series, 3000).verdict
     ok = ok and is_balanced(Partition([1, 2, 7, 14])) == 14
     tau_f = eta_product(parse_frame_shape("1^24"), 60)
     for p in (2, 3, 5, 7):

@@ -2,9 +2,9 @@
 
 ``bench/run.py --trace 1`` wraps private kernels by attribute name.  This runs
 the tracer in a fresh process and checks that the kernel spans are recorded,
-also beneath ``QSeries`` multiplication and inversion, so a renamed or
-bypassed kernel shows up as a test failure rather than as a traced benchmark
-that silently loses a layer.
+also beneath ``QSeries`` multiplication and inversion and beneath eta products,
+so a renamed or bypassed kernel shows up as a test failure rather than as a
+traced benchmark that silently loses a layer.
 """
 
 import json
@@ -21,13 +21,22 @@ from tracer import Tracer
 tracer = Tracer()
 tracer.install()
 from replicaq.qseries import QSeries, j_oracle
+from replicaq.frames import eta_product, parse_frame_shape
 j_oracle(40)
 f = QSeries(0, 1, [1, 2, 0, -3], 6)
 f * QSeries(-1, 1, [1, 0, 5], 6)
 f.invert()
-names = {span[0]: span[1] for span in tracer.spans}
-print(json.dumps(sorted({(name, names.get(parent, ""))
-                         for _, name, _, _, parent, _, _ in tracer.spans})))
+eta_product(parse_frame_shape("1^24"), 100)
+parents = {span[0]: (span[1], span[4]) for span in tracer.spans}
+
+def chain(i):
+    names = []
+    while i is not None:
+        name, i = parents[i]
+        names.append(name)
+    return names
+
+print(json.dumps(sorted({tuple(chain(span[0])) for span in tracer.spans})))
 """
 
 
@@ -36,9 +45,12 @@ def test_tracer_records_kernel_spans():
         [sys.executable, "-c", SCRIPT, str(ROOT / "bench"), str(ROOT / "src")],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    nesting = {tuple(pair) for pair in json.loads(proc.stdout.strip().splitlines()[-1])}
+    chains = [tuple(c) for c in json.loads(proc.stdout.strip().splitlines()[-1])]
+    nesting = {(c[0], c[1] if len(c) > 1 else "") for c in chains}
     assert ("qseries.int_conv", "qseries.j_oracle") in nesting, nesting
     assert ("qseries.int_inverse", "qseries.j_oracle") in nesting, nesting
     assert ("qseries.int_conv", "qseries.mul") in nesting, nesting
     # QSeries.invert is itself an int_inverse span; the kernel runs inside it
     assert ("qseries.int_inverse", "qseries.int_inverse") in nesting, nesting
+    # eta products multiply in the kernel, so classify's time lands in its span
+    assert ("qseries.int_conv", "frames.product_coeffs", "frames.eta_product") in chains, chains

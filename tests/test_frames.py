@@ -3,13 +3,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from replicaq.qseries import QSeries, delta_int_coeffs
 from replicaq.frames import (Partition, FrameShape, FrameShapeError,
                              parse_frame_shape, is_balanced, eta_product,
                              weak_multiplicativity, partitions_of,
                              classify_degree24, euler_factor_check,
-                             _product_int_coeffs)
+                             _product_int_coeffs, _log_derivative_coeffs)
 
 
 class TestParsing:
@@ -66,10 +67,9 @@ class TestEtaProduct:
         assert f.lead_exp == -1 and f.coeff(-1) == 1 and f.coeff(0) == -24
 
     def test_brute_force_product_oracle(self):
-        # expand prod (1-q^n)^2 (1-q^(2n))^(-1) directly
+        # expand prod (1-q^n)^2 (1-q^(2n))^(-1) directly; both routes must match
         n = 30
         exps = {1: 2, 2: -1}
-        got = _product_int_coeffs(exps, n - 1)
         poly = [Fraction(0)] * n
         poly[0] = Fraction(1)
         for k, c in exps.items():
@@ -97,7 +97,39 @@ class TestEtaProduct:
                                 for j in range(n - i):
                                     out[i + j] += poly[i] * factor[j]
                         poly = out
-        assert [Fraction(g) for g in got] == poly
+        for route in (_product_int_coeffs, _log_derivative_coeffs):
+            assert [Fraction(g) for g in route(exps, n - 1)] == poly
+
+
+# 1 to 3 parts from 1..24, exponents of either sign, all parts scaled by a
+# common factor so that the gcd of the parts is often above 1
+SHAPES = st.builds(
+    lambda parts, scale: {k * scale: c for k, c in parts.items()},
+    st.dictionaries(st.integers(1, 24), st.integers(-24, 24).filter(bool),
+                    min_size=1, max_size=3),
+    st.sampled_from([1, 1, 2, 3, 4]))
+
+
+class TestFactorRoute:
+    """The factor route against the log-derivative recurrence, its oracle."""
+
+    def test_every_partition_of_24(self):
+        for parts in partitions_of(24):
+            exps = FrameShape(parts).exponents()
+            assert _product_int_coeffs(exps, 60) == _log_derivative_coeffs(exps, 60), parts
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(SHAPES, st.sampled_from([0, 1, 2, 41, 1000]))
+    def test_sampled_shapes(self, exps, n_terms):
+        got = _product_int_coeffs(exps, n_terms)
+        assert len(got) == n_terms + 1
+        assert got == _log_derivative_coeffs(exps, n_terms)
+
+    @pytest.mark.parametrize("shape", ["2^12", "1^24/2^24", "4^8/2^4 8^2", "3^8/1^8 9^2"])
+    def test_gcd_and_quotients_to_1000(self, shape):
+        exps = parse_frame_shape(shape).exponents()
+        for n_terms in (0, 1, 1000):
+            assert _product_int_coeffs(exps, n_terms) == _log_derivative_coeffs(exps, n_terms)
 
 
 class TestMultiplicativity:

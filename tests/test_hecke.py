@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from replicaq.qseries import QSeries, agree, j_oracle
+from replicaq.qseries import QSeries, TruncationError, agree, j_oracle
 from replicaq.replicable import ReplicationFamily
 from replicaq.hecke import (up, vp, hecke_Tn, hecke_Tn_via_uv, twisted_Tn,
                             hecke_faber_verify, p2_identities,
@@ -59,20 +59,21 @@ class TestUpVp:
         for _ in range(50):
             f = random_normalized(rng, 42)
             for p in (2, 3, 5, 7):
-                assert hecke_Tn(f, p) == vp(f, p) * Fraction(1, p) + up(f, p)
+                assert agree(hecke_Tn(f, p), vp(f, p) * Fraction(1, p) + up(f, p),
+                             f.trunc / p) is None
 
 
 class TestTn:
     def test_t1_identity(self):
         J = j_oracle(20)
-        assert hecke_Tn(J, 1) == J
+        assert agree(hecke_Tn(J, 1), J, 20) is None
 
     def test_closed_vs_uv_routes(self):
         rng = random.Random(43)
         for _ in range(10):
             f = random_normalized(rng, 36)
             for n in (2, 3, 4, 6, 12):
-                assert hecke_Tn(f, n) == hecke_Tn_via_uv(f, n)
+                assert agree(hecke_Tn(f, n), hecke_Tn_via_uv(f, n), f.trunc / n) is None
 
     def test_index_zero_rejected(self):
         for n in (0, -2):
@@ -86,14 +87,14 @@ class TestTn:
     def test_substitution_oracle_small_n(self):
         J = j_oracle(25)
         for n in (1, 2, 3, 4):
-            assert hecke_Tn(J, n) == substitution_oracle(J, n)
+            assert agree(hecke_Tn(J, n), substitution_oracle(J, n), J.trunc / n) is None
 
     def test_t2_j_is_half_f2(self):
         J = j_oracle(30)
         a1 = J.coeff(1)
         lhs = hecke_Tn(J, 2) * 2
         rhs = J * J - 2 * a1
-        assert lhs == rhs
+        assert agree(lhs, rhs, 15) is None
 
     def test_pole_normalization(self):
         J = j_oracle(30)
@@ -103,16 +104,31 @@ class TestTn:
             assert t.lead_exp >= -n
 
 
+def assert_hecke_faber(fam, n_max, trunc):
+    reports = hecke_faber_verify(fam, n_max, trunc)
+    assert [r.n for r in reports] == list(range(1, n_max + 1))
+    for r in reports:
+        assert r.ok and r.first_mismatch is None, r
+        assert r.compared_exponents == r.n + trunc  # exponents -n .. trunc - 1
+
+
 class TestHeckeFaber:
+    # families known to q^(n_max (trunc + 1) + 2), as acceptance 6 and the benchmark size them
     def test_j_family(self):
-        assert all(r.ok for r in hecke_faber_verify(j_family(40), 6, 30))
+        assert_hecke_faber(j_family(6 * 31 + 2), 6, 30)
 
     def test_fictions(self):
         for c in (-1, 0, 1):
-            assert all(r.ok for r in hecke_faber_verify(fiction_family(c, 40), 4))
+            assert_hecke_faber(fiction_family(c, 4 * 31 + 2), 4, 30)
 
     def test_2b_family(self):
-        assert all(r.ok for r in hecke_faber_verify(tb2_family(62), 6, 30))
+        assert_hecke_faber(tb2_family(6 * 31 + 2), 6, 30)
+
+    def test_short_family_raises(self):
+        # U_6 f is known below q^(f.trunc / 6): q^30 needs f to q^180
+        assert_hecke_faber(j_family(180), 6, 30)
+        with pytest.raises(TruncationError):
+            hecke_faber_verify(j_family(179), 6, 30)
 
     def test_wrong_2b_family_falsified_at_2(self):
         f = tb2_family(62).base
