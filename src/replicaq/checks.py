@@ -12,10 +12,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Optional
+from itertools import zip_longest
+from math import factorial, gcd
+from typing import Iterable, Optional, Sequence
 
-from .qseries import QSeries, TruncationError, agree, j_oracle, _exponents_below
+from .qseries import (QSeries, TruncationError, agree, j_oracle, _exponents_below,
+                      _int_conv)
+from .frames import (Partition, parse_frame_shape, is_balanced, eta_product,
+                     weak_multiplicativity, classify_degree24, euler_factor_check,
+                     partitions_of, _log_derivative_coeffs, _product_int_coeffs)
 from .faber import faber_by_recursion, faber_by_elimination, faber_by_determinant
 from .grunsky import (GrunskyCalculator, grunsky_by_recursion, grunsky_from_faber,
                       bivariate_comparisons, denominator_bound_violations)
@@ -25,8 +30,8 @@ from .replicable import (NORTON_BASIS, IRREDUCIBLE_GRADES, ReplicationFamily,
                          exhaustive_reducing_pair, reconstruct_from_basis,
                          reconstruct_by_grunsky)
 from .hecke import (hecke_Tn, hecke_Tn_via_uv, up, vp, hecke_faber_verify,
-                    p2_identities, first_p2_rule_failure, mahler_compute, _int_valued)
-from .functions import j_family, tb2_family
+                    p2_identities, first_p2_rule_failure, mahler_compute)
+from .functions import j_family, fiction_family, tb2_family
 
 
 @dataclass(frozen=True)
@@ -77,9 +82,9 @@ def mahler(trunc: int, terms: int, top: int) -> dict:
     out = {}
     rules_to = min(terms, trunc - 1)
     for name, fam in (("j", j_family(trunc)), ("2b", tb2_family(trunc))):
-        f, a, h2 = fam.base, _int_valued(fam.base.coeff), _int_valued(fam.power(2).coeff)
+        f = fam.base
         fail = first_p2_rule_failure(fam, rules_to)
-        g = mahler_compute([a(i) for i in range(1, 6)], h2, top)
+        g = mahler_compute([f.coeff(i) for i in range(1, 6)], fam.power(2).coeff, top)
         out[name] = {
             "identities_ok": _series("mahler_identities", p2_identities(fam)),
             "rules_ok": CheckReport("mahler_rules", (fail[0] if fail else rules_to) - 5, fail),
@@ -97,7 +102,9 @@ def faber(trunc: int, n_max: int, randoms: int) -> dict:
     ``randoms`` seeded random normalized series known to q^(trunc-1): the
     recursion against the determinant, the closed forms F_2 = z^2 - 2 a_1 and
     F_3 = z^3 - 3 a_1 z - 3 a_2, and, where f is known to q^(n+1), against
-    pole-killing elimination, with F_n(f) = q^-n + O(q)."""
+    pole-killing elimination, with F_n(f) = q^-n + O(q).  Also the symmetric
+    functions of {1} and of ``randoms`` seeded random sets of four rationals
+    to degree n_max, as products against their power-sum exponentials."""
     J = j_oracle(trunc)
     inputs = [("J", J, [J.coeff(k) for k in range(1, trunc)])]
     rng = random.Random(2024)
@@ -118,8 +125,35 @@ def faber(trunc: int, n_max: int, randoms: int) -> dict:
                        (1, 0, -2 * a[0])))
         routes.append(((label, 3, "closed form"), faber_by_recursion(a, 3).coeffs,
                        (1, 0, -3 * a[0], -3 * a[1])))
+    sets = [[1]] + [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4)]
+                    for _ in range(randoms)]
     return {"routes_agree": _scan("faber_routes", routes),
-            "poles_killed": _series("faber_poles", poles)}
+            "poles_killed": _series("faber_poles", poles),
+            "symmetric_functions_ok": _scan("symmetric_functions", (
+                ((i,) + label, got, want) for i, xs in enumerate(sets)
+                for label, got, want in symmetric_function_comparisons(xs, n_max)))}
+
+
+def symmetric_function_comparisons(xs: Sequence, order: int):
+    """((kind, k), product side, exponential side) for k <= order: the
+    complete homogeneous and the elementary symmetric polynomials of xs, as
+    the t^k coefficients of prod 1/(1 - x t) and prod (1 + x t), against
+    exp(sum_m p_m t^m / m) and exp(sum_m (-1)^(m-1) p_m t^m / m), p_m the
+    power sums."""
+    xs = [Fraction(v) for v in xs]
+    n = order + 1
+    one = [Fraction(1)] + [Fraction(0)] * order
+    complete = elementary = one
+    for v in xs:
+        complete = _int_conv(complete, [v ** i for i in range(n)], n)
+        elementary = _int_conv(elementary, [Fraction(1), v], n)
+    for kind, product, sign in (("complete", complete, 1), ("elementary", elementary, -1)):
+        u = [Fraction(0)] + [sign ** (m - 1) * sum(v ** m for v in xs) / m for m in range(1, n)]
+        exp = power = one
+        for j in range(1, n):  # exp(u) = sum_j u^j / j!, u having no constant term
+            power = _int_conv(power, u, n)
+            exp = [e + c / factorial(j) for e, c in zip(exp, power)]
+        yield from (((kind, k), product[k], exp[k]) for k in range(n))
 
 
 def grunsky(trunc: int, grade: int, denominator_grade: int) -> dict:
@@ -215,13 +249,13 @@ def basis(grade: int, trunc: int) -> dict:
     }
 
 
-def hecke(trunc: int, randoms: int, families: dict, faber_trunc: int) -> dict:
+def hecke(trunc: int, randoms: int, families: Sequence[str], faber_trunc: int) -> dict:
     """On J and ``randoms`` seeded random normalized series known to q^trunc:
     T_p f = V_p f / p + U_p f for p in 2, 3, 5, 7, and the closed formula for
-    T_n against the U/V composition for n in 2, 4, 6.  For each named family,
-    n T_n f = F_n(f) (twisted T_n) for n <= 6 below q^faber_trunc (a family
-    known to less than q^(6 faber_trunc) is a mismatch); and 2B
-    posing as its own duplicate (which is J) must break it at n = 2."""
+    T_n against the U/V composition for n in 2, 4, 6.  For each family named
+    in ``families`` ("j", "2b", "c=-1", "c=0", "c=1"), n T_n f = F_n(f)
+    (twisted T_n) for n <= 6 below q^faber_trunc; and 2B posing as its own
+    duplicate (which is J) must break it at n = 2."""
     inputs = [("J", j_oracle(trunc))]
     rng = random.Random(616)
     for i in range(randoms):
@@ -236,13 +270,25 @@ def hecke(trunc: int, randoms: int, families: dict, faber_trunc: int) -> dict:
         "uv_route_ok": _series("tn_routes", (
             ((label, n), hecke_Tn(f, n), hecke_Tn_via_uv(f, n), f.trunc / n)
             for label, f in inputs for n in (2, 4, 6))),
-        "hecke_faber": {name: _hecke_faber(fam, faber_trunc) for name, fam in families.items()},
+        "hecke_faber": {name: _hecke_faber(_family(name, 6 * (faber_trunc + 1) + 2), faber_trunc)
+                        for name in families},
         "wrong_family_rejected": CheckReport("wrong_family_rejected", 1,
                                              ("n=2", "accepted") if wrong[1].ok else None),
     }
 
 
+def _family(name: str, trunc: int) -> ReplicationFamily:
+    """The family named "j", "2b" or "c=C" (the fiction 1/q + C q), known to q^trunc."""
+    if name == "j":
+        return j_family(trunc)
+    if name == "2b":
+        return tb2_family(trunc)
+    return fiction_family(int(name[2:]), trunc)
+
+
 def _hecke_faber(fam: ReplicationFamily, trunc: int) -> CheckReport:
+    """n T_n f = F_n(f) for n <= 6 below q^trunc; U_6 f is known only below
+    q^(f.trunc / 6), so a family known to less than q^(6 trunc) is a mismatch."""
     try:
         reports = hecke_faber_verify(fam, 6, trunc)
     except TruncationError as exc:
@@ -250,6 +296,34 @@ def _hecke_faber(fam: ReplicationFamily, trunc: int) -> CheckReport:
     bad = next((r for r in reports if not r.ok), None)
     return CheckReport("hecke_faber", sum(r.compared_exponents for r in reports),
                        bad and (bad.n,) + bad.first_mismatch)
+
+
+def degree24(bound: int) -> dict:
+    """The 1575 partitions of 24 give exactly 30 weakly multiplicative eta
+    products at ``bound``; each of the 30 expanded to q^bound by the factor
+    route and by the log-derivative recurrence, entry by entry, and weakly
+    multiplicative to ``bound`` on the recurrence's series; 1 2 7 14 balanced
+    at 14; and the Euler factors of Delta = eta(q)^24 at p = 2, 3, 5, 7."""
+    shapes = classify_degree24(bound)  # its recheck runs on the factor route
+    oracles = [_log_derivative_coeffs(s.exponents(), bound) for s in shapes]
+    tau = eta_product(parse_frame_shape("1^24"), 60)
+    return {
+        "count_ok": _scan("degree24_count", [
+            ("partitions of 24", sum(1 for _ in partitions_of(24)), 1575),
+            ("multiplicative", len(shapes), 30)]),
+        "routes_agree": _scan("degree24_routes", (
+            ((str(s), k), got, want) for s, oracle in zip(shapes, oracles)
+            for k, (got, want) in enumerate(zip_longest(
+                _product_int_coeffs(s.exponents(), bound), oracle)))),
+        "multiplicativity_ok": _scan("degree24_multiplicativity", (
+            (str(s), weak_multiplicativity(
+                QSeries(s.lead_exponent(), 1, oracle, bound + 2), bound).first_failure, None)
+            for s, oracle in zip(shapes, oracles))),
+        "balance_ok": _scan("degree24_balance", [
+            ("1 2 7 14", is_balanced(Partition([1, 2, 7, 14])), 14)]),
+        "euler_factors_ok": _scan("delta_euler_factors", (
+            (p, euler_factor_check(tau, p, 12), True) for p in (2, 3, 5, 7))),
+    }
 
 
 def numerology():

@@ -62,9 +62,9 @@ def _coeffs_by_method(spec: FunctionSpec, method: str, terms: int) -> list:
         return [f.coeff(k) for k in range(1, trunc)]
     if method == "recurrence":
         fam = _family_for(spec, max(2 * trunc + 4, 12))
-        f, f2 = fam.base, fam.power(2)
+        f = fam.base
         seeds = [f.coeff(i) for i in range(1, 6)]
-        g = mahler_compute(seeds, lambda i: f2.coeff(i), max(trunc, 7))
+        g = mahler_compute(seeds, fam.power(2).coeff, max(trunc, 7))
         return [g.coeff(k) for k in range(1, trunc)]
     if method == "basis":
         fam_trunc = max(trunc, 25)
@@ -159,9 +159,7 @@ SUITES = {
         **checks.replicable(max(7, min(g, 16)), 0, 9, (2, 3), (2, 3)),
         "mod_2_congruence_ok": checks.mod2_congruence(t, min(t - 1, 20))},
     "basis": lambda t, g: {**checks.basis(g, 30), "grade_bound": g},
-    # the Hecke-Faber identity for n <= 6 below q^t reads the family past q^(6 t)
-    "hecke": lambda t, g: checks.hecke(max(t, 31), 10, {"j": j_family(6 * (t + 1) + 2),
-                                                        "2b": tb2_family(6 * (t + 1) + 2)}, t),
+    "hecke": lambda t, g: checks.hecke(max(t, 31), 10, ("j", "2b"), t),
     "mahler": lambda t, g: checks.mahler(max(t, 31), max(t - 2, 10), max(t, 31) // 2),
 }
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence, Union
 
 from .qseries import QSeries, TruncationError, _as_fraction, _int_conv
 
@@ -36,18 +36,17 @@ class FaberPolynomial:
                 acc = acc * f + c
         return acc
 
-    def to_json(self) -> dict:
-        return {
-            "degree": self.n,
-            "coeffs": [f"{c.numerator}/{c.denominator}" for c in self.coeffs],
-        }
+
+# a_1, a_2, ... of a normalized series (a_0 = 0): a list with a[k-1] = a_k,
+# or a callable with a(k) = a_k
+CoeffSource = Union[Sequence, Callable[[int], Fraction]]
 
 
-def _coeff_accessor(a: Sequence):
-    """a_k for k >= 1 from a list with a[k-1] = a_k (normalized series, a_0 = 0)."""
-    def get(k: int) -> Fraction:
-        return _as_fraction(a[k - 1])
-    return get
+def _coeff_accessor(a: CoeffSource) -> Callable[[int], Fraction]:
+    """a_k for k >= 1, as a Fraction."""
+    if callable(a):
+        return lambda k: _as_fraction(a(k))
+    return lambda k: _as_fraction(a[k - 1])
 
 
 # polynomial helpers: dense ascending lists of Fractions, or of ints in the
@@ -207,43 +206,3 @@ def _bareiss_poly_det(M, one):
     det = M[n - 1][n - 1]
     return _pscale(det, sign)
 
-
-def symmetric_function_check(x: Sequence, order: int) -> bool:
-    """Both generating-function identities for complete homogeneous and
-    elementary symmetric polynomials, as exact truncated series in t."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    xs = [_as_fraction(v) for v in x]
-    n = order + 1
-
-    def series_exp(u):
-        # u has zero constant term
-        out = [Fraction(0)] * n
-        out[0] = Fraction(1)
-        term = [Fraction(0)] * n
-        term[0] = Fraction(1)
-        for j in range(1, n):
-            term = _int_conv(term, u, n)
-            fact = 1
-            for i in range(2, j + 1):
-                fact *= i
-            out = [o + t / fact for o, t in zip(out, term)]
-        return out
-
-    power_sums = [sum(v ** m for v in xs) for m in range(1, n)]
-
-    hom = [Fraction(0)] * n
-    hom[0] = Fraction(1)
-    for v in xs:
-        geo = [v ** i for i in range(n)]
-        hom = _int_conv(hom, geo, n)
-    u = [Fraction(0)] + [Fraction(power_sums[m - 1], m) for m in range(1, n)]
-    if hom != series_exp(u):
-        return False
-
-    elem = [Fraction(0)] * n
-    elem[0] = Fraction(1)
-    for v in xs:
-        elem = _int_conv(elem, [Fraction(1), v], n)
-    u2 = [Fraction(0)] + [Fraction(-((-1) ** m) * power_sums[m - 1], m) for m in range(1, n)]
-    return elem == series_exp(u2)

@@ -14,7 +14,7 @@ from math import gcd
 from operator import mul
 from typing import Optional
 
-from .qseries import (QSeries, Rat, _as_fraction, _int_conv, _int_power,
+from .qseries import (QSeries, Rat, _grid_points, _int_conv, _int_power,
                       _int_series_inverse, euler_phi_int_coeffs)
 
 
@@ -80,14 +80,6 @@ class FrameShape:
             for p, m in self.denominator.multiplicities().items():
                 out[p] = out.get(p, 0) - m
         return {p: m for p, m in out.items() if m}
-
-    @property
-    def weight_numerator(self) -> int:
-        """Number of parts counted with sign; weight is half of this."""
-        n = len(self.numerator.parts)
-        if self.denominator is not None:
-            n -= len(self.denominator.parts)
-        return n
 
     def lead_exponent(self) -> Fraction:
         s = self.numerator.degree
@@ -194,12 +186,10 @@ def _log_derivative_coeffs(exponents: dict, n_terms: int) -> list:
 
 def eta_product(shape: FrameShape, trunc: Rat) -> QSeries:
     """prod_k eta(q^k)^(m_k) / prod_k eta(q^k)^(n_k) as an exact QSeries."""
-    trunc = _as_fraction(trunc)
     lead = shape.lead_exponent()
-    span = trunc - lead
-    if span <= 0:
+    n_terms = _grid_points(lead, 1, trunc)
+    if not n_terms:
         return QSeries(0, 1, [], trunc)
-    n_terms = span.numerator // span.denominator + (1 if span.denominator > 1 else 0)
     coeffs = _product_int_coeffs(shape.exponents(), n_terms - 1)
     return QSeries(lead, 1, coeffs, trunc)
 
@@ -290,12 +280,10 @@ def classify_degree24(bound: int) -> list:
 # -- Euler factors -------------------------------------------------------
 
 def euler_factor_check(f: QSeries, p: int, weight: int) -> bool:
-    """Hecke-eigenvalue identity a_p^2 - a_{p^2} = p^(weight-1) plus the
-    prime-power recursion c(p^(r+1)) = a_p c(p^r) - b_p c(p^(r-1)).
-
-    p = 3 shows anomalous character behavior in parts of this family; callers
-    that care should annotate p = 3 results separately (see cli.verify).
-    """
+    """Whether f's normalized coefficients satisfy the Euler factor at p of
+    a weight ``weight`` Hecke eigenform: b_p = a_p^2 - a_{p^2} = p^(weight-1),
+    and c(p^(r+1)) = a_p c(p^r) - b_p c(p^(r-1)) for every power of p below
+    f's truncation order."""
     avail = f.trunc
     if avail <= p * p:
         raise ValueError(f"truncation {avail} too small to see p^2 = {p * p}")

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, Sequence, Tuple, Union
+from typing import Dict, Tuple
 
 from .qseries import QSeries, TruncationError, _as_fraction
-from .faber import faber_by_recursion
+from .faber import CoeffSource, _coeff_accessor, faber_by_recursion
 
 
 @dataclass
@@ -27,32 +27,11 @@ class GrunskyTable:
     def get(self, m: int, n: int) -> Fraction:
         return self.entries[self.key(m, n)]
 
-    def __contains__(self, pair) -> bool:
-        return self.key(*pair) in self.entries
-
     def set(self, m: int, n: int, value) -> None:
         self.entries[self.key(m, n)] = _as_fraction(value)
 
     def pairs(self):
         return sorted(self.entries)
-
-    def to_json(self) -> dict:
-        return {
-            "grade_bound": self.grade_bound,
-            "entries": [
-                {"m": m, "n": n, "h": f"{h.numerator}/{h.denominator}"}
-                for (m, n), h in sorted(self.entries.items())
-            ],
-        }
-
-
-CoeffSource = Union[Sequence, Callable[[int], Fraction]]
-
-
-def _accessor(a: CoeffSource) -> Callable[[int], Fraction]:
-    if callable(a):
-        return lambda k: _as_fraction(a(k))
-    return lambda k: _as_fraction(a[k - 1])
 
 
 class GrunskyCalculator:
@@ -65,7 +44,7 @@ class GrunskyCalculator:
     """
 
     def __init__(self, a: CoeffSource):
-        self._a = _accessor(a)
+        self._a = _coeff_accessor(a)
         self._memo: Dict[Tuple[int, int], Fraction] = {}
 
     def h(self, r: int, s: int) -> Fraction:

@@ -36,7 +36,7 @@ def up(f: QSeries, p: int) -> QSeries:
     while j < trunc:
         coeffs.append(f.coeff(p * j))
         j += 1
-    return QSeries(lo, 1, coeffs, trunc, f.extended)
+    return QSeries(lo, 1, coeffs, trunc)
 
 
 def vp(f: QSeries, p: int) -> QSeries:
@@ -133,7 +133,7 @@ def _half_twist(g: QSeries) -> QSeries:
         if m.denominator != 1:
             raise ValueError("series does not live on the half-integer grid")
         coeffs.append(-c if m.numerator % 2 else c)
-    return QSeries(g.lead_exp, g.step, coeffs, g.trunc, g.extended)
+    return QSeries(g.lead_exp, g.step, coeffs, g.trunc)
 
 
 def _halved(whole: Num, doubled: Num) -> Num:
@@ -241,18 +241,15 @@ def first_p2_rule_failure(fam: ReplicationFamily, top: int) -> Optional[tuple]:
 
 def mahler_compute(seeds: Sequence[Num], h2: CoeffFn, trunc: int) -> QSeries:
     """Expand a replicable function from a_1..a_5 and its duplicate's
-    coefficients, by the four p = 2 rules.  Stays in exact integers when the
-    inputs are integers."""
+    coefficients, by the four p = 2 rules.  Integral seeds and values of h2,
+    ints or Fractions, enter the rules as ints, so integral input runs in
+    integer arithmetic."""
     if len(seeds) != 5:
         raise ValueError("need exactly the five seeds a_1..a_5")
-    a: Dict[int, Num] = {i + 1: s if isinstance(s, int) else _as_fraction(s)
-                         for i, s in enumerate(seeds)}
-
-    def get(i: int) -> Num:
-        return a[i]
-
+    seed, h2 = _int_valued(lambda i: seeds[i - 1]), _int_valued(h2)
+    a: Dict[int, Num] = {i: seed(i) for i in range(1, 6)}
     for n in range(6, trunc):
         rule, k = _rule_for(n)
-        a[n] = rule(get, h2, k)
+        a[n] = rule(a.__getitem__, h2, k)
     coeffs = [Fraction(1), Fraction(0)] + [_as_fraction(a[i]) for i in range(1, trunc)]
     return QSeries(-1, 1, coeffs, trunc)

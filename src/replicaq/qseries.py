@@ -39,13 +39,17 @@ def _as_fraction(v: Rat) -> Fraction:
     return v if isinstance(v, Fraction) else Fraction(v)
 
 
+def _grid_points(lead: Rat, step: Rat, trunc: Rat) -> int:
+    """How many exponents lead + k*step, k >= 0, lie below trunc."""
+    return max(0, -((lead - trunc) // step))
+
+
 class QSeries:
     """A truncated series sum_i c_i q^(lead_exp + i*step), known below ``trunc``."""
 
-    __slots__ = ("lead_exp", "step", "coeffs", "trunc", "extended")
+    __slots__ = ("lead_exp", "step", "coeffs", "trunc")
 
-    def __init__(self, lead_exp: Rat, step: Rat, coeffs: Iterable[Rat],
-                 trunc: Rat, extended: bool = False):
+    def __init__(self, lead_exp: Rat, step: Rat, coeffs: Iterable[Rat], trunc: Rat):
         lead_exp = _as_fraction(lead_exp)
         step = _as_fraction(step)
         trunc = _as_fraction(trunc)
@@ -58,37 +62,17 @@ class QSeries:
             lo += 1
         cs = cs[lo:]
         lead_exp += lo * step
+        # drop anything at or above the truncation order
+        del cs[_grid_points(lead_exp, step, trunc):]
         while cs and cs[-1] == 0:
             cs.pop()
-        # drop anything at or above the truncation order
-        if cs:
-            n_known = (trunc - lead_exp) / step
-            limit = n_known.numerator // n_known.denominator
-            if n_known != limit:  # when equal, the exponent at trunc is already unknown
-                limit += 1
-            if limit < len(cs):
-                del cs[limit:]
-            while cs and cs[-1] == 0:
-                cs.pop()
-        if not extended:
-            if GRID_DENOMINATOR % step.denominator or GRID_DENOMINATOR % lead_exp.denominator:
-                raise GridError(
-                    f"exponent grid {lead_exp} + k*{step} leaves the 1/{GRID_DENOMINATOR} grid")
+        if GRID_DENOMINATOR % step.denominator or GRID_DENOMINATOR % lead_exp.denominator:
+            raise GridError(
+                f"exponent grid {lead_exp} + k*{step} leaves the 1/{GRID_DENOMINATOR} grid")
         self.lead_exp = lead_exp
         self.step = step
         self.coeffs = cs
         self.trunc = trunc
-        self.extended = extended
-
-    # -- constructors ----------------------------------------------------
-
-    @classmethod
-    def zero(cls, trunc: Rat) -> "QSeries":
-        return cls(0, 1, [], trunc)
-
-    @classmethod
-    def one(cls, trunc: Rat) -> "QSeries":
-        return cls(0, 1, [1], trunc)
 
     # -- inspection ------------------------------------------------------
 
@@ -131,7 +115,7 @@ class QSeries:
         new_trunc = _as_fraction(new_trunc)
         if new_trunc > self.trunc:
             raise TruncationError("cannot extend knowledge by truncating")
-        return QSeries(self.lead_exp, self.step, self.coeffs, new_trunc, self.extended)
+        return QSeries(self.lead_exp, self.step, self.coeffs, new_trunc)
 
     def __repr__(self) -> str:
         parts = []
@@ -145,12 +129,10 @@ class QSeries:
         return f"QSeries({body} + O(q^{self.trunc}))"
 
     def __eq__(self, other) -> bool:
+        """Known to the same order, with the same coefficients below it."""
         if not isinstance(other, QSeries):
             return NotImplemented
-        t = min(self.trunc, other.trunc)
-        exps = {e for e in self.exponents() if e < t}
-        exps |= {e for e in other.exponents() if e < t}
-        return all(self.coeff(e) == other.coeff(e) for e in exps)
+        return self.trunc == other.trunc and agree(self, other, self.trunc) is None
 
     __hash__ = None
 
@@ -162,10 +144,9 @@ class QSeries:
             diff = self.lead_exp - other.lead_exp
             if diff != 0 and (diff / s).denominator != 1:
                 s = _frgcd(s, diff)
-        ext = self.extended or other.extended
-        if not ext and GRID_DENOMINATOR % s.denominator:
+        if GRID_DENOMINATOR % s.denominator:
             raise GridError(f"common grid step {s} exceeds the 1/{GRID_DENOMINATOR} bound")
-        return s, ext
+        return s
 
     def _on_grid(self, step: Fraction):
         """(offset index of lead on the new grid relative to 0, coeff list)."""
@@ -184,20 +165,19 @@ class QSeries:
     # -- arithmetic ------------------------------------------------------
 
     def __neg__(self) -> "QSeries":
-        return QSeries(self.lead_exp, self.step, [-c for c in self.coeffs],
-                       self.trunc, self.extended)
+        return QSeries(self.lead_exp, self.step, [-c for c in self.coeffs], self.trunc)
 
     def __add__(self, other) -> "QSeries":
         if isinstance(other, (int, Fraction)):
-            other = QSeries(0, 1, [other], self.trunc, self.extended)
+            other = QSeries(0, 1, [other], self.trunc)
         if not isinstance(other, QSeries):
             return NotImplemented
-        step, ext = self._common_grid(other)
+        step = self._common_grid(other)
         trunc = min(self.trunc, other.trunc)
         if self.is_zero:
-            return QSeries(other.lead_exp, other.step, other.coeffs, trunc, ext)
+            return QSeries(other.lead_exp, other.step, other.coeffs, trunc)
         if other.is_zero:
-            return QSeries(self.lead_exp, self.step, self.coeffs, trunc, ext)
+            return QSeries(self.lead_exp, self.step, self.coeffs, trunc)
         ia, ca = self._on_grid(step)
         ib, cb = other._on_grid(step)
         assert ia.denominator == 1 and ib.denominator == 1
@@ -209,13 +189,13 @@ class QSeries:
             out[ia - lo + i] += c
         for i, c in enumerate(cb):
             out[ib - lo + i] += c
-        return QSeries(lo * step, step, out, trunc, ext)
+        return QSeries(lo * step, step, out, trunc)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "QSeries":
         if isinstance(other, (int, Fraction)):
-            other = QSeries(0, 1, [other], self.trunc, self.extended)
+            other = QSeries(0, 1, [other], self.trunc)
         return self + (-other)
 
     def __rsub__(self, other) -> "QSeries":
@@ -224,25 +204,22 @@ class QSeries:
     def __mul__(self, other) -> "QSeries":
         if isinstance(other, (int, Fraction)):
             return QSeries(self.lead_exp, self.step, [c * other for c in self.coeffs],
-                           self.trunc, self.extended)
+                           self.trunc)
         if not isinstance(other, QSeries):
             return NotImplemented
         if self.is_zero or other.is_zero:
             a_lead = self.lead_exp if not self.is_zero else self.trunc
             b_lead = other.lead_exp if not other.is_zero else other.trunc
-            return QSeries(0, 1, [], min(self.trunc + b_lead, other.trunc + a_lead),
-                           self.extended or other.extended)
-        step, ext = self._common_grid(other)
+            return QSeries(0, 1, [], min(self.trunc + b_lead, other.trunc + a_lead))
+        step = self._common_grid(other)
         trunc = min(self.trunc + other.lead_exp, other.trunc + self.lead_exp)
         ia, ca = self._on_grid(step)
         ib, cb = other._on_grid(step)
         lead = (ia + ib) * step
         # number of product coefficients actually known
-        span = (trunc - lead) / step
-        n_out = span.numerator // span.denominator + (1 if span.denominator > 1 else 0)
-        n_out = max(0, min(n_out, len(ca) + len(cb) - 1))
+        n_out = min(_grid_points(lead, step, trunc), len(ca) + len(cb) - 1)
         out = _convolve(ca, cb, n_out)
-        return QSeries(lead, step, out, trunc, ext)
+        return QSeries(lead, step, out, trunc)
 
     __rmul__ = __mul__
 
@@ -253,7 +230,7 @@ class QSeries:
             return self.invert() ** (-n)
         if n == 0:
             t = self.trunc if self.is_zero else self.trunc - self.lead_exp
-            return QSeries(0, 1, [1], t, self.extended)
+            return QSeries(0, 1, [1], t)
         # repeated squaring keeps the truncation propagation of mul
         result = None
         base = self
@@ -274,23 +251,20 @@ class QSeries:
         lead = self.lead_exp
         # u = self / (c0 q^lead) = 1 + ..., known to order (trunc - lead);
         # trailing zeros below trunc are known and count toward the order
-        span = (self.trunc - lead) / self.step
-        n = max(len(self.coeffs),
-                span.numerator // span.denominator + (1 if span.denominator > 1 else 0))
+        n = max(len(self.coeffs), _grid_points(lead, self.step, self.trunc))
         u = self.coeffs + [Fraction(0)] * (n - len(self.coeffs))
         if abs(c0) == 1 and all(c.denominator == 1 for c in u):
             u = [c.numerator for c in u]
         inv = _int_series_inverse(u, n)
         trunc = self.trunc - 2 * lead
-        return QSeries(-lead, self.step, inv, trunc, self.extended)
+        return QSeries(-lead, self.step, inv, trunc)
 
-    def substitute(self, k: Rat, extended: bool = False) -> "QSeries":
+    def substitute(self, k: Rat) -> "QSeries":
         """q -> q^k; exponents and truncation scale by k."""
         k = _as_fraction(k)
         if k <= 0:
             raise ValueError("substitution exponent must be positive")
-        return QSeries(self.lead_exp * k, self.step * k, self.coeffs,
-                       self.trunc * k, extended or self.extended)
+        return QSeries(self.lead_exp * k, self.step * k, self.coeffs, self.trunc * k)
 
 
 def _exponents_below(a: QSeries, b: QSeries, order: Fraction) -> list:
@@ -302,8 +276,7 @@ def agree(a: QSeries, b: QSeries, order: Rat):
     """First (exponent, a's coefficient, b's coefficient) where a and b differ
     below ``order``, or None.
 
-    Unlike ``==``, which looks only below the smaller truncation order, this
-    raises TruncationError when either side is known only below ``order``.
+    Raises TruncationError when either side is known only below ``order``.
     """
     order = _as_fraction(order)
     for s in (a, b):
@@ -359,8 +332,7 @@ def eta(trunc: Rat) -> "QSeries":
     trunc = _as_fraction(trunc)
     if trunc <= Fraction(1, 24):
         raise ValueError("trunc must exceed 1/24")
-    span = trunc - Fraction(1, 24)
-    n_terms = span.numerator // span.denominator + (1 if span.denominator > 1 else 0)
+    n_terms = _grid_points(Fraction(1, 24), 1, trunc)
     return QSeries(Fraction(1, 24), 1, euler_phi_int_coeffs(n_terms), trunc)
 
 
@@ -374,13 +346,15 @@ def _sigma_list(power: int, n_max: int) -> list:
     return out
 
 
+def _e4_int_coeffs(n_terms: int) -> list:
+    """The first n_terms coefficients of E4 = 1 + 240 sum sigma_3(n) q^n."""
+    sig = _sigma_list(3, n_terms)
+    return [240 * sig[n] if n else 1 for n in range(n_terms)]
+
+
 def eisenstein_e4(trunc: Rat) -> "QSeries":
     """E4 = 1 + 240 sum sigma_3(n) q^n."""
-    trunc = _as_fraction(trunc)
-    n_max = max(0, -((-trunc.numerator) // trunc.denominator) - 1)
-    sig = _sigma_list(3, n_max)
-    coeffs = [1] + [240 * sig[n] for n in range(1, n_max + 1)]
-    return QSeries(0, 1, coeffs, trunc)
+    return QSeries(0, 1, _e4_int_coeffs(_grid_points(0, 1, trunc)), trunc)
 
 
 def delta_int_coeffs(n_terms: int) -> list:
@@ -486,16 +460,13 @@ def _int_series_inverse(a: list, n_out: int) -> list:
 
 def delta(trunc: Rat) -> "QSeries":
     """Modular discriminant Delta = eta^24."""
-    trunc = _as_fraction(trunc)
-    n_terms = max(0, -((-trunc.numerator) // trunc.denominator) - 1)
-    return QSeries(1, 1, delta_int_coeffs(n_terms), trunc)
+    return QSeries(1, 1, delta_int_coeffs(_grid_points(1, 1, trunc)), trunc)
 
 
 def j_int_coeffs(n_terms: int) -> list:
     """[c(-1), c(0), c(1), ...] of J = E4^3/Delta - 744, n_terms entries past c(0)."""
     n = n_terms + 2
-    sig = _sigma_list(3, n)
-    e4 = [1] + [240 * sig[m] for m in range(1, n)]
+    e4 = _e4_int_coeffs(n)
     e8 = _int_conv(e4, e4, n)
     e12 = _int_conv(e8, e4, n)
     dq = delta_int_coeffs(n)          # Delta / q
@@ -507,27 +478,5 @@ def j_int_coeffs(n_terms: int) -> list:
 
 def j_oracle(trunc: Rat) -> "QSeries":
     """Normalized J = E4^3/Delta - 744 = q^-1 + 196884 q + ..."""
-    trunc = _as_fraction(trunc)
-    n_terms = max(0, -((-trunc.numerator) // trunc.denominator) - 1)
-    return QSeries(-1, 1, j_int_coeffs(n_terms), trunc)
+    return QSeries(-1, 1, j_int_coeffs(_grid_points(1, 1, trunc)), trunc)
 
-
-# -- serialization -------------------------------------------------------
-
-def qseries_to_json(f: QSeries) -> dict:
-    def frac(x: Fraction) -> str:
-        return f"{x.numerator}/{x.denominator}"
-    return {
-        "lead_exp": frac(f.lead_exp if not f.is_zero else Fraction(0)),
-        "step": frac(f.step),
-        "trunc": frac(f.trunc),
-        "coeffs": [frac(c) for c in f.coeffs],
-    }
-
-
-def qseries_from_json(doc: dict) -> QSeries:
-    def unfrac(s: str) -> Fraction:
-        num, den = s.split("/")
-        return Fraction(int(num), int(den))
-    return QSeries(unfrac(doc["lead_exp"]), unfrac(doc["step"]),
-                   [unfrac(c) for c in doc["coeffs"]], unfrac(doc["trunc"]))

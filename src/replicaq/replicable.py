@@ -208,12 +208,6 @@ def inverse_identity_sum(fam: ReplicationFamily, m: int, n: int) -> Fraction:
                 for d in range(1, g + 1) if g % d == 0), Fraction(0))
 
 
-def inverse_identity_check(fam: ReplicationFamily, t: GrunskyTable, bound: int) -> bool:
-    """h_{m,n} = sum_{d | gcd(m,n)} (1/d) h^(d)_{mn/d^2} against the family."""
-    return all(t.get(m, n) == inverse_identity_sum(fam, m, n)
-               for (m, n) in t.pairs() if gcd(m, n) <= bound)
-
-
 def mod_p_residues(f: QSeries, fp: QSeries, p: int, bound: int):
     """(i, (a_i(f) - a_i(f^(p))) mod p) for 1 <= i <= bound, in order; raises
     ValueError on reaching a coefficient that is not an integer."""
@@ -222,11 +216,6 @@ def mod_p_residues(f: QSeries, fp: QSeries, p: int, bound: int):
         if a.denominator != 1 or b.denominator != 1:
             raise ValueError("congruence check needs integer coefficients")
         yield i, (a.numerator - b.numerator) % p
-
-
-def mod_p_congruence(f: QSeries, fp: QSeries, p: int, bound: int) -> bool:
-    """a_i(f) == a_i(f^(p)) mod p for 1 <= i <= bound."""
-    return not any(r for _, r in mod_p_residues(f, fp, p, bound))
 
 
 # -- reducing pairs ------------------------------------------------------
@@ -376,24 +365,3 @@ def reconstruct_by_grunsky(basis_values: Mapping[int, Fraction], trunc: int) -> 
     """Check route for ``reconstruct_from_basis``: solve Norton's recursion."""
     return _reconstruct(basis_values, trunc, _grunsky_step)
 
-
-def odd_level_economy_experiment(basis_values: Mapping[int, Fraction], trunc: int) -> dict:
-    """Attempt reconstruction from h_1, h_2, h_3, h_5 alone.
-
-    Odd-level functions are said to need only these four values, but no
-    descent mechanism beyond the generic reducing pairs is available here, so
-    the expected outcome is a report of which grade blocks.  Returned as data,
-    never asserted.
-    """
-    small = {k: basis_values[k] for k in (1, 2, 3, 5) if k in basis_values}
-    a, blocked = _descend(small, trunc, _faber_row_step)
-    recovered = list(range(1, len(a)))
-    if blocked is None:
-        return {"succeeded": True, "coefficients_recovered": recovered}
-    return {
-        "succeeded": False,
-        "blocked_at_grade": blocked,
-        "coefficients_recovered": recovered,
-        "note": "grade irreducible by the generic pair machinery; "
-                "the odd-level mechanism is not specified",
-    }

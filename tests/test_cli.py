@@ -160,8 +160,8 @@ def test_result_known_past_the_requested_order_is_a_mismatch(monkeypatch):
 
 def test_family_too_short_for_the_hecke_faber_order_is_a_mismatch():
     # n = 6 below q^20 reads the family past q^120
-    out = checks.hecke(31, 0, {"short": checks.j_family(119), "long": checks.j_family(120)}, 20)
-    short, full = out["hecke_faber"]["short"], out["hecke_faber"]["long"]
+    short = checks._hecke_faber(checks.j_family(119), 20)
+    full = checks._hecke_faber(checks.j_family(120), 20)
     assert not short.ok and short.compared == 0 and "q^20" in short.first_mismatch[0]
     assert full.ok and full.compared == sum(n + 20 for n in range(1, 7))
 

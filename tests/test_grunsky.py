@@ -107,14 +107,7 @@ class TestDenominatorBound:
 
 
 class TestTable:
-    def test_json(self):
-        t = GrunskyTable(4)
-        t.set(2, 1, Fraction(5, 2))
-        doc = t.to_json()
-        assert doc["grade_bound"] == 4
-        assert doc["entries"] == [{"m": 1, "n": 2, "h": "5/2"}]
-
     def test_unordered_keying(self):
         t = GrunskyTable(6)
         t.set(3, 1, 7)
-        assert t.get(1, 3) == 7 and (3, 1) in t
+        assert t.get(1, 3) == 7 and t.get(3, 1) == 7 and t.pairs() == [(1, 3)]

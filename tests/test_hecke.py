@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+import replicaq.hecke as hecke
 from replicaq.qseries import QSeries, TruncationError, agree, j_oracle
 from replicaq.replicable import ReplicationFamily
 from replicaq.hecke import (up, vp, hecke_Tn, hecke_Tn_via_uv, twisted_Tn,
                             hecke_faber_verify, p2_identities,
-                            first_p2_rule_failure, mahler_compute, _half_twist)
+                            first_p2_rule_failure, mahler_compute, _half_twist, _rule_for)
 from replicaq.functions import j_family, fiction_family, tb2_family
 
 
@@ -178,6 +179,34 @@ class TestMahler:
         g = mahler_compute(seeds, lambda i: J.coeff(i), 78)
         for k in range(-1, 78):
             assert g.coeff(k) == f.coeff(k)
+
+    def test_integral_fractions_run_in_ints(self, monkeypatch):
+        fam = tb2_family(80)
+        f, f2 = fam.base, fam.power(2)
+        seeds = [f.coeff(i) for i in range(1, 6)]
+        halved = []
+        real = hecke._halved
+        monkeypatch.setattr(hecke, "_halved",
+                            lambda w, d: halved.append((type(w), type(d))) or real(w, d))
+        as_fractions = mahler_compute(seeds, f2.coeff, 78)
+        assert halved and set(halved) == {(int, int)}
+        as_ints = mahler_compute([int(s) for s in seeds], lambda i: int(f2.coeff(i)), 78)
+        assert as_fractions == as_ints
+        assert all(type(c) is Fraction for s in (as_fractions, as_ints) for c in s.coeffs)
+
+    def test_non_integral_input_runs_in_fractions(self):
+        seeds = [Fraction(1, 2), 3, Fraction(-2, 3), 0, 1]
+
+        def h2(i):
+            return Fraction(i % 3, 2)
+
+        a = {i: Fraction(s) for i, s in enumerate(seeds, 1)}
+        for n in range(6, 40):
+            rule, k = _rule_for(n)
+            a[n] = Fraction(rule(a.__getitem__, h2, k))
+        g = mahler_compute(seeds, h2, 40)
+        assert [g.coeff(i) for i in range(1, 40)] == [a[i] for i in range(1, 40)]
+        assert any(a[i].denominator > 1 for i in range(6, 40))
 
     def test_seed_count_enforced(self):
         with pytest.raises(ValueError):

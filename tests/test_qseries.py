@@ -1,5 +1,6 @@
 """Core series arithmetic, truncation bookkeeping and the three oracles."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -8,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from replicaq.qseries import (QSeries, GridError, TruncationError, agree, eta,
                               eisenstein_e4, delta, delta_int_coeffs, j_oracle,
-                              j_int_coeffs, euler_phi_int_coeffs,
-                              qseries_to_json, qseries_from_json,
+                              j_int_coeffs, euler_phi_int_coeffs, _grid_points,
                               _int_conv, _int_series_inverse, _int_power,
                               _kronecker_conv, _schoolbook_conv, _KRONECKER_MIN_LEN)
 
@@ -20,6 +20,15 @@ INTS = st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -7, 10**30]), max_size=12)
 FRACTIONS = st.lists(st.sampled_from([Fraction(0), Fraction(0), Fraction(1),
                                       Fraction(-3, 5), Fraction(7, 2), Fraction(4)]),
                      max_size=12)
+
+
+# series on the q, q^(1/2) or q^(1/3) grid, with zeros and non-integral
+# entries, known from 0 to 10 grid steps past the lead
+SERIES = st.builds(
+    lambda step, lead, coeffs, known: QSeries(lead * step, step, coeffs, (lead + known) * step),
+    st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(1, 3)]), st.integers(-3, 3),
+    st.lists(st.sampled_from([0, 0, 1, -1, 3, Fraction(2, 3)]), max_size=8),
+    st.integers(0, 10))
 
 
 def random_series(rng, trunc=12):
@@ -45,10 +54,6 @@ class TestConstruction:
         with pytest.raises(GridError):
             QSeries(Fraction(1, 5), 1, [1], 2)
 
-    def test_extended_grid_allowed_when_flagged(self):
-        f = QSeries(Fraction(1, 5), 1, [1], 2, extended=True)
-        assert f.coeff(Fraction(1, 5)) == 1
-
     def test_unknown_is_not_zero(self):
         f = QSeries(0, 1, [1], 5)
         assert f.coeff(4) == 0
@@ -57,11 +62,25 @@ class TestConstruction:
         with pytest.raises(TruncationError):
             f.coeff(7)
 
+    def test_nothing_known_below_a_trunc_under_the_lead(self):
+        f = QSeries(5, 1, [1, 2, 3, 4, 5], 4)
+        assert f.is_zero and f.exponents() == [] and f.trunc == 4
+
+    @PROPERTY
+    @given(st.integers(-30, 30), st.sampled_from([1, 2, 3, 24]), st.integers(1, 4),
+           st.integers(1, 3), st.integers(-60, 60), st.integers(1, 24))
+    def test_grid_points_below_trunc(self, lead_num, lead_den, step_num, step_den,
+                                     trunc_num, trunc_den):
+        lead, step = Fraction(lead_num, lead_den), Fraction(step_num, step_den)
+        trunc = Fraction(trunc_num, trunc_den)
+        want = sum(1 for k in range(300) if lead + k * step < trunc)
+        assert _grid_points(lead, step, trunc) == want
+
 
 class TestAgree:
     def test_short_side_raises(self):
         short = QSeries(-1, 1, [1], 1)
-        assert short == j_oracle(30)  # == looks only below the smaller trunc
+        assert short != j_oracle(30)  # == needs the same truncation order
         with pytest.raises(TruncationError):
             agree(short, j_oracle(30), 30)
         with pytest.raises(TruncationError):
@@ -117,6 +136,27 @@ class TestArithmetic:
         f = QSeries(-1, 1, [1, 0, 5], 4)
         g = f.substitute(3)
         assert g.coeff(-3) == 1 and g.coeff(3) == 5 and g.trunc == 12
+
+    @PROPERTY
+    @given(SERIES, SERIES, st.sampled_from([1, 2, 3, Fraction(1, 2), Fraction(3, 2)]))
+    def test_substitution_commutes_with_multiplication(self, f, g, k):
+        assert (f * g).substitute(k) == f.substitute(k) * g.substitute(k)
+
+    @PROPERTY
+    @given(SERIES, SERIES, st.integers(0, 6), st.integers(0, 6),
+           st.sampled_from(["add", "sub", "mul", "invert"]))
+    def test_truncation_is_monotone(self, f, g, cut_f, cut_g, op):
+        # an op on truncated operands agrees with the full op below its own order
+        short_f = f.truncate(f.trunc - cut_f * f.step)
+        short_g = g.truncate(g.trunc - cut_g * g.step)
+        if op == "invert":
+            if short_f.is_zero:
+                return
+            full, short = f.invert(), short_f.invert()
+        else:
+            full, short = getattr(operator, op)(f, g), getattr(operator, op)(short_f, short_g)
+        assert short.trunc <= full.trunc
+        assert agree(short, full, short.trunc) is None
 
     def test_truncation_soundness_under_ops(self):
         # reported coefficients are independent of the working truncation
@@ -325,14 +365,3 @@ class TestOracles:
         assert ints[0] == 1 and ints[1] == 0
         assert all(J.coeff(k) == ints[k + 1] for k in range(1, 29))
 
-
-class TestJson:
-    def test_roundtrip(self):
-        f = eta(3)
-        doc = qseries_to_json(f)
-        assert doc["lead_exp"] == "1/24"
-        assert qseries_from_json(doc) == f
-
-    def test_decimal_strings(self):
-        doc = qseries_to_json(j_oracle(3))
-        assert "196884/1" in doc["coeffs"]

@@ -13,11 +13,11 @@ from replicaq.grunsky import GrunskyCalculator, grunsky_by_recursion
 from replicaq.replicable import (NORTON_BASIS, IRREDUCIBLE_GRADES,
                                  DescentError, ReducingPair,
                                  ReplicationFamily, is_replicable, replicate,
-                                 replicate_by_grunsky, inverse_identity_check,
-                                 mod_p_congruence, find_reducing_pair,
+                                 replicate_by_grunsky, inverse_identity_sum,
+                                 mod_p_residues, find_reducing_pair,
                                  exhaustive_reducing_pair,
                                  reconstruct_from_basis, reconstruct_by_grunsky,
-                                 odd_level_economy_experiment)
+                                 _descend, _faber_row_step)
 from replicaq.functions import (fiction_series, parse_function_spec, realize,
                                 tb2_family)
 
@@ -114,13 +114,19 @@ class TestReplicateRoutes:
                 == coefficients(replicate_by_grunsky(f, k, T), T))
 
 
+def identity_failures(fam, t, bound):
+    """Pairs of t with gcd <= bound where h_{m,n} differs from the inverse-identity sum."""
+    return [(m, n) for m, n in t.pairs()
+            if gcd(m, n) <= bound and t.get(m, n) != inverse_identity_sum(fam, m, n)]
+
+
 class TestInverseIdentity:
     def test_j_family(self):
         J = j_to(80)
         fam = ReplicationFamily(J, {d: J for d in (2, 3, 4)})
         a = [J.coeff(k) for k in range(1, 80)]
         t = grunsky_by_recursion(a, 9)
-        assert inverse_identity_check(fam, t, 4)
+        assert identity_failures(fam, t, 4) == []
 
     def test_tampered_family(self):
         J = j_to(80)
@@ -128,33 +134,38 @@ class TestInverseIdentity:
         fam = ReplicationFamily(J, {2: wrong, 3: J, 4: J})
         a = [J.coeff(k) for k in range(1, 80)]
         t = grunsky_by_recursion(a, 9)
-        assert not inverse_identity_check(fam, t, 4)
+        # h^(2)_2 enters only the pair (2, 4)
+        assert identity_failures(fam, t, 4) == [(2, 4)]
 
     def test_gcd_one_is_plain_coefficient(self):
         J = j_to(30)
         fam = ReplicationFamily(J, {})
         a = [J.coeff(k) for k in range(1, 30)]
         t = grunsky_by_recursion(a, 8)
-        assert inverse_identity_check(fam, t, 1)
+        assert identity_failures(fam, t, 1) == []
+
+
+def residues(f, fp, p, bound):
+    return [r for _, r in mod_p_residues(f, fp, p, bound)]
 
 
 class TestModPCongruence:
     def test_equal_series(self):
         J = j_to(30)
-        assert mod_p_congruence(J, J, 5, 25)
+        assert residues(J, J, 5, 25) == [0] * 25
 
     def test_2b_family(self):
         fam = tb2_family(55)
-        assert mod_p_congruence(fam.base, fam.power(2), 2, 50)
+        assert residues(fam.base, fam.power(2), 2, 50) == [0] * 50
 
     def test_violation(self):
         J = j_to(30)
-        assert not mod_p_congruence(J, J + QSeries(1, 1, [1], 30), 2, 10)
+        assert residues(J, J + QSeries(1, 1, [1], 30), 2, 10) == [1] + [0] * 9
 
     def test_non_integral_rejected_even_when_the_difference_is_integral(self):
         f = j_to(30) + QSeries(1, 1, [Fraction(1, 2)], 30)
         with pytest.raises(ValueError):
-            mod_p_congruence(f, f, 2, 10)
+            residues(f, f, 2, 10)
 
 
 class TestReducingPairs:
@@ -176,6 +187,13 @@ class TestReducingPairs:
         assert got == (2, 3, 4, 5, 6, 8, 9, 10, 12, 18, 20, 24)
         assert got == IRREDUCIBLE_GRADES
         assert NORTON_BASIS == tuple(N - 1 for N in got)
+
+    def test_valid_pair_for_every_reducible_grade_to_2000(self):
+        for N in range(2, 2001):
+            pair = find_reducing_pair(N)
+            assert (pair is None) == (N in IRREDUCIBLE_GRADES), N
+            if pair is not None:
+                assert pair.valid and pair.grade == sum(pair.from_pair) == N, pair
 
     def test_agrees_with_exhaustive_oracle_to_500(self):
         for N in range(2, 501):
@@ -251,18 +269,11 @@ class TestReconstruction:
         calc = GrunskyCalculator(lambda i: J.coeff(i))
         assert calc.h(6, 1) == J.coeff(6)
 
-    def test_odd_level_experiment_reports_not_raises(self):
+    def test_descent_stops_at_the_first_grade_without_value_or_pair(self):
+        # a_1, a_2, a_3, a_5 alone: grade 5 (a_4) is irreducible
         J = j_to(40)
-        basis = {k: J.coeff(k) for k in NORTON_BASIS}
-        result = odd_level_economy_experiment(basis, 30)
-        assert isinstance(result, dict) and "succeeded" in result
-        assert result["succeeded"] is False and result["blocked_at_grade"] == 5
-        assert result["coefficients_recovered"] == [1, 2, 3]
-        assert set(result) == {"succeeded", "blocked_at_grade",
-                               "coefficients_recovered", "note"}
-
-    def test_odd_level_experiment_below_first_block(self):
-        J = j_to(40)
-        basis = {k: J.coeff(k) for k in NORTON_BASIS}
-        assert odd_level_economy_experiment(basis, 4) == {
-            "succeeded": True, "coefficients_recovered": [1, 2, 3]}
+        given = {k: J.coeff(k) for k in (1, 2, 3, 5)}
+        a, blocked = _descend(given, 30, _faber_row_step)
+        assert blocked == 5 and a == [0] + [J.coeff(k) for k in (1, 2, 3)]
+        a, blocked = _descend(given, 4, _faber_row_step)
+        assert blocked is None and a == [0] + [J.coeff(k) for k in (1, 2, 3)]
