@@ -269,11 +269,16 @@ class TestReconstruction:
         calc = GrunskyCalculator(lambda i: J.coeff(i))
         assert calc.h(6, 1) == J.coeff(6)
 
-    def test_descent_stops_at_the_first_grade_without_value_or_pair(self):
-        # a_1, a_2, a_3, a_5 alone: grade 5 (a_4) is irreducible
+    # The odd-level economy: a descent from a_1, a_2, a_3, a_5 alone.  It
+    # stops at grade 5, the first grade that is neither given nor reducible.
+    def test_odd_level_experiment_reports_not_raises(self):
         J = j_to(40)
         given = {k: J.coeff(k) for k in (1, 2, 3, 5)}
         a, blocked = _descend(given, 30, _faber_row_step)
         assert blocked == 5 and a == [0] + [J.coeff(k) for k in (1, 2, 3)]
+
+    def test_odd_level_experiment_below_first_block(self):
+        J = j_to(40)
+        given = {k: J.coeff(k) for k in (1, 2, 3, 5)}
         a, blocked = _descend(given, 4, _faber_row_step)
         assert blocked is None and a == [0] + [J.coeff(k) for k in (1, 2, 3)]
