@@ -31,7 +31,7 @@ from .replicable import (NORTON_BASIS, IRREDUCIBLE_GRADES, ReplicationFamily,
                          reconstruct_by_grunsky)
 from .hecke import (hecke_Tn, hecke_Tn_via_uv, up, vp, hecke_faber_verify,
                     p2_identities, first_p2_rule_failure, mahler_compute)
-from .functions import j_family, fiction_family, tb2_family
+from .functions import replication_family, tb2_family
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,8 @@ def mahler(trunc: int, terms: int, top: int) -> dict:
     coefficients against their published values."""
     out = {}
     rules_to = min(terms, trunc - 1)
-    for name, fam in (("j", j_family(trunc)), ("2b", tb2_family(trunc))):
+    for name in ("j", "2b"):
+        fam = replication_family(name, trunc)
         f = fam.base
         fail = first_p2_rule_failure(fam, rules_to)
         g = mahler_compute([f.coeff(i) for i in range(1, 6)], fam.power(2).coeff, top)
@@ -270,20 +271,12 @@ def hecke(trunc: int, randoms: int, families: Sequence[str], faber_trunc: int) -
         "uv_route_ok": _series("tn_routes", (
             ((label, n), hecke_Tn(f, n), hecke_Tn_via_uv(f, n), f.trunc / n)
             for label, f in inputs for n in (2, 4, 6))),
-        "hecke_faber": {name: _hecke_faber(_family(name, 6 * (faber_trunc + 1) + 2), faber_trunc)
+        "hecke_faber": {name: _hecke_faber(replication_family(name, 6 * (faber_trunc + 1) + 2),
+                                           faber_trunc)
                         for name in families},
         "wrong_family_rejected": CheckReport("wrong_family_rejected", 1,
                                              ("n=2", "accepted") if wrong[1].ok else None),
     }
-
-
-def _family(name: str, trunc: int) -> ReplicationFamily:
-    """The family named "j", "2b" or "c=C" (the fiction 1/q + C q), known to q^trunc."""
-    if name == "j":
-        return j_family(trunc)
-    if name == "2b":
-        return tb2_family(trunc)
-    return fiction_family(int(name[2:]), trunc)
 
 
 def _hecke_faber(fam: ReplicationFamily, trunc: int) -> CheckReport:

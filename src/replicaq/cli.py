@@ -16,8 +16,8 @@ from . import checks
 from .frames import classify_degree24
 from .replicable import NORTON_BASIS, reconstruct_from_basis
 from .hecke import mahler_compute
-from .functions import (FunctionSpec, SpecError, TB2_SPEC, parse_function_spec,
-                        realize, j_family, fiction_family, tb2_family)
+from .functions import (FunctionSpec, SpecError, parse_function_spec, realize,
+                        replication_family)
 
 SCHEMA = 1
 
@@ -44,24 +44,13 @@ def _emit(status: str, payload: dict, summary: str) -> int:
     return 2
 
 
-def _family_for(spec: FunctionSpec, trunc: int):
-    if spec.variant == "j":
-        return j_family(trunc)
-    if spec.variant == "fiction":
-        return fiction_family(spec.c, trunc)
-    if spec == TB2_SPEC:
-        return tb2_family(trunc)
-    raise UsageError(f"no replication family known for spec {spec}; "
-                     "methods beyond 'oracle' need one")
-
-
 def _coeffs_by_method(spec: FunctionSpec, method: str, terms: int) -> list:
     trunc = terms + 1
     if method == "oracle":
         f = realize(spec, trunc)
         return [f.coeff(k) for k in range(1, trunc)]
     if method == "recurrence":
-        fam = _family_for(spec, max(2 * trunc + 4, 12))
+        fam = replication_family(spec, max(2 * trunc + 4, 12))
         f = fam.base
         seeds = [f.coeff(i) for i in range(1, 6)]
         g = mahler_compute(seeds, fam.power(2).coeff, max(trunc, 7))

@@ -14,8 +14,8 @@ from math import gcd
 from operator import mul
 from typing import Optional
 
-from .qseries import (QSeries, Rat, _grid_points, _int_conv, _int_power,
-                      _int_series_inverse, euler_phi_int_coeffs)
+from .qseries import (QSeries, Rat, _grid_points, _int_conv, _int_power, _miller_power,
+                      euler_phi_int_coeffs)
 
 
 class FrameShapeError(ValueError):
@@ -137,8 +137,9 @@ def _product_int_coeffs(exponents: dict, n_terms: int) -> list:
     """Coefficients b_0..b_n_terms of prod_k phi(q^k)^(c_k), phi = prod_n (1 - q^n).
 
     The factor route: on the q^g grid, g the gcd of the parts, each factor
-    phi(q^m), m = k/g, is the pentagonal series (inverted when c_k < 0) raised
-    to |c_k| on its own q^m grid, spread onto the q^g grid and multiplied in.
+    phi(q^m), m = k/g, is the pentagonal series raised to c_k on its own q^m
+    grid (by repeated squaring when c_k > 0, by Miller's recurrence when
+    c_k < 0), spread onto the q^g grid and multiplied in.
     """
     g = gcd(*exponents)
     n = n_terms // g + 1  # coefficients on the q^g grid
@@ -147,10 +148,8 @@ def _product_int_coeffs(exponents: dict, n_terms: int) -> list:
         m = k // g
         size = (n - 1) // m + 1  # coefficients on the q^k grid
         phi = euler_phi_int_coeffs(size)
-        if c < 0:
-            phi = _int_series_inverse(phi, size)
         factor = [0] * n
-        factor[::m] = _int_power(phi, abs(c), size)
+        factor[::m] = _miller_power(phi, c, size) if c < 0 else _int_power(phi, c, size)
         prod = _int_conv(prod, factor, n)
     out = [0] * (n_terms + 1)
     out[::g] = prod

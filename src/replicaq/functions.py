@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Union
 
 from .qseries import QSeries, Rat, _as_fraction, j_oracle
 from .frames import FrameShape, FrameShapeError, eta_product, parse_frame_shape
@@ -134,3 +134,20 @@ def tb2_family(trunc: Rat) -> ReplicationFamily:
     f = realize(TB2_SPEC, trunc)
     J = j_oracle(trunc)
     return ReplicationFamily(f, {a: (J if a % 2 == 0 else f) for a in range(2, 13)})
+
+
+def replication_family(function: Union[FunctionSpec, str], trunc: Rat) -> ReplicationFamily:
+    """The replication family of J, the 2B hauptmodul or a fiction 1/q + c q,
+    known to q^trunc.  ``function`` is a FunctionSpec or a short name of the
+    check payloads: "j", "2b" or "c=C"; any other function raises SpecError."""
+    if isinstance(function, str):
+        function = TB2_SPEC if function == "2b" else parse_function_spec(
+            function if function == "j" else "fiction:" + function)
+    if function.variant == "j":
+        return j_family(trunc)
+    if function.variant == "fiction":
+        return fiction_family(function.c, trunc)
+    if function == TB2_SPEC:
+        return tb2_family(trunc)
+    raise SpecError(f"no replication family known for spec {function}; "
+                    "methods beyond 'oracle' need one")

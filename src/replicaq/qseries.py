@@ -82,9 +82,12 @@ class QSeries:
 
     def coeff(self, exp: Rat) -> Fraction:
         """Coefficient at exponent ``exp``; raises past the truncation order."""
-        exp = _as_fraction(exp)
         if exp >= self.trunc:
             raise TruncationError(f"coefficient at q^{exp} is beyond trunc={self.trunc}")
+        if type(exp) is int and self.step == 1 and self.lead_exp.denominator == 1:
+            i = exp - self.lead_exp.numerator
+            return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+        exp = _as_fraction(exp)
         if not self.coeffs:
             return Fraction(0)
         idx = (exp - self.lead_exp) / self.step
@@ -106,10 +109,9 @@ class QSeries:
         """Simple pole with unit residue and zero constant term: q^-1 + O(q)."""
         if self.is_zero or self.lead_exp != -1 or self.coeffs[0] != 1:
             return False
-        for e, c in zip(self.exponents(), self.coeffs):
-            if -1 < e <= 0 and c != 0:
-                return False
-        return True
+        # exponents -1 + i*step in (-1, 0] are those with 1 <= i <= 1/step
+        last = self.step.denominator // self.step.numerator
+        return not any(self.coeffs[1:last + 1])
 
     def truncate(self, new_trunc: Rat) -> "QSeries":
         new_trunc = _as_fraction(new_trunc)
@@ -362,10 +364,15 @@ def delta_int_coeffs(n_terms: int) -> list:
     return _int_power(euler_phi_int_coeffs(n_terms), 24, n_terms)
 
 
-# Shorter operand length from which one packed big-int product replaces the
-# loop on int lists.  The loop is faster below 20 to 30 terms on dense
-# operands, and on sparse ones such as phi(q) at any length measured (to 300).
+# Shorter operand length from which one packed big-int product may replace
+# the loop on int lists.  The loop is faster below 20 to 30 terms on dense
+# operands.
 _KRONECKER_MIN_LEN = 40
+# The loop costs about nnz(a)*nnz(b) products and the packed product about
+# the packing of both operands, so the loop stays while nnz(a)*nnz(b) is at
+# most this many times the shorter length: phi(q) times itself (about
+# 2*sqrt(2n/3) nonzero terms each) stays on the loop at every length.
+_KRONECKER_MIN_DENSITY = 4
 
 
 def _int_conv(a: list, b: list, n_out: int) -> list:
@@ -373,11 +380,15 @@ def _int_conv(a: list, b: list, n_out: int) -> list:
 
     The one truncated product of the package.  Entries keep the operands'
     type: ints stay ints and Fractions stay Fractions (never floats).  Int
-    lists whose shorter operand has at least _KRONECKER_MIN_LEN terms go
-    through Kronecker substitution; everything else runs the schoolbook loop.
+    lists whose shorter operand has at least _KRONECKER_MIN_LEN terms, and
+    whose nonzero terms make the loop cost more than _KRONECKER_MIN_DENSITY
+    products per term of the shorter operand, go through Kronecker
+    substitution; everything else runs the schoolbook loop.
     """
     a, b = a[:n_out], b[:n_out]
-    if (min(len(a), len(b)) >= _KRONECKER_MIN_LEN
+    short = min(len(a), len(b))
+    if (short >= _KRONECKER_MIN_LEN
+            and (len(a) - a.count(0)) * (len(b) - b.count(0)) > _KRONECKER_MIN_DENSITY * short
             and set(map(type, a)) | set(map(type, b)) == {int}):
         return _kronecker_conv(a, b, n_out)
     return _schoolbook_conv(a, b, n_out)
@@ -438,6 +449,37 @@ def _int_power(a: list, e: int, n_out: int) -> list:
         a = _int_conv(a, a, n_out)
 
 
+def _miller_power(h: list, e: int, n_out: int) -> list:
+    """First n_out coefficients of h^e for an int list with h[0] = 1, any int e.
+
+    J.C.P. Miller's power recurrence (Knuth, TAOCP Vol. 2, 4.7): u = h^e
+    satisfies h u' = e h' u, which in coefficients reads
+    m u_m = sum_{k >= 1, h_k != 0} ((e + 1) k - m) h_k u_{m-k}.
+    Only h's nonzero entries enter the sums, so a sparse h such as phi(q)
+    costs its own density per coefficient, and a negative e needs no series
+    inverse.  The division by m is exact for integral h; a remainder raises
+    ArithmeticError instead of being rounded away.
+    """
+    if h[0] != 1:
+        raise ValueError("Miller's recurrence needs h[0] = 1")
+    if n_out <= 0:
+        return []
+    terms = [(k, x, (e + 1) * k * x) for k, x in enumerate(h[1:n_out], 1) if x]
+    u = [0] * n_out
+    u[0] = 1
+    for m in range(1, n_out):
+        s = 0
+        for k, x, ek in terms:
+            if k > m:
+                break
+            s += (ek - m * x) * u[m - k]
+        q, r = divmod(s, m)
+        if r:
+            raise ArithmeticError(f"Miller's recurrence left remainder {r} at index {m}")
+        u[m] = q
+    return u
+
+
 def _int_series_inverse(a: list, n_out: int) -> list:
     """First n_out coefficients of 1/a for a power series with a[0] != 0.
 
@@ -469,9 +511,8 @@ def j_int_coeffs(n_terms: int) -> list:
     e4 = _e4_int_coeffs(n)
     e8 = _int_conv(e4, e4, n)
     e12 = _int_conv(e8, e4, n)
-    dq = delta_int_coeffs(n)          # Delta / q
-    inv = _int_series_inverse(dq, n)
-    j = _int_conv(e12, inv, n)        # q * (J + 744)
+    inv = _miller_power(euler_phi_int_coeffs(n), -24, n)  # q / Delta
+    j = _int_conv(e12, inv, n)                            # q * (J + 744)
     j[1] -= 744
     return j[: n_terms + 2]
 

@@ -7,6 +7,7 @@ import pytest
 
 import replicaq.checks as checks
 from replicaq.cli import SUITES, main
+from replicaq.functions import parse_function_spec, replication_family
 
 
 def run(capsys, *argv):
@@ -51,6 +52,18 @@ class TestCoeffs:
     def test_bad_terms_exits_2(self, capsys):
         code, payload, _ = run(capsys, "coeffs", "j", "--terms", "0")
         assert code == 2
+
+    def test_recurrence_needs_a_known_family(self, capsys):
+        code, payload, _ = run(capsys, "coeffs", "eta:1^8/4^8+8", "--terms", "10",
+                               "--method", "recurrence")
+        assert code == 2 and payload["error"] == (
+            "no replication family known for spec eta:1^8/4^8+8; "
+            "methods beyond 'oracle' need one")
+        for name, text in (("j", "j"), ("2b", "eta:1^24/2^24+24"), ("c=-1", "fiction:c=-1")):
+            by_name = replication_family(name, 12)
+            by_spec = replication_family(parse_function_spec(text), 12)
+            assert by_name.base == by_spec.base
+            assert all(by_name.power(a) == by_spec.power(a) for a in range(2, 13))
 
 
 class TestClassify24:
@@ -160,8 +173,8 @@ def test_result_known_past_the_requested_order_is_a_mismatch(monkeypatch):
 
 def test_family_too_short_for_the_hecke_faber_order_is_a_mismatch():
     # n = 6 below q^20 reads the family past q^120
-    short = checks._hecke_faber(checks.j_family(119), 20)
-    full = checks._hecke_faber(checks.j_family(120), 20)
+    short = checks._hecke_faber(replication_family("j", 119), 20)
+    full = checks._hecke_faber(replication_family("j", 120), 20)
     assert not short.ok and short.compared == 0 and "q^20" in short.first_mismatch[0]
     assert full.ok and full.compared == sum(n + 20 for n in range(1, 7))
 

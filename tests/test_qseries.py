@@ -10,8 +10,10 @@ from hypothesis import given, settings, strategies as st
 from replicaq.qseries import (QSeries, GridError, TruncationError, agree, eta,
                               eisenstein_e4, delta, delta_int_coeffs, j_oracle,
                               j_int_coeffs, euler_phi_int_coeffs, _grid_points,
-                              _int_conv, _int_series_inverse, _int_power,
-                              _kronecker_conv, _schoolbook_conv, _KRONECKER_MIN_LEN)
+                              _e4_int_coeffs, _int_conv, _int_series_inverse, _int_power,
+                              _kronecker_conv, _miller_power, _schoolbook_conv,
+                              _KRONECKER_MIN_LEN)
+from replicaq import qseries
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -29,6 +31,10 @@ SERIES = st.builds(
     st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(1, 3)]), st.integers(-3, 3),
     st.lists(st.sampled_from([0, 0, 1, -1, 3, Fraction(2, 3)]), max_size=8),
     st.integers(0, 10))
+
+
+# every step of the 1/24 grid from 1/24 to 2
+GRID_STEPS = [Fraction(k, 24) for k in range(1, 49)]
 
 
 def random_series(rng, trunc=12):
@@ -75,6 +81,38 @@ class TestConstruction:
         trunc = Fraction(trunc_num, trunc_den)
         want = sum(1 for k in range(300) if lead + k * step < trunc)
         assert _grid_points(lead, step, trunc) == want
+
+    @settings(PROPERTY, max_examples=200)
+    @given(st.sampled_from(GRID_STEPS), st.sampled_from([-1, -1, -1, -2, 0]),
+           st.sampled_from([1, 1, 1, 0, 2]), st.integers(-2, 2),
+           st.lists(st.sampled_from([0, 0, 0, 1, -2]), max_size=8), st.integers(0, 60))
+    def test_is_normalized_is_the_exponent_definition(self, step, lead, lead_coeff, shift,
+                                                      tail, known):
+        # a pole at or near q^-1, then zeros up to a first nonzero term just
+        # before, at or just past q^0, on grids with steps from 1/24 to 2
+        zeros = max(0, int(1 / step) - 1 + shift)
+        f = QSeries(lead, step, [lead_coeff] + [0] * zeros + [1] + tail, lead + known * step)
+        want = (not f.is_zero and f.lead_exp == -1 and f.coeffs[0] == 1
+                and all(c == 0 for e, c in zip(f.exponents(), f.coeffs) if -1 < e <= 0))
+        assert f.is_normalized() == want
+
+    @pytest.mark.parametrize("lead, step", [(-1, 1), (3, 1), (Fraction(1, 24), 1),
+                                            (-1, Fraction(1, 24)), (0, Fraction(1, 2)),
+                                            (Fraction(-5, 24), Fraction(1, 24))])
+    def test_coeff_int_and_fraction_paths_agree(self, lead, step):
+        coeffs = [Fraction(k * k - 7, 3) if k % 3 else 0 for k in range(1, 40)]
+        f = QSeries(lead, step, coeffs, 30)
+        for e in range(-4, 30):
+            # past the end of coeffs and off the grid both read as zero
+            assert f.coeff(e) == f.coeff(Fraction(e))
+            assert type(f.coeff(e)) is Fraction
+        for e in (30, 31, Fraction(30), Fraction(61, 2)):
+            with pytest.raises(TruncationError):
+                f.coeff(e)
+        empty = QSeries(lead, step, [], 9)
+        assert empty.coeff(8) == empty.coeff(Fraction(8)) == 0
+        with pytest.raises(TruncationError):
+            empty.coeff(9)
 
 
 class TestAgree:
@@ -221,6 +259,7 @@ class TestKernels:
 
 
 LONG = _KRONECKER_MIN_LEN
+PENTAGONAL = {k * (3 * k - 1) // 2 for k in range(-10, 11)}
 # either sign, many zeros, and entries past 600 bits
 WIDE = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-2 ** 700, 2 ** 700))
 # lengths from below the packing threshold to well above it
@@ -242,10 +281,32 @@ class TestKronecker:
     @given(AROUND_THRESHOLD, AROUND_THRESHOLD, st.integers(1, 30))
     def test_dispatch_matches_schoolbook(self, a, b, cut):
         full = len(a) + len(b) - 1
-        for n_out in (LONG - 1, full - cut, full, full + cut):
-            out = _int_conv(a, b, n_out)
-            assert out == _schoolbook_conv(a, b, n_out)
-            assert len(out) == n_out and all(type(v) is int for v in out)
+        # sparse x sparse and sparse x dense: each list cut down to its entries
+        # at pentagonal positions, phi(q)'s support
+        sparse_a, sparse_b = ([x if i in PENTAGONAL else 0 for i, x in enumerate(xs)]
+                              for xs in (a, b))
+        for x, y in ((a, b), (sparse_a, sparse_b), (sparse_a, b), (a, sparse_b)):
+            for n_out in (LONG - 1, full - cut, full, full + cut):
+                out = _int_conv(x, y, n_out)
+                assert out == _schoolbook_conv(x, y, n_out)
+                assert len(out) == n_out and all(type(v) is int for v in out)
+
+    @pytest.mark.parametrize("n", [LONG, 300, 3000])
+    def test_sparse_operands_stay_on_the_loop(self, n, monkeypatch):
+        phi = euler_phi_int_coeffs(n)
+        packed = []
+
+        def spy(a, b, n_out):
+            packed.append((a, b))
+            return _kronecker_conv(a, b, n_out)
+
+        monkeypatch.setattr(qseries, "_kronecker_conv", spy)
+        assert _int_conv(phi, phi, n) == _schoolbook_conv(phi, phi, n)
+        assert packed == []
+        dense = _int_power(phi, 24, n)
+        packed.clear()
+        _int_conv(dense, dense, n)
+        assert len(packed) == 1
 
     @PROPERTY
     @given(st.lists(WIDE, min_size=1, max_size=12), st.lists(WIDE, min_size=1, max_size=12),
@@ -310,6 +371,49 @@ class TestSparseInverse:
         inv = _int_series_inverse(a, n_out)
         assert inv == naive_inverse(a, n_out)
         assert all(type(v) is int for v in inv)
+
+
+class TestMillerPower:
+    """Miller's power recurrence against repeated squaring and the inverse."""
+
+    @pytest.mark.parametrize("n", [1, 2, 40, 1000])
+    def test_negative_powers_of_phi(self, n):
+        phi = euler_phi_int_coeffs(n)
+        inv = _int_series_inverse(phi, n)
+        for c in range(-24, 0):
+            assert _miller_power(phi, c, n) == _int_power(inv, -c, n), c
+
+    @pytest.mark.parametrize("c", [0, 1, 2, 8, 24])
+    def test_nonnegative_powers_of_phi(self, c):
+        phi = euler_phi_int_coeffs(300)
+        want = [1] + [0] * 299 if c == 0 else _int_power(phi, c, 300)
+        assert _miller_power(phi, c, 300) == want
+
+    @PROPERTY
+    @given(st.lists(WIDE, max_size=20), st.integers(-5, 5), st.integers(0, 24))
+    def test_unit_led_int_series(self, tail, e, n_out):
+        h = [1] + tail
+        base = h if e >= 0 else _int_series_inverse(h, n_out)
+        want = _int_power(base, abs(e), n_out) if e else [1] + [0] * (n_out - 1)
+        out = _miller_power(h, e, n_out)
+        assert out == want[:n_out]
+        assert all(type(v) is int for v in out)
+
+    def test_inexact_division_raises(self):
+        # a non-integral h makes m u_m indivisible by m at m = 1; no rounding
+        with pytest.raises(ArithmeticError):
+            _miller_power([1, Fraction(1, 2)], -1, 3)
+        with pytest.raises(ValueError):
+            _miller_power([2, 1], -1, 3)
+
+    def test_j_matches_the_dense_inverse_route(self):
+        # the dense-inverse route: E4^3 times the series inverse of Delta / q
+        n = 1002
+        e4 = _e4_int_coeffs(n)
+        e12 = _int_conv(_int_conv(e4, e4, n), e4, n)
+        want = _int_conv(e12, _int_series_inverse(delta_int_coeffs(n), n), n)
+        want[1] -= 744
+        assert j_int_coeffs(1000) == want
 
 
 class TestOracles:
