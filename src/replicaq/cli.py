@@ -150,6 +150,7 @@ SUITES = {
     "basis": lambda t, g: {**checks.basis(g, 30), "grade_bound": g},
     "hecke": lambda t, g: checks.hecke(max(t, 31), 10, ("j", "2b"), t),
     "mahler": lambda t, g: checks.mahler(max(t, 31), max(t - 2, 10), max(t, 31) // 2),
+    "degree24": lambda t, g: checks.degree24(max(100, g)),
 }
 
 
@@ -221,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_numerology)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", help="faber|grunsky|replicable|basis|hecke|mahler|all")
+    p.add_argument("suite", help="faber|grunsky|replicable|basis|hecke|mahler|degree24|all")
     p.add_argument("--trunc", type=int, default=24)
     p.add_argument("--grade", type=int, default=60)
     p.set_defaults(func=cmd_verify)

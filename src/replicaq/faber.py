@@ -169,7 +169,8 @@ def _pdiv_exact(p, d):
         k = len(p) - len(d)
         if integral:
             c, rem = divmod(p[-1], d[-1])
-            assert rem == 0, "Bareiss division must be exact in Z[z]"
+            if rem:
+                raise ArithmeticError("Bareiss division must be exact in Z[z]")
         else:
             c = p[-1] / d[-1]
         out[k] = c
@@ -177,7 +178,8 @@ def _pdiv_exact(p, d):
             p[k + i] -= c * dv
         while len(p) > 1 and p[-1] == 0:
             p.pop()
-    assert all(v == 0 for v in p), "Bareiss division must be exact"
+    if any(p):
+        raise ArithmeticError("Bareiss division must be exact")
     return out
 
 

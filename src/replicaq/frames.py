@@ -178,7 +178,8 @@ def _log_derivative_coeffs(exponents: dict, n_terms: int) -> list:
     for n in range(1, n_terms + 1):
         total = sum(map(mul, s[1:n + 1], b[n - 1::-1]))  # sum of s_i b_(n-i)
         q, r = divmod(-total, n)
-        assert r == 0, "eta-product recurrence must stay integral"
+        if r:
+            raise ArithmeticError(f"eta-product recurrence left remainder {r} at index {n}")
         b[n] = q
     return b
 

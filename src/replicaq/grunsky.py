@@ -54,17 +54,19 @@ class GrunskyCalculator:
         got = self._memo.get(key)
         if got is not None:
             return got
-        a = self._a
-        total = a(r + s - 1)
-        if r > 1:
-            g = r + s
-            acc = Fraction(0)
-            for m in range(1, r):
-                for n in range(1, s):
-                    acc += a(m + n - 1) * (g - m - n) * self.h(r - m, s - n)
-            total += acc / g
+        total = self._a(r + s - 1) + self.correction(r, s)
         self._memo[key] = total
         return total
+
+    def correction(self, r: int, s: int) -> Fraction:
+        """h_{r,s} - a_{r+s-1}, the double sum of the recursion: it reads only
+        a_k with k <= r + s - 2, so it is known before a_{r+s-1} is."""
+        a, g = self._a, r + s
+        acc = Fraction(0)
+        for m in range(1, r):
+            for n in range(1, s):
+                acc += a(m + n - 1) * (g - m - n) * self.h(r - m, s - n)
+        return acc / g
 
     def table(self, grade: int) -> GrunskyTable:
         t = GrunskyTable(grade)

@@ -145,57 +145,40 @@ def _halved(whole: Num, doubled: Num) -> Num:
     return whole + Fraction(doubled, 2)
 
 
-def _rule_a4k(a: CoeffFn, h2: CoeffFn, k: int) -> Num:
-    whole = a(2 * k + 1)
-    for j in range(1, k):
-        whole += a(j) * a(2 * k - j)
-    return _halved(whole, a(k) * a(k) - h2(k))
+def _rule_even(a: CoeffFn, h2: CoeffFn, m: int) -> Num:
+    """a_{2m} = a_{m+1} + sum_{1<=j<m/2} a_j a_{m-j}
+    (+ (a_{m/2}^2 - h2_{m/2}) / 2 when m is even)."""
+    whole = a(m + 1)
+    for j in range(1, (m + 1) // 2):
+        whole += a(j) * a(m - j)
+    if m % 2:
+        return whole
+    return _halved(whole, a(m // 2) * a(m // 2) - h2(m // 2))
 
 
-def _rule_a4k2(a: CoeffFn, h2: CoeffFn, k: int) -> Num:
-    whole = a(2 * k + 2)
-    for j in range(1, k + 1):
-        whole += a(j) * a(2 * k + 1 - j)
-    return whole
-
-
-def _rule_a4k1(a: CoeffFn, h2: CoeffFn, k: int) -> Num:
-    if k < 2:
-        raise ValueError("a_{4k+1} rule needs k >= 2")
-    whole = a(2 * k + 3) - a(2) * a(2 * k)
-    for kap in range(1, k):
-        whole += a(4 * k - 4 * kap) * h2(kap)
-    doubled = h2(2 * k) - h2(k + 1)
-    for i in range(1, 2 * k + 2):
-        doubled += a(i) * a(2 * k + 2 - i)
-    for i in range(1, 4 * k):
-        j = 4 * k - i
-        term = a(i) * a(j)
-        doubled += -term if j % 2 else term
-    return _halved(whole, doubled)
-
-
-def _rule_a4k3(a: CoeffFn, h2: CoeffFn, k: int) -> Num:
-    if k < 1:
-        raise ValueError("a_{4k+3} rule needs k >= 1")
-    whole = a(2 * k + 4) - a(2) * a(2 * k + 1)
-    for kap in range(1, k + 1):
-        whole += a(4 * k + 2 - 4 * kap) * h2(kap)
-    doubled = h2(2 * k + 1)
-    for i in range(1, 2 * k + 3):
-        doubled += a(i) * a(2 * k + 3 - i)
-    for i in range(1, 4 * k + 2):
-        j = 4 * k + 2 - i
-        term = a(i) * a(j)
-        doubled += -term if j % 2 else term
+def _rule_odd(a: CoeffFn, h2: CoeffFn, m: int) -> Num:
+    """a_{2m+1} for m >= 3: a_{m+3} - a_2 a_m + sum_{1<=k<=(m-1)/2} a_{2m-4k} h2_k
+    + (h2_m - [m even] h2_{m/2+1} + sum_{i=1}^{m+1} a_i a_{m+2-i}
+       + sum_{i=1}^{2m-1} (-1)^i a_i a_{2m-i}) / 2."""
+    whole = a(m + 3) - a(2) * a(m)
+    for k in range(1, (m + 1) // 2):
+        whole += a(2 * m - 4 * k) * h2(k)
+    doubled = h2(m)
+    if m % 2 == 0:
+        doubled -= h2(m // 2 + 1)
+    for i in range(1, m + 2):
+        doubled += a(i) * a(m + 2 - i)
+    for i in range(1, 2 * m):
+        term = a(i) * a(2 * m - i)
+        doubled += -term if i % 2 else term
     return _halved(whole, doubled)
 
 
 def _rule_for(n: int):
-    """(rule, k) computing a_n; defined for n >= 6."""
+    """(rule, m) computing a_n by the rule for n's parity, m = n // 2; defined for n >= 6."""
     if n < 6:
         raise ValueError("rules start at a_6; a_1..a_5 are seeds")
-    return (_rule_a4k, _rule_a4k1, _rule_a4k2, _rule_a4k3)[n % 4], n // 4
+    return (_rule_even, _rule_odd)[n % 2], n // 2
 
 
 def p2_identities(fam: ReplicationFamily) -> list:
@@ -232,8 +215,8 @@ def first_p2_rule_failure(fam: ReplicationFamily, top: int) -> Optional[tuple]:
     """First (n, predicted, actual) with 6 <= n <= top where a rule misses a_n."""
     a, h2 = _int_valued(fam.base.coeff), _int_valued(fam.power(2).coeff)
     for n in range(6, top + 1):
-        rule, k = _rule_for(n)
-        predicted = rule(a, h2, k)
+        rule, m = _rule_for(n)
+        predicted = rule(a, h2, m)
         if predicted != a(n):
             return (n, predicted, a(n))
     return None
@@ -241,7 +224,7 @@ def first_p2_rule_failure(fam: ReplicationFamily, top: int) -> Optional[tuple]:
 
 def mahler_compute(seeds: Sequence[Num], h2: CoeffFn, trunc: int) -> QSeries:
     """Expand a replicable function from a_1..a_5 and its duplicate's
-    coefficients, by the four p = 2 rules.  Integral seeds and values of h2,
+    coefficients, by the two p = 2 rules.  Integral seeds and values of h2,
     ints or Fractions, enter the rules as ints, so integral input runs in
     integer arithmetic."""
     if len(seeds) != 5:
@@ -249,7 +232,7 @@ def mahler_compute(seeds: Sequence[Num], h2: CoeffFn, trunc: int) -> QSeries:
     seed, h2 = _int_valued(lambda i: seeds[i - 1]), _int_valued(h2)
     a: Dict[int, Num] = {i: seed(i) for i in range(1, 6)}
     for n in range(6, trunc):
-        rule, k = _rule_for(n)
-        a[n] = rule(a.__getitem__, h2, k)
+        rule, m = _rule_for(n)
+        a[n] = rule(a.__getitem__, h2, m)
     coeffs = [Fraction(1), Fraction(0)] + [_as_fraction(a[i]) for i in range(1, trunc)]
     return QSeries(-1, 1, coeffs, trunc)

@@ -119,6 +119,20 @@ class _FaberRows:
         self.a = a
         self.rows = [None, a]
 
+    def _sums(self, j: int):
+        """e -> S_j(e) = sum_{p<e} a_p b_{j-1,e-p} - sum_{i=1}^{j-2} a_i b_{j-1-i,e},
+        the sums of row j's recurrence, which read rows below j only."""
+        a, rows = self.a, self.rows
+        prev = rows[j - 1]
+        lower = list(zip(a[1:j - 1], rows[j - 2:0:-1]))  # (a_i, row j-1-i)
+
+        def s(e: int):
+            acc = sum(map(mul, a[1:e], prev[e - 1:0:-1]))
+            for ai, r in lower:
+                acc -= ai * r[e]
+            return acc
+        return s
+
     def extend(self, n: int, m: int) -> list:
         """Row n grown to hold entry m; row j < n then holds entry m + n - j."""
         a, rows = self.a, self.rows
@@ -127,13 +141,9 @@ class _FaberRows:
         while len(rows) <= n:
             rows.append([0])
         for j in range(2, n + 1):
-            row, prev = rows[j], rows[j - 1]
-            lower = list(zip(a[1:j - 1], rows[j - 2:0:-1]))  # (a_i, row j-1-i)
+            row, prev, s = rows[j], rows[j - 1], self._sums(j)
             for e in range(len(row), m + n - j + 1):
-                acc = a[e + j - 1] + prev[e + 1] + sum(map(mul, a[1:e], prev[e - 1:0:-1]))
-                for ai, r in lower:
-                    acc -= ai * r[e]
-                row.append(acc)
+                row.append(a[e + j - 1] + prev[e + 1] + s(e))
         return rows[n]
 
     def entry(self, r: int, s: int):
@@ -144,19 +154,13 @@ class _FaberRows:
         """b_{n,grade-n} with the top coefficient a_{grade-1} taken as 0.
 
         a_{grade-1} enters b_{n,grade-n} with coefficient n, so this is
-        n (h_{n,grade-n} - a_{grade-1}).  Built along the grade antidiagonal
-        from a_1..a_{grade-2} only, and not cached.
+        n (h_{n,grade-n} - a_{grade-1}).  Telescoping the row recurrence
+        down to b_{1,grade-1} = a_{grade-1} leaves sum_{j=2}^{n} S_j(grade-j),
+        built from a_1..a_{grade-2} only, and not cached.
         """
         if n > 1:
             self.extend(n - 1, grade - n - 1)
-        a, rows = self.a, self.rows
-        t = 0  # b_{1,grade-1} = a_{grade-1}, taken as 0
-        for j in range(2, n + 1):
-            e = grade - j
-            t += sum(map(mul, a[1:e], rows[j - 1][e - 1:0:-1]))
-            for i in range(1, j - 1):
-                t -= a[i] * rows[j - 1 - i][e]
-        return t
+        return sum(self._sums(j)(grade - j) for j in range(2, n + 1))
 
 
 def _replicate(f: QSeries, k: int, trunc: int, make_h) -> QSeries:
@@ -276,7 +280,8 @@ def find_reducing_pair(N: int) -> Optional[ReducingPair]:
         raise ValueError("grade must be at least 2")
     pair = _case_reducing_pair(N)
     if pair is not None:
-        assert pair.valid
+        if not pair.valid:
+            raise DescentError(f"case analysis gave an invalid pair {pair}")
         return pair
     return exhaustive_reducing_pair(N)
 
@@ -300,13 +305,7 @@ def _grunsky_step(a: list):
     calc = GrunskyCalculator(lambda i: a[i])
 
     def solve(pair: ReducingPair) -> Fraction:
-        (r, s), (rp, sp) = pair.from_pair, pair.to_pair
-        g = r + s
-        acc = Fraction(0)
-        for m in range(1, r):
-            for n in range(1, s):
-                acc += a[m + n - 1] * (g - m - n) * calc.h(r - m, s - n)
-        return calc.h(rp, sp) - acc / g
+        return calc.h(*pair.to_pair) - calc.correction(*pair.from_pair)
     return solve
 
 

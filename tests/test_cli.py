@@ -92,7 +92,7 @@ class TestNumerology:
 
 class TestVerify:
     @pytest.mark.parametrize("suite", ["faber", "grunsky", "replicable",
-                                       "basis", "hecke", "mahler"])
+                                       "basis", "hecke", "mahler", "degree24"])
     def test_each_suite(self, capsys, suite):
         code, payload, _ = run(capsys, "verify", suite)
         assert code == 0 and payload["status"] == "verified"
@@ -100,7 +100,7 @@ class TestVerify:
 
     def test_all(self, capsys):
         code, payload, _ = run(capsys, "verify", "all")
-        assert code == 0 and len(payload["suites"]) == 6
+        assert code == 0 and len(payload["suites"]) == 7
 
     @pytest.mark.parametrize("argv", [("faber", "--trunc", "2"), ("hecke", "--trunc", "0"),
                                       ("all", "--trunc", "9"), ("basis", "--grade", "1")])

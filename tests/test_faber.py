@@ -7,7 +7,7 @@ import pytest
 
 from replicaq.qseries import QSeries, j_oracle
 from replicaq.faber import (FaberPolynomial, faber_by_recursion,
-                            faber_by_elimination, faber_by_determinant)
+                            faber_by_elimination, faber_by_determinant, _pdiv_exact)
 from replicaq.checks import symmetric_function_comparisons
 
 
@@ -53,6 +53,17 @@ class TestThreeWayAgreement:
                 rec = faber_by_recursion(a, n)
                 assert faber_by_determinant(a, n) == rec
                 assert faber_by_elimination(f, n) == rec
+
+
+class TestExactDivision:
+    def test_inexact_quotient_coefficient_raises(self):
+        with pytest.raises(ArithmeticError):
+            _pdiv_exact([1, 1], [2])
+
+    def test_nonzero_remainder_raises(self):
+        # z^2 + 1 = (z - 1)(z + 1) + 2
+        with pytest.raises(ArithmeticError):
+            _pdiv_exact([1, 0, 1], [1, 1])
 
 
 class TestPoleKilling:

@@ -1,6 +1,9 @@
 """Frame shapes, balance, eta products and the degree-24 classification."""
 
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -130,6 +133,21 @@ class TestFactorRoute:
         exps = parse_frame_shape(shape).exponents()
         for n_terms in (0, 1, 1000):
             assert _product_int_coeffs(exps, n_terms) == _log_derivative_coeffs(exps, n_terms)
+
+    def test_inexact_recurrence_raises(self):
+        # a non-integral exponent makes n b_n indivisible by n; no rounding
+        with pytest.raises(ArithmeticError):
+            _log_derivative_coeffs({1: Fraction(1, 2)}, 4)
+
+    def test_inexact_recurrence_raises_under_optimize(self):
+        # python -O strips assert statements; the exactness check must survive it
+        script = ("import sys; sys.path.insert(0, sys.argv[1]); from fractions import Fraction; "
+                  "from replicaq.frames import _log_derivative_coeffs; "
+                  "print(_log_derivative_coeffs({1: Fraction(1, 2)}, 4))")
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run([sys.executable, "-O", "-c", script, str(src)],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1 and "ArithmeticError" in proc.stderr, proc.stdout
 
 
 class TestMultiplicativity:

@@ -202,8 +202,8 @@ class TestMahler:
 
         a = {i: Fraction(s) for i, s in enumerate(seeds, 1)}
         for n in range(6, 40):
-            rule, k = _rule_for(n)
-            a[n] = Fraction(rule(a.__getitem__, h2, k))
+            rule, m = _rule_for(n)
+            a[n] = Fraction(rule(a.__getitem__, h2, m))
         g = mahler_compute(seeds, h2, 40)
         assert [g.coeff(i) for i in range(1, 40)] == [a[i] for i in range(1, 40)]
         assert any(a[i].denominator > 1 for i in range(6, 40))

@@ -195,6 +195,12 @@ class TestReducingPairs:
             if pair is not None:
                 assert pair.valid and pair.grade == sum(pair.from_pair) == N, pair
 
+    def test_invalid_case_pair_is_descent_error(self, monkeypatch):
+        monkeypatch.setattr(replicable, "_case_reducing_pair",
+                            lambda N: ReducingPair(N, (1, N - 1), (1, 1)))
+        with pytest.raises(DescentError):
+            find_reducing_pair(16)
+
     def test_agrees_with_exhaustive_oracle_to_500(self):
         for N in range(2, 501):
             mine = find_reducing_pair(N)
@@ -205,6 +211,36 @@ class TestReducingPairs:
                 rp, sp = mine.to_pair
                 assert r + s == N and rp + sp < N
                 assert gcd(r, s) == gcd(rp, sp) and lcm(r, s) == lcm(rp, sp)
+
+
+class TestWithoutTop:
+    """What each descent step solves with at grade N: h_{r,s} less a_{N-1},
+    from a_1..a_{N-2} alone."""
+
+    @PROPERTY
+    @given(data=st.data())
+    def test_faber_rows(self, data):
+        N = data.draw(st.integers(2, 30))
+        a = data.draw(st.lists(st.integers(-9, 9), min_size=N - 1, max_size=N - 1))
+        n = data.draw(st.integers(1, N // 2))
+        full = replicable._FaberRows([0] + a)
+        short = replicable._FaberRows([0] + a[:-1])
+        assert short.without_top(n, N) == full.entry(n, N - n) - n * a[-1]
+
+    @PROPERTY
+    @given(data=st.data())
+    def test_grunsky_correction(self, data):
+        N = data.draw(st.integers(2, 30))
+        a = data.draw(st.lists(st.integers(-9, 9), min_size=N - 1, max_size=N - 1))
+        r = data.draw(st.integers(1, N - 1))
+        read = []
+
+        def short(k):
+            read.append(k)
+            return a[k - 1]
+        got = GrunskyCalculator(short).correction(r, N - r)
+        assert got == GrunskyCalculator(a).h(r, N - r) - a[-1]
+        assert max(read, default=0) <= N - 2
 
 
 class TestReconstruction:
