@@ -271,8 +271,7 @@ def hecke(trunc: int, randoms: int, families: Sequence[str], faber_trunc: int) -
         "uv_route_ok": _series("tn_routes", (
             ((label, n), hecke_Tn(f, n), hecke_Tn_via_uv(f, n), f.trunc / n)
             for label, f in inputs for n in (2, 4, 6))),
-        "hecke_faber": {name: _hecke_faber(replication_family(name, 6 * (faber_trunc + 1) + 2),
-                                           faber_trunc)
+        "hecke_faber": {name: _hecke_faber(replication_family(name, 6 * faber_trunc), faber_trunc)
                         for name in families},
         "wrong_family_rejected": CheckReport("wrong_family_rejected", 1,
                                              ("n=2", "accepted") if wrong[1].ok else None),

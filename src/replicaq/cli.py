@@ -50,14 +50,15 @@ def _coeffs_by_method(spec: FunctionSpec, method: str, terms: int) -> list:
         f = realize(spec, trunc)
         return [f.coeff(k) for k in range(1, trunc)]
     if method == "recurrence":
-        fam = replication_family(spec, max(2 * trunc + 4, 12))
+        top = max(trunc, 7)
+        # the rules read the seeds a_1..a_5 and the duplicate f^(2) below q^(top // 2)
+        fam = replication_family(spec, max(top // 2, 6))
         f = fam.base
         seeds = [f.coeff(i) for i in range(1, 6)]
-        g = mahler_compute(seeds, fam.power(2).coeff, max(trunc, 7))
+        g = mahler_compute(seeds, fam.power(2).coeff, top)
         return [g.coeff(k) for k in range(1, trunc)]
     if method == "basis":
-        fam_trunc = max(trunc, 25)
-        f = realize(spec, fam_trunc)
+        f = realize(spec, NORTON_BASIS[-1] + 1)
         basis = {k: f.coeff(k) for k in NORTON_BASIS}
         g = reconstruct_from_basis(basis, max(trunc, 3))
         return [g.coeff(k) for k in range(1, trunc)]

@@ -23,8 +23,11 @@ class FaberPolynomial:
     coeffs: tuple
 
     def __post_init__(self):
-        assert len(self.coeffs) == self.n + 1
-        assert self.coeffs[0] == 1
+        if len(self.coeffs) != self.n + 1:
+            raise ValueError(f"degree {self.n} needs {self.n + 1} coefficients, "
+                             f"got {len(self.coeffs)}")
+        if self.coeffs[0] != 1:
+            raise ValueError(f"Faber polynomial must be monic, leads with {self.coeffs[0]}")
 
     def __call__(self, f):
         """Evaluate at a rational or a QSeries, by Horner."""

@@ -156,12 +156,12 @@ def _product_int_coeffs(exponents: dict, n_terms: int) -> list:
     return out
 
 
-def _log_derivative_coeffs(exponents: dict, n_terms: int) -> list:
-    """The same coefficients as _product_int_coeffs, via d/dq log.
+def _log_derivative_series(exponents: dict, n_terms: int):
+    """Yield b_0, b_1, .., b_n_terms of prod_k phi(q^k)^(c_k), via d/dq log.
 
     n * b_n = -sum_{i=1..n} s_i b_{n-i} with s_i = sum_{k | i} k * c_k;
     the division is exact because the product has integer coefficients.
-    Cheaper than the factor route for short series, and its oracle.
+    A consumer that stops early pays only for the coefficients it took.
     """
     e = [0] * (n_terms + 1)  # e[t] = sum of c_k over parts k dividing t
     for k, c in exponents.items():
@@ -173,15 +173,21 @@ def _log_derivative_coeffs(exponents: dict, n_terms: int) -> list:
             te = t * e[t]
             for i in range(t, n_terms + 1, t):
                 s[i] += te
-    b = [0] * (n_terms + 1)
-    b[0] = 1
+    b = [1]
+    yield 1
     for n in range(1, n_terms + 1):
         total = sum(map(mul, s[1:n + 1], b[n - 1::-1]))  # sum of s_i b_(n-i)
         q, r = divmod(-total, n)
         if r:
             raise ArithmeticError(f"eta-product recurrence left remainder {r} at index {n}")
-        b[n] = q
-    return b
+        b.append(q)
+        yield q
+
+
+def _log_derivative_coeffs(exponents: dict, n_terms: int) -> list:
+    """The same coefficients as _product_int_coeffs, by the log-derivative
+    recurrence.  Cheaper than the factor route for short series, and its oracle."""
+    return list(_log_derivative_series(exponents, n_terms))
 
 
 def eta_product(shape: FrameShape, trunc: Rat) -> QSeries:
@@ -252,22 +258,43 @@ def partitions_of(n: int):
     yield from rec(n, 1, [])
 
 
+def _coprime_splits(bound: int) -> list:
+    """splits[N] = the pairs (m, n), 1 < m < n, gcd(m, n) = 1, with m n = N <= bound."""
+    splits = [[] for _ in range(bound + 1)]
+    for m in range(2, bound):
+        for n in range(m + 1, bound // m + 1):
+            if gcd(m, n) == 1:
+                splits[m * n].append((m, n))
+    return splits
+
+
+def _passes_screen(exponents: dict, splits: list) -> bool:
+    """Whether c(mn) = c(m) c(n) for every pair in ``splits``, with c(N) =
+    b_(N-1) for N < len(splits) (a product of degree 24 leads with q^1).
+    Each pair is checked as soon as its c(mn) exists, so a failure at c(6)
+    costs six coefficients."""
+    c = [None]  # c[N] = c(N)
+    for b in _log_derivative_series(exponents, len(splits) - 2):
+        c.append(b)
+        for m, n in splits[len(c) - 1]:
+            if c[m] * c[n] != b:
+                return False
+    return True
+
+
 def classify_degree24(bound: int) -> list:
     """The weakly multiplicative eta products among the partitions of 24.
 
     Screens every partition numerically up to ``bound`` coprime products;
-    a cheap low-order screen, on the log-derivative recurrence, rejects most
-    candidates first, and the survivors are rechecked on the factor route.
+    a cheap low-order screen, on the log-derivative recurrence and stopping
+    at a partition's first failing pair, rejects most candidates first, and
+    the survivors are rechecked on the factor route.
     """
     if bound < 100:
         raise ValueError("screening bound must be at least 100")
-    screen = min(bound, 42)
-    survivors = []
-    for parts in partitions_of(24):
-        shape = FrameShape(parts)
-        c = _log_derivative_coeffs(shape.exponents(), screen - 1)
-        if _first_mult_failure(c, screen) is None:
-            survivors.append(shape)
+    splits = _coprime_splits(min(bound, 42))
+    survivors = [shape for shape in map(FrameShape, partitions_of(24))
+                 if _passes_screen(shape.exponents(), splits)]
     out = []
     for shape in survivors:
         c = _product_int_coeffs(shape.exponents(), bound - 1)

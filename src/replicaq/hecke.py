@@ -100,16 +100,28 @@ class HeckeFaberReport:
     first_mismatch: Optional[tuple] = None  # (exponent, n*T_n side, Faber side)
 
 
+def _cut(g: QSeries, order) -> QSeries:
+    """g known below q^order at most: coefficients from there on are not read."""
+    return g.truncate(min(g.trunc, order))
+
+
 def hecke_faber_verify(fam: ReplicationFamily, n_max: int, trunc: int) -> List[HeckeFaberReport]:
     """Check n T_n f = F_n(f) (twisted T_n) below q^trunc for n = 1..n_max,
     per-n reports.  Both sides must be known to q^trunc, and U_n f is known
-    only below q^(f.trunc / n); a shorter family raises TruncationError."""
+    only below q^(f.trunc / n); a shorter family raises TruncationError.
+
+    Each side is built only to the order compared: F_n is evaluated on f cut
+    to q^(trunc + n), which leaves F_n(f) known to q^trunc, and the a-slice of
+    twisted T_n, V_a U_(n/a) f^(a), reads f^(a) only below q^(n trunc / a^2),
+    so twisted T_n runs on the family's f^(a), a | n, cut to q^(n trunc)."""
     f = fam.base
-    a_list = [f.coeff(k) for k in range(1, int(f.trunc))]
+    a_list = [f.coeff(k) for k in range(1, min(int(f.trunc), n_max + 1))]
     out = []
     for n in range(1, n_max + 1):
-        lhs = twisted_Tn(fam, n) * n
-        rhs = faber_by_recursion(a_list, n)(f)
+        cut = ReplicationFamily(_cut(f, n * trunc), {
+            a: _cut(fam.power(a), n * trunc) for a in range(2, n + 1) if n % a == 0})
+        lhs = twisted_Tn(cut, n) * n
+        rhs = faber_by_recursion(a_list, n)(_cut(f, trunc + n))
         mismatch = agree(lhs, rhs, trunc)
         if mismatch is None:
             out.append(HeckeFaberReport(n, True, n + trunc))

@@ -151,11 +151,12 @@ class QSeries:
         return s
 
     def _on_grid(self, step: Fraction):
-        """(offset index of lead on the new grid relative to 0, coeff list)."""
+        """(lead exponent in units of ``step``, coeff list on the grid of that step)."""
         if self.is_zero:
             return 0, []
         ratio = self.step / step
-        assert ratio.denominator == 1
+        if ratio.denominator != 1:
+            raise GridError(f"step {self.step} is not a multiple of the grid step {step}")
         r = ratio.numerator
         if r == 1:
             return self.lead_exp / step, self.coeffs
@@ -180,18 +181,15 @@ class QSeries:
             return QSeries(other.lead_exp, other.step, other.coeffs, trunc)
         if other.is_zero:
             return QSeries(self.lead_exp, self.step, self.coeffs, trunc)
-        ia, ca = self._on_grid(step)
-        ib, cb = other._on_grid(step)
-        assert ia.denominator == 1 and ib.denominator == 1
-        ia, ib = ia.numerator, ib.numerator
-        lo = min(ia, ib)
-        hi = max(ia + len(ca), ib + len(cb))
-        out = [Fraction(0)] * (hi - lo)
-        for i, c in enumerate(ca):
-            out[ia - lo + i] += c
-        for i, c in enumerate(cb):
-            out[ib - lo + i] += c
-        return QSeries(lo * step, step, out, trunc)
+        lead, (ia, ca), (ib, cb) = _aligned(self, other, step)
+        # the longer list is the start, and the shorter one is added into it
+        if len(ca) < len(cb):
+            (ia, ca), (ib, cb) = (ib, cb), (ia, ca)
+        out = [Fraction(0)] * ia + ca
+        out += [Fraction(0)] * (ib + len(cb) - len(out))
+        for i, c in enumerate(cb, ib):
+            out[i] += c
+        return QSeries(lead, step, out, trunc)
 
     __radd__ = __add__
 
@@ -269,14 +267,30 @@ class QSeries:
         return QSeries(self.lead_exp * k, self.step * k, self.coeffs, self.trunc * k)
 
 
+def _aligned(a: QSeries, b: QSeries, step: Fraction):
+    """a and b on the grid of ``step``: (the lower lead exponent, and for each
+    series its (index offset from that lead, coeff list)); a zero series sits
+    at offset 0 with an empty list."""
+    placed = [s._on_grid(step) for s in (a, b)]
+    lo = min((i for i, cs in placed if cs), default=Fraction(0))
+    out = []
+    for i, cs in placed:
+        offset = i - lo if cs else Fraction(0)
+        if offset.denominator != 1:
+            raise GridError(f"lead exponent {i * step} is off the grid {lo * step} + k*{step}")
+        out.append((offset.numerator, cs))
+    return lo * step, out[0], out[1]
+
+
 def _exponents_below(a: QSeries, b: QSeries, order: Fraction) -> list:
     """Exponents below ``order`` held by either series, ascending."""
-    return sorted({e for s in (a, b) for e in s.exponents() if e < order})
+    return sorted({s.lead_exp + i * s.step for s in (a, b)
+                   for i in range(min(len(s.coeffs), _grid_points(s.lead_exp, s.step, order)))})
 
 
 def agree(a: QSeries, b: QSeries, order: Rat):
     """First (exponent, a's coefficient, b's coefficient) where a and b differ
-    below ``order``, or None.
+    below ``order``, or None.  Nothing at or above ``order`` is read.
 
     Raises TruncationError when either side is known only below ``order``.
     """
@@ -284,9 +298,15 @@ def agree(a: QSeries, b: QSeries, order: Rat):
     for s in (a, b):
         if s.trunc < order:
             raise TruncationError(f"series known below q^{s.trunc} compared to q^{order}")
-    for e in _exponents_below(a, b, order):
-        if a.coeff(e) != b.coeff(e):
-            return (e, a.coeff(e), b.coeff(e))
+    step = a._common_grid(b)
+    lead, (ia, ca), (ib, cb) = _aligned(a, b, step)
+    top = min(_grid_points(lead, step, order), max(ia + len(ca), ib + len(cb)))
+    zero = Fraction(0)
+    for k in range(top):
+        x = ca[k - ia] if 0 <= k - ia < len(ca) else zero
+        y = cb[k - ib] if 0 <= k - ib < len(cb) else zero
+        if x != y:
+            return (lead + k * step, x, y)
     return None
 
 

@@ -6,7 +6,9 @@ import json
 import pytest
 
 import replicaq.checks as checks
+import replicaq.cli as cli
 from replicaq.cli import SUITES, main
+from replicaq.qseries import TruncationError
 from replicaq.functions import parse_function_spec, replication_family
 
 
@@ -34,6 +36,21 @@ class TestCoeffs:
         code, payload, _ = run(capsys, "coeffs", "j", "--terms", "200",
                                "--method", "recurrence,oracle")
         assert code == 0 and payload["status"] == "verified"
+
+    @pytest.mark.parametrize("spec", ["j", "eta:1^24/2^24+24", "fiction:c=-1",
+                                      "fiction:c=0", "fiction:c=1"])
+    def test_recurrence_family_is_sized_to_what_the_rules_read(self, capsys, monkeypatch,
+                                                                spec):
+        for terms in range(1, 81):
+            code, payload, _ = run(capsys, "coeffs", spec, "--terms", str(terms),
+                                   "--method", "recurrence,oracle")
+            assert code == 0 and payload["status"] == "verified", terms
+        # one order less and the rules read a coefficient the family does not know
+        monkeypatch.setattr(cli, "replication_family",
+                            lambda function, trunc: replication_family(function, trunc - 1))
+        for terms in range(1, 81):
+            with pytest.raises(TruncationError):
+                cli._coeffs_by_method(parse_function_spec(spec), "recurrence", terms)
 
     def test_basis_method(self, capsys):
         code, payload, _ = run(capsys, "coeffs", "j", "--terms", "30",

@@ -90,8 +90,10 @@ class TestEvaluation:
         assert p(Fraction(3)) == 7
 
     def test_monic_enforced(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             FaberPolynomial(1, (Fraction(2), Fraction(0)))
+        with pytest.raises(ValueError):
+            FaberPolynomial(2, (Fraction(1), Fraction(0)))
 
 
 def symmetric_functions_hold(xs, order):

@@ -13,7 +13,9 @@ from replicaq.frames import (Partition, FrameShape, FrameShapeError,
                              parse_frame_shape, is_balanced, eta_product,
                              weak_multiplicativity, partitions_of,
                              classify_degree24, euler_factor_check,
-                             _product_int_coeffs, _log_derivative_coeffs)
+                             _product_int_coeffs, _log_derivative_coeffs,
+                             _first_mult_failure, _coprime_splits, _passes_screen)
+import replicaq.frames as frames
 
 
 class TestParsing:
@@ -177,6 +179,45 @@ class TestClassification:
         # every survivor is balanced
         for s in shapes:
             assert is_balanced(s.numerator) is not None
+
+
+class TestScreen:
+    def test_screen_is_the_full_scan_on_every_partition(self):
+        # the early-exit screen keeps exactly the partitions whose 42
+        # recurrence coefficients pass the pair scan
+        splits = _coprime_splits(42)
+        for parts in partitions_of(24):
+            exps = FrameShape(parts).exponents()
+            full = _first_mult_failure(_log_derivative_coeffs(exps, 41), 42) is None
+            assert _passes_screen(exps, splits) == full, parts
+
+    def test_splits_are_the_coprime_pairs(self):
+        splits = _coprime_splits(42)
+        assert len(splits) == 43
+        assert splits[6] == [(2, 3)] and splits[12] == [(3, 4)] and splits[8] == []
+        assert splits[30] == [(2, 15), (3, 10), (5, 6)]
+
+    def test_screen_stops_at_the_first_failing_pair(self, monkeypatch):
+        taken = []
+        series = frames._log_derivative_series
+
+        def counted(exponents, n_terms):
+            for b in series(exponents, n_terms):
+                taken.append(b)
+                yield b
+
+        monkeypatch.setattr(frames, "_log_derivative_series", counted)
+        # 1^22 2^1 fails at c(6) != c(2) c(3): six coefficients are taken, c(1)..c(6)
+        shape = parse_frame_shape("1^22 2^1")
+        exps = shape.exponents()
+        c = _log_derivative_coeffs(exps, 41)
+        assert c[5] != c[1] * c[2]
+        taken.clear()
+        assert not _passes_screen(exps, _coprime_splits(42))
+        assert len(taken) == 6
+        taken.clear()
+        assert _passes_screen(parse_frame_shape("1^24").exponents(), _coprime_splits(42))
+        assert len(taken) == 42
 
 
 class TestEulerFactor:

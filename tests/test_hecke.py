@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import replicaq.hecke as hecke
+from replicaq.faber import faber_by_recursion
 from replicaq.qseries import QSeries, TruncationError, agree, j_oracle
 from replicaq.replicable import ReplicationFamily
 from replicaq.hecke import (up, vp, hecke_Tn, hecke_Tn_via_uv, twisted_Tn,
@@ -130,6 +131,35 @@ class TestHeckeFaber:
         assert_hecke_faber(j_family(180), 6, 30)
         with pytest.raises(TruncationError):
             hecke_faber_verify(j_family(179), 6, 30)
+
+    @pytest.mark.parametrize("make, n_max, trunc", [(j_family, 6, 24), (tb2_family, 6, 24),
+                                                    (j_family, 4, 30)])
+    def test_family_to_n_max_trunc_is_enough(self, make, n_max, trunc):
+        # each side is cut to the order compared, so a family known to exactly
+        # q^(n_max trunc) reports what the benchmark's longer one reports
+        exact = hecke_faber_verify(make(n_max * trunc), n_max, trunc)
+        assert exact == hecke_faber_verify(make(n_max * (trunc + 1) + 2), n_max, trunc)
+        assert all(r.ok for r in exact)
+        with pytest.raises(TruncationError):
+            hecke_faber_verify(make(n_max * trunc - 1), n_max, trunc)
+
+    @pytest.mark.parametrize("k", [1, 7, 23])
+    def test_bent_coefficient_reported_as_by_uncut_sides(self, k):
+        n_max, trunc = 6, 24
+        for size in (n_max * trunc, n_max * (trunc + 1) + 2):
+            fam = j_family(size)
+            bent = ReplicationFamily(fam.base + QSeries(k, 1, [5], size), fam.powers)
+            reports = hecke_faber_verify(bent, n_max, trunc)
+            f = bent.base
+            a = [f.coeff(i) for i in range(1, n_max + 1)]
+            for r in reports:
+                # the sides built in full, compared by agree
+                want = agree(twisted_Tn(bent, r.n) * r.n, faber_by_recursion(a, r.n)(f), trunc)
+                assert r.ok == (want is None)
+                if want is not None:
+                    assert r.first_mismatch == (int(want[0]),) + want[1:]
+                    assert r.compared_exponents == r.n + int(want[0]) + 1
+            assert not all(r.ok for r in reports)
 
     def test_wrong_2b_family_falsified_at_2(self):
         f = tb2_family(62).base

@@ -2,12 +2,16 @@
 
 import operator
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from replicaq.qseries import (QSeries, GridError, TruncationError, agree, eta,
+                              _exponents_below,
                               eisenstein_e4, delta, delta_int_coeffs, j_oracle,
                               j_int_coeffs, euler_phi_int_coeffs, _grid_points,
                               _e4_int_coeffs, _int_conv, _int_series_inverse, _int_power,
@@ -35,6 +39,16 @@ SERIES = st.builds(
 
 # every step of the 1/24 grid from 1/24 to 2
 GRID_STEPS = [Fraction(k, 24) for k in range(1, 49)]
+GRID_OFFSETS = st.integers(0, 72).map(lambda k: Fraction(k, 24))
+
+# series on any of those grids with a lead anywhere on the 1/24 grid, zeros
+# and trailing zeros in the list, known from the lead to 3 past it
+GRID_SERIES = st.builds(
+    lambda step, lead, coeffs, zeros, known: QSeries(lead, step, coeffs + [0] * zeros,
+                                                     lead + known),
+    st.sampled_from(GRID_STEPS), st.integers(-48, 48).map(lambda k: Fraction(k, 24)),
+    st.lists(st.sampled_from([0, 0, 1, -1, 3, Fraction(2, 3)]), max_size=10),
+    st.integers(0, 3), GRID_OFFSETS)
 
 
 def random_series(rng, trunc=12):
@@ -133,6 +147,54 @@ class TestAgree:
         assert agree(J, bent, 30) == (3, J.coeff(3), J.coeff(3) + 1)
         assert agree(J, bent, 3) is None
 
+    @settings(PROPERTY, max_examples=300)
+    @given(st.data())
+    def test_walk_is_the_exponent_set_definition(self, data):
+        # steps 1/24 to 2, leads anywhere on the 1/24 grid, zero series and
+        # trailing zeros, orders below, inside and past both truncations,
+        # equal pairs and pairs with one coefficient bent at a random exponent
+        a = data.draw(GRID_SERIES)
+        kind = data.draw(st.sampled_from(["independent", "equal", "planted"]))
+        bent_at = None
+        if kind == "independent":
+            b = data.draw(GRID_SERIES)
+        elif kind == "equal":
+            b = QSeries(a.lead_exp, a.step, a.coeffs, a.trunc + data.draw(GRID_OFFSETS))
+        else:
+            e = data.draw(st.integers(-48, 96).map(lambda k: Fraction(k, 24)))
+            b = a + QSeries(e, 1, [data.draw(st.sampled_from([1, Fraction(-1, 3)]))],
+                            a.trunc + data.draw(GRID_OFFSETS))
+            bent_at = e if e < a.trunc else None
+        a, b = data.draw(st.permutations([a, b]))
+        order = min(a.trunc, b.trunc) - Fraction(data.draw(st.integers(-12, 96)), 24)
+        assert _exponents_below(a, b, order) == old_exponents_below(a, b, order)
+        try:
+            want = old_agree(a, b, order)
+        except TruncationError:
+            with pytest.raises(TruncationError):
+                agree(a, b, order)
+            return
+        assert agree(a, b, order) == want
+        if bent_at is not None and bent_at < order:
+            assert want[0] == bent_at
+
+
+def old_exponents_below(a, b, order):
+    """Every exponent held by either series, then those below order."""
+    return sorted({e for s in (a, b) for e in s.exponents() if e < order})
+
+
+def old_agree(a, b, order):
+    """agree as the ascending walk over old_exponents_below, by coeff."""
+    order = Fraction(order)
+    for s in (a, b):
+        if s.trunc < order:
+            raise TruncationError(f"known below q^{s.trunc}")
+    for e in old_exponents_below(a, b, order):
+        if a.coeff(e) != b.coeff(e):
+            return (e, a.coeff(e), b.coeff(e))
+    return None
+
 
 class TestArithmetic:
     def test_ring_axioms_random(self):
@@ -147,6 +209,26 @@ class TestArithmetic:
         a = QSeries(0, 1, [1], 10)
         b = QSeries(0, 1, [1], 6)
         assert (a + b).trunc == 6
+
+    @PROPERTY
+    @given(GRID_SERIES, GRID_SERIES)
+    def test_add_is_coefficientwise(self, a, b):
+        total = a + b
+        assert total.trunc == min(a.trunc, b.trunc)
+        assert all(type(c) is Fraction for c in total.coeffs)
+        lo = min(a.lead_exp, b.lead_exp)
+        for k in range(int((total.trunc - lo) * 24)):
+            e = lo + Fraction(k, 24)
+            assert total.coeff(e) == a.coeff(e) + b.coeff(e)
+
+    def test_add_on_a_shared_fractional_lead(self):
+        # both leads at q^(1/24): the offsets on the q grid are 1/24 each,
+        # and only their difference has to be integral
+        e = eta(5)
+        assert e + e == e * 2
+        assert (e + e).lead_exp == Fraction(1, 24)
+        shifted = eta(5) + QSeries(Fraction(25, 24), 1, [3], 5)
+        assert shifted.coeff(Fraction(25, 24)) == e.coeff(Fraction(25, 24)) + 3
 
     def test_mul_trunc_propagation(self):
         a = QSeries(-1, 1, [1], 10)  # q^-1, known to q^10
@@ -207,6 +289,39 @@ class TestArithmetic:
 def naive_product(a, b, n_out):
     return [sum((a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b)),
                 start=Fraction(0)) for k in range(n_out)]
+
+
+class TestGuardsUnderOptimize:
+    def test_invariant_guards_raise_under_optimize(self):
+        # python -O strips assert statements; the grid guards must survive it
+        script = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from fractions import Fraction
+from replicaq.qseries import QSeries, GridError, _aligned
+from replicaq.faber import FaberPolynomial
+
+def raises(kind, fn):
+    try:
+        fn()
+    except kind:
+        return True
+    return False
+
+a = QSeries(0, 1, [1, 2], 5)
+b = QSeries(Fraction(1, 2), 1, [1], 5)
+QSeries._common_grid = lambda self, other: Fraction(1)  # a grid that does not hold b
+print(raises(ValueError, lambda: FaberPolynomial(1, (Fraction(2), Fraction(0)))),
+      raises(ValueError, lambda: FaberPolynomial(2, (Fraction(1),))),
+      raises(GridError, lambda: a._on_grid(Fraction(2, 3))),
+      raises(GridError, lambda: _aligned(a, b, Fraction(1))),
+      raises(GridError, lambda: a + b))
+"""
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run([sys.executable, "-O", "-c", script, str(src)],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True"] * 5
 
 
 class TestKernels:
