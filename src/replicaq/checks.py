@@ -22,7 +22,7 @@ from .frames import (Partition, parse_frame_shape, is_balanced, eta_product,
                      weak_multiplicativity, classify_degree24, euler_factor_check,
                      partitions_of, _log_derivative_coeffs, _product_int_coeffs)
 from .faber import faber_by_recursion, faber_by_elimination, faber_by_determinant
-from .grunsky import (GrunskyCalculator, grunsky_by_recursion, grunsky_from_faber,
+from .grunsky import (grunsky_by_recursion, grunsky_from_faber,
                       bivariate_comparisons, denominator_bound_violations)
 from .replicable import (NORTON_BASIS, IRREDUCIBLE_GRADES, ReplicationFamily,
                          is_replicable, replicate, replicate_by_grunsky,
@@ -157,17 +157,15 @@ def symmetric_function_comparisons(xs: Sequence, order: int):
         yield from (((kind, k), product[k], exp[k]) for k in range(n))
 
 
-def grunsky(trunc: int, grade: int, denominator_grade: int) -> dict:
-    """J's Grunsky table to ``grade`` by Norton's recursion and from F_n(J);
-    the bivariate log expansion against both tables to min(grade, 12); and
-    gcd(m, n) h_{m,n} integral on the recursion table to ``denominator_grade``."""
+def grunsky(trunc: int, grade: int) -> dict:
+    """J's Grunsky table to ``grade`` by Norton's recursion and from the Faber
+    rows of J, with gcd(m, n) h_{m,n} integral on the recursion table; and the
+    bivariate log expansion against both tables to min(grade, 12)."""
     J = j_oracle(trunc)
-    a = [J.coeff(k) for k in range(1, trunc)]
-    calc = GrunskyCalculator(a)
-    rec, fab = calc.table(grade), grunsky_from_faber(J, grade)
+    rec = grunsky_by_recursion([J.coeff(k) for k in range(1, trunc)], grade)
+    fab = grunsky_from_faber(J, grade)
     bi = min(grade, 12)
-    t = calc.table(denominator_grade)
-    bad = denominator_bound_violations(t)
+    bad = denominator_bound_violations(rec)
     keys = sorted(rec.entries.keys() | fab.entries.keys())
     return {
         "routes_agree": _scan("grunsky_routes", (
@@ -176,7 +174,7 @@ def grunsky(trunc: int, grade: int, denominator_grade: int) -> dict:
             ((route,) + pair, got, want)
             for route, table in (("recursion", rec), ("faber", fab))
             for pair, got, want in bivariate_comparisons(J, bi, table))),
-        "denominator_bound_ok": CheckReport("grunsky_denominators", len(t.entries),
+        "denominator_bound_ok": CheckReport("grunsky_denominators", len(rec.entries),
                                             bad[0] if bad else None),
     }
 

@@ -143,7 +143,7 @@ def cmd_numerology(args) -> int:
 # suite name -> (trunc, grade) -> {payload key: CheckReport, or a dict of them}
 SUITES = {
     "faber": lambda t, g: checks.faber(t, min(8, t - 2), 4),
-    "grunsky": lambda t, g: checks.grunsky(t, min(g, t - 1), min(g, t - 1)),
+    "grunsky": lambda t, g: checks.grunsky(t, min(g, t - 1)),
     # is_replicable compares no pair of J's table below grade 7
     "replicable": lambda t, g: {
         **checks.replicable(max(7, min(g, 16)), 0, 9, (2, 3), (2, 3)),

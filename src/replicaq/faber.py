@@ -1,15 +1,19 @@
-"""Faber polynomials of a normalized series, by three routes.
+"""Faber polynomials of a normalized series, by three routes, and the Faber
+series F_n(f) row by row.
 
 The recursion is the canonical construction; pole-killing elimination and the
 Hessenberg determinant are independent verification paths.  The recursion is
 derived from the log generating function and reproduces the classical closed
-forms F_2 = z^2 - 2 a_1 and F_3 = z^3 - 3 a_1 z - 3 a_2.
+forms F_2 = z^2 - 2 a_1 and F_3 = z^3 - 3 a_1 z - 3 a_2.  ``_FaberRows`` runs
+the same recursion on the q-expansions of F_n(f); the Faber route to the
+Grunsky table, ``replicate`` and the basis descent read h_{m,n} off its rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Sequence, Union
 
 from .qseries import QSeries, TruncationError, _as_fraction, _int_conv
@@ -50,6 +54,76 @@ def _coeff_accessor(a: CoeffSource) -> Callable[[int], Fraction]:
     if callable(a):
         return lambda k: _as_fraction(a(k))
     return lambda k: _as_fraction(a[k - 1])
+
+
+class _FaberRows:
+    """Rows b_{n,m} = [q^m] F_n(f) = n h_{m,n} of the Faber series of f.
+
+    ``a`` holds a[p] = a_p with a[0] = 0 and is row 1 itself, shared with the
+    caller, so row 1 grows whenever the caller appends a coefficient.  Row n
+    follows from F_n = f F_{n-1} - n a_{n-1} - sum_{i=1}^{n-2} a_i F_{n-1-i}:
+
+        b_{n,m} = a_{m+n-1} + b_{n-1,m+1} + sum_{p<m} a_p b_{n-1,m-p}
+                  - sum_{i=1}^{n-2} a_i b_{n-1-i,m}      (m >= 1; b_{n,0} = 0),
+
+    so row n up to entry m needs row n-1 up to entry m+1 and a up to a_{m+n-1}.
+    Entries are ints when a is, Fractions otherwise.
+    """
+
+    def __init__(self, a: list):
+        self.a = a
+        self.rows = [None, a]
+
+    @classmethod
+    def from_coeffs(cls, coeffs: Sequence) -> _FaberRows:
+        """Rows over [a_1, ..., a_top], in ints when every a_k is integral."""
+        a = [_as_fraction(v) for v in coeffs]
+        if all(v.denominator == 1 for v in a):
+            a = [v.numerator for v in a]
+        return cls([0] + a)
+
+    def _sums(self, j: int):
+        """e -> S_j(e) = sum_{p<e} a_p b_{j-1,e-p} - sum_{i=1}^{j-2} a_i b_{j-1-i,e},
+        the sums of row j's recurrence, which read rows below j only."""
+        a, rows = self.a, self.rows
+        prev = rows[j - 1]
+        lower = list(zip(a[1:j - 1], rows[j - 2:0:-1]))  # (a_i, row j-1-i)
+
+        def s(e: int):
+            acc = sum(map(mul, a[1:e], prev[e - 1:0:-1]))
+            for ai, r in lower:
+                acc -= ai * r[e]
+            return acc
+        return s
+
+    def extend(self, n: int, m: int) -> list:
+        """Row n grown to hold entry m; row j < n then holds entry m + n - j."""
+        a, rows = self.a, self.rows
+        if len(a) < m + n:
+            raise TruncationError(f"Faber row {n} to q^{m} needs a_{m + n - 1}")
+        while len(rows) <= n:
+            rows.append([0])
+        for j in range(2, n + 1):
+            row, prev, s = rows[j], rows[j - 1], self._sums(j)
+            for e in range(len(row), m + n - j + 1):
+                row.append(a[e + j - 1] + prev[e + 1] + s(e))
+        return rows[n]
+
+    def entry(self, r: int, s: int):
+        """r h_{r,s} for r <= s, i.e. b_{r,s}."""
+        return self.extend(r, s)[s]
+
+    def without_top(self, n: int, grade: int):
+        """b_{n,grade-n} with the top coefficient a_{grade-1} taken as 0.
+
+        a_{grade-1} enters b_{n,grade-n} with coefficient n, so this is
+        n (h_{n,grade-n} - a_{grade-1}).  Telescoping the row recurrence
+        down to b_{1,grade-1} = a_{grade-1} leaves sum_{j=2}^{n} S_j(grade-j),
+        built from a_1..a_{grade-2} only, and not cached.
+        """
+        if n > 1:
+            self.extend(n - 1, grade - n - 1)
+        return sum(self._sums(j)(grade - j) for j in range(2, n + 1))
 
 
 # polynomial helpers: dense ascending lists of Fractions, or of ints in the

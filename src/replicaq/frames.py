@@ -186,8 +186,16 @@ def _log_derivative_series(exponents: dict, n_terms: int):
 
 def _log_derivative_coeffs(exponents: dict, n_terms: int) -> list:
     """The same coefficients as _product_int_coeffs, by the log-derivative
-    recurrence.  Cheaper than the factor route for short series, and its oracle."""
-    return list(_log_derivative_series(exponents, n_terms))
+    recurrence.  Cheaper than the factor route for short series, and its oracle.
+
+    Like the factor route it runs on the q^g grid, g the gcd of the parts,
+    and spreads the result back, so the O(n^2) recurrence takes n / g terms.
+    """
+    g = gcd(*exponents)
+    reduced = {k // g: c for k, c in exponents.items()}
+    out = [0] * (n_terms + 1)
+    out[::g] = _log_derivative_series(reduced, n_terms // g)
+    return out
 
 
 def eta_product(shape: FrameShape, trunc: Rat) -> QSeries:

@@ -1,9 +1,10 @@
 """Grunsky coefficient tables by three independent routes.
 
-h_{m,n} is read off F_n(f) = q^-n + n sum_m h_{m,n} q^m, or built by Norton's
-recursion, or checked against the bivariate log generating function.  Tables
-are keyed by unordered pair, which makes the m <-> n symmetry structural; the
-symmetry test in the suite bypasses storage on purpose.
+h_{m,n} is read off the Faber rows F_n(f) = q^-n + n sum_m h_{m,n} q^m, or
+built by Norton's recursion, or checked against the bivariate log generating
+function.  Tables are keyed by unordered pair, which makes the m <-> n
+symmetry structural; the symmetry test in the suite bypasses storage on
+purpose.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from fractions import Fraction
 from typing import Dict, Tuple
 
 from .qseries import QSeries, TruncationError, _as_fraction
-from .faber import CoeffSource, _coeff_accessor, faber_by_recursion
+from .faber import CoeffSource, _FaberRows, _coeff_accessor
 
 
 @dataclass
@@ -81,18 +82,17 @@ def grunsky_by_recursion(a: CoeffSource, grade: int) -> GrunskyTable:
 
 
 def grunsky_from_faber(f: QSeries, grade: int) -> GrunskyTable:
-    """Extract h_{m,n} from the q-expansions of F_n(f)."""
+    """h_{m,n} = [q^n] F_m(f) / m for m <= n, read off the Faber rows of f,
+    which need a_1..a_{grade-1} only."""
     if not f.is_normalized():
         raise ValueError("Grunsky extraction needs a normalized series")
     if f.trunc < grade:
         raise TruncationError(f"need trunc >= {grade}, have {f.trunc}")
-    a = [f.coeff(k) for k in range(1, grade)]
+    rows = _FaberRows.from_coeffs([f.coeff(k) for k in range(1, grade)])
     t = GrunskyTable(grade)
-    for n in range(1, grade):
-        Fn = faber_by_recursion(a, n)
-        series = Fn(f)
-        for m in range(1, grade - n + 1):
-            t.set(m, n, series.coeff(m) / n)
+    for m in range(1, grade):
+        for n in range(m, grade - m + 1):
+            t.set(m, n, Fraction(rows.entry(m, n), m))
     return t
 
 
@@ -146,12 +146,8 @@ def bivariate_comparisons(f: QSeries, grade: int, table: GrunskyTable):
             for m in range(1, grade) for n in range(1, grade - m + 1))
 
 
-def grunsky_bivariate_check(f: QSeries, grade: int,
-                            table: GrunskyTable | None = None) -> bool:
-    """True iff the bivariate log expansion matches the table (by default the
-    Faber extraction)."""
-    if table is None:
-        table = grunsky_from_faber(f, grade)
+def grunsky_bivariate_check(f: QSeries, grade: int, table: GrunskyTable) -> bool:
+    """True iff the bivariate log expansion matches the table."""
     return all(got == want for _, got, want in bivariate_comparisons(f, grade, table))
 
 

@@ -4,7 +4,9 @@
 the tracer in a fresh process and checks that the kernel spans are recorded,
 also beneath ``QSeries`` multiplication and inversion and beneath eta products,
 so a renamed or bypassed kernel shows up as a test failure rather than as a
-traced benchmark that silently loses a layer.
+traced benchmark that silently loses a layer.  It also pins what must not run
+beneath a span: no dense series inverse beneath ``j_oracle``, and no Faber
+polynomial or series product beneath the Faber route to the Grunsky table.
 """
 
 import json
@@ -22,7 +24,9 @@ tracer = Tracer()
 tracer.install()
 from replicaq.qseries import QSeries, j_oracle
 from replicaq.frames import eta_product, parse_frame_shape
+from replicaq.grunsky import grunsky_from_faber
 j_oracle(40)
+grunsky_from_faber(j_oracle(13), 12)
 f = QSeries(0, 1, [1, 2, 0, -3], 6)
 f * QSeries(-1, 1, [1, 0, 5], 6)
 f.invert()
@@ -55,3 +59,7 @@ def test_tracer_records_kernel_spans():
     assert ("qseries.int_inverse", "qseries.int_inverse") in nesting, nesting
     # eta products multiply in the kernel, so classify's time lands in its span
     assert ("qseries.int_conv", "frames.product_coeffs", "frames.eta_product") in chains, chains
+    # the Faber route reads the Faber rows: no polynomial, no series product
+    assert ("grunsky.from_faber",) in chains, chains
+    beneath = {c[0] for c in chains if "grunsky.from_faber" in c[1:]}
+    assert not beneath & {"faber.recursion", "qseries.mul"}, beneath

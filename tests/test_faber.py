@@ -4,10 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from replicaq.qseries import QSeries, j_oracle
 from replicaq.faber import (FaberPolynomial, faber_by_recursion,
-                            faber_by_elimination, faber_by_determinant, _pdiv_exact)
+                            faber_by_elimination, faber_by_determinant, _pdiv_exact,
+                            _FaberRows)
 from replicaq.checks import symmetric_function_comparisons
 
 
@@ -82,6 +84,26 @@ class TestPoleKilling:
         f5 = faber_by_recursion(a, 5)(J)
         # n * h_{1,n} = n * a_n for gcd 1
         assert f5.coeff(1) == 5 * J.coeff(5)
+
+
+class TestFaberRows:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_rows_are_ints_exactly_for_integral_input(self, data):
+        a = data.draw(st.lists(st.one_of(st.integers(-9, 9), st.integers(-9, 9).map(Fraction),
+                                         st.fractions(-9, 9, max_denominator=6)),
+                               min_size=2, max_size=14))
+        n = data.draw(st.integers(1, len(a) - 1))
+        top = len(a) - n  # row n reads a_1..a_(top + n - 1)
+        rows = _FaberRows.from_coeffs(a)
+        row = rows.extend(n, top)
+        integral = all(Fraction(v).denominator == 1 for v in a)
+        entries = [v for r in rows.rows[1:n + 1] for v in r[1:]]
+        assert all(type(v) is (int if integral else Fraction) for v in entries)
+        # row n is the positive part of F_n(f), in either type
+        f = QSeries(-1, 1, [1, 0] + a, len(a) + 1)
+        series = faber_by_recursion(a, n)(f)
+        assert row[1:top + 1] == [series.coeff(m) for m in range(1, top + 1)]
 
 
 class TestEvaluation:

@@ -3,6 +3,7 @@
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -135,6 +136,22 @@ class TestFactorRoute:
         exps = parse_frame_shape(shape).exponents()
         for n_terms in (0, 1, 1000):
             assert _product_int_coeffs(exps, n_terms) == _log_derivative_coeffs(exps, n_terms)
+
+    def test_recurrence_on_the_gcd_grid_is_the_full_recurrence(self):
+        # the list runs on the q^g grid, g the gcd of the parts; the screen's
+        # generator runs on the q grid
+        def full(exps, n_terms):
+            return list(frames._log_derivative_series(exps, n_terms))
+
+        shapes = [s.exponents() for s in classify_degree24(100)]
+        assert len(shapes) == 30 and sum(gcd(*exps) > 1 for exps in shapes) == 18
+        for exps in shapes:
+            assert _log_derivative_coeffs(exps, 300) == full(exps, 300), exps
+        scaled = [exps for exps in (FrameShape(parts).exponents() for parts in partitions_of(24))
+                  if gcd(*exps) > 1]
+        assert scaled
+        for exps in scaled:
+            assert _log_derivative_coeffs(exps, 120) == full(exps, 120), exps
 
     def test_inexact_recurrence_raises(self):
         # a non-integral exponent makes n b_n indivisible by n; no rounding

@@ -4,7 +4,11 @@ import random
 from fractions import Fraction
 from math import gcd
 
-from replicaq.qseries import QSeries, j_oracle
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from replicaq.qseries import QSeries, TruncationError, j_oracle
+from replicaq.faber import faber_by_recursion
 from replicaq.grunsky import (GrunskyTable, GrunskyCalculator,
                               grunsky_by_recursion, grunsky_from_faber,
                               bivariate_log_coefficients,
@@ -72,6 +76,43 @@ class TestRoutes:
             t_fab = grunsky_from_faber(f, 8)
             assert t_rec.entries == t_fab.entries
             assert grunsky_bivariate_check(f, 8, t_rec)
+
+
+def faber_polynomial_table(f, grade):
+    """The Faber route as it once was: F_n by the recursion, evaluated on f
+    by Horner, and h_{m,n} = [q^m] F_n(f) / n."""
+    a = [f.coeff(k) for k in range(1, grade)]
+    t = GrunskyTable(grade)
+    for n in range(1, grade):
+        series = faber_by_recursion(a, n)(f)
+        for m in range(1, grade - n + 1):
+            t.set(m, n, series.coeff(m) / n)
+    return t
+
+
+class TestFaberRoute:
+    """``grunsky_from_faber`` reads the Faber rows; the polynomials it no
+    longer evaluates are its oracle."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_rows_are_the_evaluated_polynomials(self, data):
+        grade = data.draw(st.integers(2, 16))
+        coeff = data.draw(st.sampled_from([st.integers(-9, 9).map(Fraction),
+                                           st.fractions(-9, 9, max_denominator=6)]))
+        a = data.draw(st.lists(coeff, min_size=grade, max_size=grade))
+        f = QSeries(-1, 1, [1, 0] + a, grade + 1)
+        assert grunsky_from_faber(f, grade).entries == faber_polynomial_table(f, grade).entries
+
+    def test_series_known_to_the_grade_is_enough(self):
+        J = j_oracle(12)
+        assert J.trunc == 12
+        want = grunsky_by_recursion([J.coeff(k) for k in range(1, 12)], 12)
+        assert grunsky_from_faber(J, 12).entries == want.entries
+
+    def test_one_order_less_is_refused_by_the_guard(self):
+        with pytest.raises(TruncationError, match="need trunc >= 12, have 11"):
+            grunsky_from_faber(j_oracle(11), 12)
 
 
 class TestBivariate:

@@ -6,6 +6,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import replicaq.faber as faber
 import replicaq.replicable as replicable
 from replicaq.qseries import (QSeries, TruncationError, coefficients, j_oracle,
                               j_int_coeffs)
@@ -223,8 +224,8 @@ class TestWithoutTop:
         N = data.draw(st.integers(2, 30))
         a = data.draw(st.lists(st.integers(-9, 9), min_size=N - 1, max_size=N - 1))
         n = data.draw(st.integers(1, N // 2))
-        full = replicable._FaberRows([0] + a)
-        short = replicable._FaberRows([0] + a[:-1])
+        full = faber._FaberRows([0] + a)
+        short = faber._FaberRows([0] + a[:-1])
         assert short.without_top(n, N) == full.entry(n, N - n) - n * a[-1]
 
     @PROPERTY
