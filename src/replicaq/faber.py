@@ -49,11 +49,21 @@ class FaberPolynomial:
 CoeffSource = Union[Sequence, Callable[[int], Fraction]]
 
 
-def _coeff_accessor(a: CoeffSource) -> Callable[[int], Fraction]:
-    """a_k for k >= 1, as a Fraction."""
+def _exact(v):
+    """v as an int when it is integral, else as a Fraction."""
+    if isinstance(v, int):
+        return v
+    v = _as_fraction(v)
+    return v.numerator if v.denominator == 1 else v
+
+
+def _coeff_accessor(a: CoeffSource) -> Callable[[int], Union[int, Fraction]]:
+    """a_k for k >= 1: an int when a_k is integral, a Fraction otherwise, so
+    the recursions over it run in ints on integral input and stay exact
+    through int-Fraction promotion on any other."""
     if callable(a):
-        return lambda k: _as_fraction(a(k))
-    return lambda k: _as_fraction(a[k - 1])
+        return lambda k: _exact(a(k))
+    return lambda k: _exact(a[k - 1])
 
 
 class _FaberRows:
@@ -126,8 +136,8 @@ class _FaberRows:
         return sum(self._sums(j)(grade - j) for j in range(2, n + 1))
 
 
-# polynomial helpers: dense ascending lists of Fractions, or of ints in the
-# integer Bareiss path
+# polynomial helpers: dense ascending lists of ints, of Fractions, or of both
+# where the recursion mixes integral and non-integral a_k
 
 def _padd(p, q):
     n = max(len(p), len(q))
@@ -139,7 +149,7 @@ def _pscale(p, c):
 
 
 def _pmulz(p):
-    return [Fraction(0)] + list(p)
+    return [0] + list(p)
 
 
 def _to_poly(ascending) -> FaberPolynomial:
@@ -151,11 +161,12 @@ def _to_poly(ascending) -> FaberPolynomial:
 
 
 def faber_by_recursion(a: Sequence, n: int) -> FaberPolynomial:
-    """F_n = z F_{n-1} - n a_{n-1} - sum_{i=1}^{n-2} a_i F_{n-1-i}  (a_0 = 0)."""
+    """F_n = z F_{n-1} - n a_{n-1} - sum_{i=1}^{n-2} a_i F_{n-1-i}  (a_0 = 0),
+    in ints for integral a; the coefficients come back as Fractions."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
     ak = _coeff_accessor(a)
-    polys = [[Fraction(1)]]
+    polys = [[1]]
     for m in range(1, n + 1):
         cur = _pmulz(polys[m - 1])
         if m >= 2:
@@ -200,10 +211,10 @@ def faber_by_determinant(a: Sequence, n: int) -> FaberPolynomial:
         return FaberPolynomial(0, (Fraction(1),))
     ak = _coeff_accessor(a)
     bs = [ak(k - 1) for k in range(2, n + 1)]  # b_2..b_n
-    if all(v.denominator == 1 for v in bs):
-        bs, one = [v.numerator for v in bs], 1
+    if all(isinstance(v, int) for v in bs):
+        one = 1
     else:
-        one = Fraction(1)
+        bs, one = [Fraction(v) for v in bs], Fraction(1)
     zero = one - one
 
     def b(k):

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Tuple
+from math import lcm
+from typing import Dict, Tuple, Union
 
 from .qseries import QSeries, TruncationError, _as_fraction
 from .faber import CoeffSource, _FaberRows, _coeff_accessor
@@ -42,39 +43,96 @@ class GrunskyCalculator:
             + 1/(r+s) * sum_{m<r, n<s} a_{m+n-1} (r+s-m-n) h_{r-m, s-n},
     so an entry of grade g touches only a_k with k <= g - 1 and entries of
     strictly lower grade.
+
+    The memo holds H_{r,s} = D h_{r,s} for r <= s on the common denominator
+    D = lcm(1..R), R the largest min(r, s) read so far.  For integral a,
+    r h_{r,s} is an integer, so every H is an int and the double sum divides
+    exactly by r + s; a remainder raises ArithmeticError.  Non-integral a_k
+    enter as Fractions and keep the sums exact by promotion.  When R grows,
+    the memo is rescaled by D_new / D_old before the next sum starts.  Each
+    a_k is read from the source once, on first use.
     """
 
     def __init__(self, a: CoeffSource):
-        self._a = _coeff_accessor(a)
-        self._memo: Dict[Tuple[int, int], Fraction] = {}
+        self._source = _coeff_accessor(a)
+        self._a: list = [0]  # _a[k] = a_k
+        self._memo: Dict[Tuple[int, int], Union[int, Fraction]] = {}
+        self._R = 1
+        self._D = 1
 
     def h(self, r: int, s: int) -> Fraction:
         if r > s:
             r, s = s, r
-        key = (r, s)
-        got = self._memo.get(key)
-        if got is not None:
-            return got
-        total = self._a(r + s - 1) + self.correction(r, s)
-        self._memo[key] = total
-        return total
+        return Fraction(self._scaled(r, s), self._D)
 
     def correction(self, r: int, s: int) -> Fraction:
         """h_{r,s} - a_{r+s-1}, the double sum of the recursion: it reads only
         a_k with k <= r + s - 2, so it is known before a_{r+s-1} is."""
-        a, g = self._a, r + s
-        acc = Fraction(0)
-        for m in range(1, r):
-            for n in range(1, s):
-                acc += a(m + n - 1) * (g - m - n) * self.h(r - m, s - n)
-        return acc / g
+        if r > s:
+            r, s = s, r
+        return Fraction(self._scaled_sum(r, s), self._D)
 
     def table(self, grade: int) -> GrunskyTable:
+        self._widen(grade // 2)
         t = GrunskyTable(grade)
         for m in range(1, grade):
             for n in range(m, grade - m + 1):
                 t.set(m, n, self.h(m, n))
         return t
+
+    def _widen(self, R: int) -> None:
+        """Grow D to lcm(1..R), rescaling the memo to the new denominator."""
+        if R <= self._R:
+            return
+        D = lcm(self._D, *range(self._R + 1, R + 1))
+        factor = D // self._D
+        if factor > 1:
+            memo = self._memo
+            for key in memo:
+                memo[key] *= factor
+        self._R, self._D = R, D
+
+    def _coeffs(self, top: int) -> list:
+        """[0, a_1, ..., a_top] and beyond, read from the source as needed."""
+        a = self._a
+        while len(a) <= top:
+            a.append(self._source(len(a)))
+        return a
+
+    def _scaled(self, r: int, s: int):
+        """H_{r,s} = D h_{r,s} for r <= s, memoized."""
+        got = self._memo.get((r, s))
+        if got is None:
+            got = self._scaled_sum(r, s)
+            got += self._D * self._coeffs(r + s - 1)[r + s - 1]
+            self._memo[(r, s)] = got
+        return got
+
+    def _scaled_sum(self, r: int, s: int):
+        """D (h_{r,s} - a_{r+s-1}) for r <= s.  D first grows to cover
+        min(r, s) = r, so no rescale happens inside the sum: every entry
+        it reads has min < r."""
+        self._widen(r)
+        g = r + s
+        a = self._coeffs(g - 3)
+        # with i = r - m, j = s - n the term is a_{g-1-i-j} (i + j) H_{i,j}
+        w = [0, 0] + [k * a[g - 1 - k] for k in range(2, g - 1)]
+        memo, scaled = self._memo, self._scaled
+        acc = 0
+        for i in range(1, r):
+            for j in range(1, s):
+                key = (i, j) if i <= j else (j, i)
+                H = memo.get(key)
+                if H is None:
+                    H = scaled(*key)
+                acc += w[i + j] * H
+        if not isinstance(acc, int):
+            return acc / g
+        q, rem = divmod(acc, g)
+        if rem:
+            raise ArithmeticError(
+                f"Norton's recursion left remainder {rem} at h_{{{r},{s}}}")
+        return q
 
 
 def grunsky_by_recursion(a: CoeffSource, grade: int) -> GrunskyTable:

@@ -31,7 +31,7 @@ def test_acceptance_2_faber_three_way():
 
 
 def test_acceptance_3_grunsky():
-    report(3, "Grunsky triple agreement and denominator bound", checks.grunsky(41, 40))
+    report(3, "Grunsky triple agreement and denominator bound", checks.grunsky(61, 60))
 
 
 def test_acceptance_4_replicability():

@@ -6,7 +6,8 @@ also beneath ``QSeries`` multiplication and inversion and beneath eta products,
 so a renamed or bypassed kernel shows up as a test failure rather than as a
 traced benchmark that silently loses a layer.  It also pins what must not run
 beneath a span: no dense series inverse beneath ``j_oracle``, and no Faber
-polynomial or series product beneath the Faber route to the Grunsky table.
+polynomial or series product beneath the Faber route to the Grunsky table,
+and the Grunsky calculator's memo that the tracer counts.
 """
 
 import json
@@ -24,9 +25,11 @@ tracer = Tracer()
 tracer.install()
 from replicaq.qseries import QSeries, j_oracle
 from replicaq.frames import eta_product, parse_frame_shape
-from replicaq.grunsky import grunsky_from_faber
+from replicaq.grunsky import grunsky_by_recursion, grunsky_from_faber
 j_oracle(40)
 grunsky_from_faber(j_oracle(13), 12)
+J = j_oracle(13)
+tracer.run_job("g", lambda: grunsky_by_recursion([J.coeff(k) for k in range(1, 13)], 12))
 f = QSeries(0, 1, [1, 2, 0, -3], 6)
 f * QSeries(-1, 1, [1, 0, 5], 6)
 f.invert()
@@ -40,7 +43,8 @@ def chain(i):
         names.append(name)
     return names
 
-print(json.dumps(sorted({tuple(chain(span[0])) for span in tracer.spans})))
+print(json.dumps({"chains": sorted({tuple(chain(span[0])) for span in tracer.spans}),
+                  "computed": tracer.counts["grunsky.h.computed"]}))
 """
 
 
@@ -49,7 +53,8 @@ def test_tracer_records_kernel_spans():
         [sys.executable, "-c", SCRIPT, str(ROOT / "bench"), str(ROOT / "src")],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    chains = [tuple(c) for c in json.loads(proc.stdout.strip().splitlines()[-1])]
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    chains = [tuple(c) for c in out["chains"]]
     nesting = {(c[0], c[1] if len(c) > 1 else "") for c in chains}
     assert ("qseries.int_conv", "qseries.j_oracle") in nesting, nesting
     # J takes q/Delta from Miller's recurrence on phi: no dense series inverse
@@ -63,3 +68,7 @@ def test_tracer_records_kernel_spans():
     assert ("grunsky.from_faber",) in chains, chains
     beneath = {c[0] for c in chains if "grunsky.from_faber" in c[1:]}
     assert not beneath & {"faber.recursion", "qseries.mul"}, beneath
+    # the tracer registers GrunskyCalculator.__init__(calc, a), wraps ``table``
+    # and counts len(calc._memo): one memo entry per entry of the grade-12 table
+    assert ("grunsky.table", "bench.job") in chains, chains
+    assert out["computed"] == 36, out["computed"]

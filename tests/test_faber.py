@@ -42,6 +42,8 @@ class TestThreeWayAgreement:
         a = [J.coeff(k) for k in range(1, 16)]
         for n in range(13):
             rec = faber_by_recursion(a, n)
+            # the recursion runs in ints on J and still hands back Fractions
+            assert all(type(c) is Fraction for c in rec.coeffs)
             assert faber_by_determinant(a, n) == rec
             if 1 <= n <= 12:
                 assert faber_by_elimination(J, n) == rec

@@ -16,6 +16,29 @@ from replicaq.grunsky import (GrunskyTable, GrunskyCalculator,
                               denominator_bound_violations)
 
 
+class Raw:
+    """Norton recursion in Fractions, with ordered arguments and no
+    symmetrization: the oracle of the calculator's common-denominator ints."""
+
+    def __init__(self, a):
+        self.a = [Fraction(v) for v in a]
+        self.memo = {}
+
+    def h(self, r, s):
+        if (r, s) in self.memo:
+            return self.memo[(r, s)]
+        total = self.a[r + s - 2]
+        if r > 1 and s > 1:
+            g = r + s
+            acc = Fraction(0)
+            for m in range(1, r):
+                for n in range(1, s):
+                    acc += self.a[m + n - 2] * (g - m - n) * self.h(r - m, s - n)
+            total += acc / g
+        self.memo[(r, s)] = total
+        return total
+
+
 class TestRoutes:
     def test_triple_agreement_on_j(self):
         J = j_oracle(13)
@@ -40,28 +63,6 @@ class TestRoutes:
         # compute h(r,s) and h(s,r) through fresh calculators with no shared memo
         J = j_oracle(10)
         a = [J.coeff(k) for k in range(1, 10)]
-
-        class Raw:
-            """Norton recursion with ordered arguments, no symmetrization."""
-
-            def __init__(self, a):
-                self.a = a
-                self.memo = {}
-
-            def h(self, r, s):
-                if (r, s) in self.memo:
-                    return self.memo[(r, s)]
-                total = self.a[r + s - 2]
-                if r > 1 and s > 1:
-                    g = r + s
-                    acc = Fraction(0)
-                    for m in range(1, r):
-                        for n in range(1, s):
-                            acc += self.a[m + n - 2] * (g - m - n) * self.h(r - m, s - n)
-                    total += acc / g
-                self.memo[(r, s)] = total
-                return total
-
         raw = Raw(a)
         for r in range(1, 5):
             for s in range(1, 5):
@@ -76,6 +77,58 @@ class TestRoutes:
             t_fab = grunsky_from_faber(f, 8)
             assert t_rec.entries == t_fab.entries
             assert grunsky_bivariate_check(f, 8, t_rec)
+
+
+class TestCommonDenominator:
+    """The calculator keeps H = lcm(1..R) h in ints for integral input and
+    must agree with the Fraction oracle on every kind of input."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_recursion_matches_the_fraction_oracle(self, data):
+        grade = data.draw(st.integers(2, 14))
+        integral = st.one_of(st.integers(-9, 9), st.integers(-9, 9).map(Fraction))
+        rational = st.fractions(-9, 9, max_denominator=6)
+        coeff = data.draw(st.sampled_from([integral, rational, st.one_of(integral, rational)]))
+        a = data.draw(st.lists(coeff, min_size=grade - 1, max_size=grade - 1))
+        source = (lambda k: a[k - 1]) if data.draw(st.booleans()) else a
+        raw = Raw(a)
+        table = grunsky_by_recursion(source, grade)
+        assert table.entries == {(m, n): raw.h(m, n)
+                                 for m in range(1, grade) for n in range(m, grade - m + 1)}
+        assert all(type(v) is Fraction for v in table.entries.values())
+        calc = GrunskyCalculator(source)
+        for r in range(1, grade):
+            for s in range(1, grade - r + 1):
+                assert calc.correction(r, s) == raw.h(r, s) - raw.a[r + s - 2], (r, s)
+
+    def test_memo_rescales_as_R_grows(self):
+        J = j_oracle(30)
+        a = [J.coeff(k) for k in range(1, 30)]
+        raw = Raw(a)
+        calc = GrunskyCalculator(a)
+        walk = [(1, 20), (2, 9), (4, 11)]
+        for r, s in walk:
+            assert calc.h(r, s) == GrunskyCalculator(a).h(r, s) == raw.h(r, s)
+        # min 5 is first read by a correction, then by h
+        assert (calc.correction(5, 9) == GrunskyCalculator(a).correction(5, 9)
+                == raw.h(5, 9) - a[12])
+        walk += [(6, 7), (5, 9)]
+        for r, s in walk[3:]:
+            assert calc.h(r, s) == GrunskyCalculator(a).h(r, s) == raw.h(r, s)
+        # entries memoized under a smaller denominator were rescaled with it
+        assert all(calc.h(r, s) == raw.h(r, s) for r, s in walk)
+        assert all(type(v) is int for v in calc._memo.values())
+
+    def test_a_remainder_raises(self):
+        J = j_oracle(8)
+        a = [J.coeff(k) for k in range(1, 8)]
+        calc = GrunskyCalculator(a)
+        calc.h(1, 2)
+        calc._memo[(1, 2)] += 1
+        with pytest.raises(ArithmeticError, match="remainder"):
+            calc.h(2, 3)
+        assert GrunskyCalculator(a).h(2, 3) == Raw(a).h(2, 3)
 
 
 def faber_polynomial_table(f, grade):
