@@ -186,7 +186,7 @@ def replicable(grade: int, perturbations: int, trunc: int, ks: tuple,
     for k in ks, and equals replicate_by_grunsky for k in route_ks; and the
     inverse identity h_{m,n} = sum_{d | gcd(m,n)} (1/d) h^(d)_{mn/d^2} holds
     on J's table to grade 9 for gcd(m, n) <= 4, J being its own replicate."""
-    # replicate(J, k, trunc) reads J to q^(k^2 trunc); the grade-9 sums to q^20
+    # replicate(J, k, trunc) reads J below q^(k^2 trunc); the grade-9 sums to q^20
     J = j_oracle(max(max(ks + route_ks) ** 2 * trunc, grade, 20) + 1)
     a = [J.coeff(k) for k in range(1, grade + 1)]
     rep = is_replicable(grunsky_by_recursion(a, grade))

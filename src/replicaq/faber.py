@@ -5,8 +5,9 @@ The recursion is the canonical construction; pole-killing elimination and the
 Hessenberg determinant are independent verification paths.  The recursion is
 derived from the log generating function and reproduces the classical closed
 forms F_2 = z^2 - 2 a_1 and F_3 = z^3 - 3 a_1 z - 3 a_2.  ``_FaberRows`` runs
-the same recursion on the q-expansions of F_n(f); the Faber route to the
-Grunsky table, ``replicate`` and the basis descent read h_{m,n} off its rows.
+the same recursion on the q-expansions of F_n(f) and answers ``h`` and
+``correction`` as ``grunsky.GrunskyCalculator`` does, so the Faber route to
+the Grunsky table, ``replicate`` and the basis descent take it as their engine.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Callable, Sequence, Union
 
-from .qseries import QSeries, TruncationError, _as_fraction, _int_conv
+from .qseries import QSeries, TruncationError, _as_fraction, _exact, _int_conv
 
 
 @dataclass(frozen=True)
@@ -47,14 +48,6 @@ class FaberPolynomial:
 # a_1, a_2, ... of a normalized series (a_0 = 0): a list with a[k-1] = a_k,
 # or a callable with a(k) = a_k
 CoeffSource = Union[Sequence, Callable[[int], Fraction]]
-
-
-def _exact(v):
-    """v as an int when it is integral, else as a Fraction."""
-    if isinstance(v, int):
-        return v
-    v = _as_fraction(v)
-    return v.numerator if v.denominator == 1 else v
 
 
 def _coeff_accessor(a: CoeffSource) -> Callable[[int], Union[int, Fraction]]:
@@ -119,21 +112,25 @@ class _FaberRows:
                 row.append(a[e + j - 1] + prev[e + 1] + s(e))
         return rows[n]
 
-    def entry(self, r: int, s: int):
-        """r h_{r,s} for r <= s, i.e. b_{r,s}."""
-        return self.extend(r, s)[s]
+    def h(self, r: int, s: int) -> Fraction:
+        """h_{r,s} = b_{r,s} / r for r <= s, in either argument order."""
+        if r > s:
+            r, s = s, r
+        return Fraction(self.extend(r, s)[s], r)
 
-    def without_top(self, n: int, grade: int):
-        """b_{n,grade-n} with the top coefficient a_{grade-1} taken as 0.
+    def correction(self, r: int, s: int) -> Fraction:
+        """h_{r,s} - a_{r+s-1}, from a_1..a_{r+s-2} only, and not cached.
 
-        a_{grade-1} enters b_{n,grade-n} with coefficient n, so this is
-        n (h_{n,grade-n} - a_{grade-1}).  Telescoping the row recurrence
-        down to b_{1,grade-1} = a_{grade-1} leaves sum_{j=2}^{n} S_j(grade-j),
-        built from a_1..a_{grade-2} only, and not cached.
+        With r <= s and g = r + s, a_{g-1} enters b_{r,s} with coefficient r:
+        telescoping the row recurrence down to b_{1,g-1} = a_{g-1} leaves
+        b_{r,s} - r a_{g-1} = sum_{j=2}^{r} S_j(g-j).
         """
-        if n > 1:
-            self.extend(n - 1, grade - n - 1)
-        return sum(self._sums(j)(grade - j) for j in range(2, n + 1))
+        if r > s:
+            r, s = s, r
+        if r > 1:
+            self.extend(r - 1, s - 1)
+        g = r + s
+        return Fraction(sum(self._sums(j)(g - j) for j in range(2, r + 1)), r)
 
 
 # polynomial helpers: dense ascending lists of ints, of Fractions, or of both

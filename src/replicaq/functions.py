@@ -62,8 +62,7 @@ def realize(spec: FunctionSpec, trunc: Rat) -> QSeries:
     if spec.variant == "fiction":
         return fiction_series(spec.c, trunc)
     if spec.variant == "explicit":
-        coeffs = [Fraction(1), Fraction(0)] + [_as_fraction(v) for v in spec.coefficients]
-        return QSeries(-1, 1, coeffs, trunc)
+        return QSeries(-1, 1, [1, 0, *spec.coefficients], trunc)
     f = eta_product(spec.shape, trunc) + spec.shift
     if f.lead_exp != -1:
         raise SpecError(f"eta quotient {spec.shape} has lead exponent "

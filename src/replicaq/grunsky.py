@@ -36,6 +36,15 @@ class GrunskyTable:
         return sorted(self.entries)
 
 
+def _table(h, grade: int) -> GrunskyTable:
+    """The table of grade ``grade`` filled from an engine's h(m, n)."""
+    t = GrunskyTable(grade)
+    for m in range(1, grade):
+        for n in range(m, grade - m + 1):
+            t.set(m, n, h(m, n))
+    return t
+
+
 class GrunskyCalculator:
     """Memoized h_{r,s} by Norton's recursion over a coefficient source.
 
@@ -50,7 +59,8 @@ class GrunskyCalculator:
     exactly by r + s; a remainder raises ArithmeticError.  Non-integral a_k
     enter as Fractions and keep the sums exact by promotion.  When R grows,
     the memo is rescaled by D_new / D_old before the next sum starts.  Each
-    a_k is read from the source once, on first use.
+    a_k is read from the source once, on first use.  ``h`` and ``correction``
+    are the contract that ``faber._FaberRows`` answers too.
     """
 
     def __init__(self, a: CoeffSource):
@@ -74,11 +84,7 @@ class GrunskyCalculator:
 
     def table(self, grade: int) -> GrunskyTable:
         self._widen(grade // 2)
-        t = GrunskyTable(grade)
-        for m in range(1, grade):
-            for n in range(m, grade - m + 1):
-                t.set(m, n, self.h(m, n))
-        return t
+        return _table(self.h, grade)
 
     def _widen(self, R: int) -> None:
         """Grow D to lcm(1..R), rescaling the memo to the new denominator."""
@@ -146,12 +152,7 @@ def grunsky_from_faber(f: QSeries, grade: int) -> GrunskyTable:
         raise ValueError("Grunsky extraction needs a normalized series")
     if f.trunc < grade:
         raise TruncationError(f"need trunc >= {grade}, have {f.trunc}")
-    rows = _FaberRows.from_coeffs([f.coeff(k) for k in range(1, grade)])
-    t = GrunskyTable(grade)
-    for m in range(1, grade):
-        for n in range(m, grade - m + 1):
-            t.set(m, n, Fraction(rows.entry(m, n), m))
-    return t
+    return _table(_FaberRows.from_coeffs([f.coeff(k) for k in range(1, grade)]).h, grade)
 
 
 # -- bivariate generating function ---------------------------------------

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
-from .qseries import QSeries, _as_fraction, agree
+from .qseries import QSeries, _exact, agree
 from .faber import faber_by_recursion
 from .replicable import ReplicationFamily
 
@@ -218,8 +218,7 @@ def _int_valued(c: CoeffFn) -> CoeffFn:
     """c memoised, with integral values as ints so the rules run in int arithmetic."""
     @lru_cache(maxsize=None)
     def get(i: int) -> Num:
-        v = _as_fraction(c(i))
-        return v.numerator if v.denominator == 1 else v
+        return _exact(c(i))
     return get
 
 
@@ -246,5 +245,4 @@ def mahler_compute(seeds: Sequence[Num], h2: CoeffFn, trunc: int) -> QSeries:
     for n in range(6, trunc):
         rule, m = _rule_for(n)
         a[n] = rule(a.__getitem__, h2, m)
-    coeffs = [Fraction(1), Fraction(0)] + [_as_fraction(a[i]) for i in range(1, trunc)]
-    return QSeries(-1, 1, coeffs, trunc)
+    return QSeries(-1, 1, [1, 0] + [a[i] for i in range(1, trunc)], trunc)

@@ -39,6 +39,15 @@ def _as_fraction(v: Rat) -> Fraction:
     return v if isinstance(v, Fraction) else Fraction(v)
 
 
+def _exact(v: Rat) -> Rat:
+    """v as an int when it is integral, else as a Fraction: the one
+    integrality rule of the recursions that run in ints on integral input."""
+    if isinstance(v, int):
+        return v
+    v = _as_fraction(v)
+    return v.numerator if v.denominator == 1 else v
+
+
 def _grid_points(lead: Rat, step: Rat, trunc: Rat) -> int:
     """How many exponents lead + k*step, k >= 0, lie below trunc."""
     return max(0, -((lead - trunc) // step))

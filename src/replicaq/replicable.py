@@ -101,29 +101,22 @@ def _mobius(n: int) -> int:
     return -m if n > 1 else m
 
 
-def _replicate(f: QSeries, k: int, trunc: int, make_h) -> QSeries:
-    """h_i^(k) = k sum_{d|k} mu(d) h_{k/d, dki}, with h(r, s) = make_h(a)(r, s)
-    over a = [a_1, ..., a_top], the coefficients of f that the sum reads."""
+def _replicate(f: QSeries, k: int, trunc: int, engine) -> QSeries:
+    """h_i^(k) = k sum_{d|k} mu(d) h_{k/d, dki}, with h = engine(a).h over
+    a = [a_1, ..., a_top], the coefficients of f that the sum reads."""
     if k < 1:
         raise ValueError("replicate index must be positive")
-    needed = k * k * trunc
-    if f.trunc <= needed:
-        raise TruncationError(
-            f"replicate({k}) to {trunc} terms needs coefficients up to {needed}")
     terms = [(mu, k // d, d * k) for d in range(1, k + 1)
              if k % d == 0 and (mu := _mobius(d))]
     top = max(r + step * (trunc - 1) - 1 for _, r, step in terms)
-    h = make_h([f.coeff(p) for p in range(1, top + 1)])
-    coeffs = [Fraction(0)] * (trunc + 1)  # exponents -1, 0, 1, ..., trunc-1
-    coeffs[0] = Fraction(1)
+    if f.trunc <= top:
+        raise TruncationError(
+            f"replicate({k}) to {trunc} terms reads a_{top}, beyond trunc={f.trunc}")
+    h = engine([f.coeff(p) for p in range(1, top + 1)]).h
+    coeffs = [1] + [0] * trunc  # exponents -1, 0, 1, ..., trunc-1
     for i in range(1, trunc):
         coeffs[i + 1] = k * sum(mu * h(r, step * i) for mu, r, step in terms)
     return QSeries(-1, 1, coeffs, trunc)
-
-
-def _faber_row_h(a: list):
-    rows = _FaberRows.from_coeffs(a)
-    return lambda r, s: Fraction(rows.entry(r, s), r)
 
 
 def replicate(f: QSeries, k: int, trunc: int) -> QSeries:
@@ -133,12 +126,12 @@ def replicate(f: QSeries, k: int, trunc: int) -> QSeries:
     ints when f's coefficients are integral; ``replicate_by_grunsky`` is the
     independent check route.
     """
-    return _replicate(f, k, trunc, _faber_row_h)
+    return _replicate(f, k, trunc, _FaberRows.from_coeffs)
 
 
 def replicate_by_grunsky(f: QSeries, k: int, trunc: int) -> QSeries:
     """Check route for ``replicate``: the same formula over Norton's recursion."""
-    return _replicate(f, k, trunc, lambda a: GrunskyCalculator(a).h)
+    return _replicate(f, k, trunc, GrunskyCalculator)
 
 
 def inverse_identity_sum(fam: ReplicationFamily, m: int, n: int) -> Fraction:
@@ -224,40 +217,21 @@ def find_reducing_pair(N: int) -> Optional[ReducingPair]:
 
 # -- reconstruction from the basis ---------------------------------------
 
-def _faber_row_step(a: list):
-    """a_{N-1} = h_{r',s'} - (h_{r,s} - a_{N-1}), both from Faber rows."""
-    rows = _FaberRows(a)
-
-    def solve(pair: ReducingPair) -> Fraction:
-        (r, s), (rp, sp) = pair.from_pair, pair.to_pair
-        n, np_ = min(r, s), min(rp, sp)
-        return (Fraction(rows.entry(np_, rp + sp - np_), np_)
-                - Fraction(rows.without_top(n, pair.grade), n))
-    return solve
-
-
-def _grunsky_step(a: list):
-    """a_{N-1} = h_{r',s'} minus the correction sum of Norton's recursion."""
-    calc = GrunskyCalculator(lambda i: a[i])
-
-    def solve(pair: ReducingPair) -> Fraction:
-        return calc.h(*pair.to_pair) - calc.correction(*pair.from_pair)
-    return solve
-
-
-def _descend(values: Mapping[int, Fraction], trunc: int, step) -> Tuple[list, Optional[int]]:
+def _descend(values: Mapping[int, Fraction], trunc: int, engine) -> Tuple[list, Optional[int]]:
     """Fill a_1..a_{trunc-1} grade by grade from ``values``.
 
     At grade N, a_{N-1} is taken from ``values`` when given, else solved from
-    the reducing pair by ``step(a)``.  Returns (a, None) with a[p] = a_p, or
-    (a, N) for the first grade N that is neither given nor reducible.  The
-    coefficients are ints when every given value is integral, and a
-    non-integral solution then raises ValueError.
+    the reducing pair (r, s) -> (r', s') as h_{r',s'} - (h_{r,s} - a_{N-1}),
+    both read from ``engine(a)`` over the list a as it grows: the correction
+    h_{r,s} - a_{N-1} needs a_1..a_{N-2} only.  Returns (a, None) with
+    a[p] = a_p, or (a, N) for the first grade N that is neither given nor
+    reducible.  The coefficients are ints when every given value is
+    integral, and a non-integral solution then raises ValueError.
     """
     given = {k: _as_fraction(v) for k, v in values.items()}
     integral = all(v.denominator == 1 for v in given.values())
     a: list = [0]
-    solve = step(a)
+    calc = engine(a)
     for N in range(2, trunc + 1):
         k = N - 1
         if k in given:
@@ -266,7 +240,7 @@ def _descend(values: Mapping[int, Fraction], trunc: int, step) -> Tuple[list, Op
             pair = find_reducing_pair(N)
             if pair is None:
                 return a, N
-            value = solve(pair)
+            value = calc.h(*pair.to_pair) - calc.correction(*pair.from_pair)
             if integral and value.denominator != 1:
                 raise ValueError(
                     f"non-integral coefficient a_{k} = {value} from integral basis input")
@@ -274,11 +248,11 @@ def _descend(values: Mapping[int, Fraction], trunc: int, step) -> Tuple[list, Op
     return a, None
 
 
-def _reconstruct(basis_values: Mapping[int, Fraction], trunc: int, step) -> QSeries:
+def _reconstruct(basis_values: Mapping[int, Fraction], trunc: int, engine) -> QSeries:
     missing = [k for k in NORTON_BASIS if k not in basis_values]
     if missing:
         raise ValueError(f"basis values missing for k in {missing}")
-    a, blocked = _descend(basis_values, trunc, step)
+    a, blocked = _descend(basis_values, trunc, engine)
     if blocked is not None:
         raise DescentError(f"grade {blocked} should be reducible but no pair was found")
     return QSeries(-1, 1, [1, 0] + a[1:trunc], trunc)
@@ -293,10 +267,10 @@ def reconstruct_from_basis(basis_values: Mapping[int, Fraction], trunc: int) -> 
     of h_{r,s}.  Both are read off Faber rows that grow with each new
     coefficient; ``reconstruct_by_grunsky`` is the independent check route.
     """
-    return _reconstruct(basis_values, trunc, _faber_row_step)
+    return _reconstruct(basis_values, trunc, _FaberRows)
 
 
 def reconstruct_by_grunsky(basis_values: Mapping[int, Fraction], trunc: int) -> QSeries:
     """Check route for ``reconstruct_from_basis``: solve Norton's recursion."""
-    return _reconstruct(basis_values, trunc, _grunsky_step)
+    return _reconstruct(basis_values, trunc, lambda a: GrunskyCalculator(a.__getitem__))
 

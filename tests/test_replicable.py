@@ -18,7 +18,7 @@ from replicaq.replicable import (NORTON_BASIS, IRREDUCIBLE_GRADES,
                                  mod_p_residues, find_reducing_pair,
                                  exhaustive_reducing_pair,
                                  reconstruct_from_basis, reconstruct_by_grunsky,
-                                 _descend, _faber_row_step)
+                                 _descend)
 from replicaq.functions import (fiction_series, parse_function_spec, realize,
                                 tb2_family)
 
@@ -82,12 +82,18 @@ class TestReplicate:
         with pytest.raises(TruncationError):
             replicate(j_to(20), 3, 10)
 
-    @pytest.mark.parametrize("k,T", [(1, 3), (2, 5), (3, 2), (4, 1), (6, 3)])
+    # (k, T) -> top = max over mu(d) != 0 of k/d + dk(T - 1) - 1, the last
+    # coefficient the Moebius sum reads; k^2 T would overstate it
+    TOPS = {(1, 3): 2, (2, 5): 16, (3, 2): 9, (4, 1): 3, (6, 3): 72,
+            (4, 5): 33, (2, 10): 36}
+
+    @pytest.mark.parametrize("k,T", list(TOPS))
     def test_truncation_boundary(self, k, T):
-        J = j_to(k * k * T + 1)
+        top = self.TOPS[k, T]
+        J = j_to(top + 1)
         for route in (replicate, replicate_by_grunsky):
-            with pytest.raises(TruncationError):
-                route(J.truncate(k * k * T), k, T)
+            with pytest.raises(TruncationError, match=f"reads a_{top},"):
+                route(J.truncate(top), k, T)
             assert coefficients(route(J, k, T), T) == coefficients(J.truncate(T), T)
 
 
@@ -214,34 +220,49 @@ class TestReducingPairs:
                 assert gcd(r, s) == gcd(rp, sp) and lcm(r, s) == lcm(rp, sp)
 
 
-class TestWithoutTop:
-    """What each descent step solves with at grade N: h_{r,s} less a_{N-1},
-    from a_1..a_{N-2} alone."""
+ENGINES = {"faber": faber._FaberRows.from_coeffs, "grunsky": GrunskyCalculator}
 
+
+class TestEngineContract:
+    """Both h_{r,s} engines over [a_1, ..., a_top] answer h and correction in
+    either argument order, as Fractions.  The correction is what each descent
+    step solves with at grade N: h_{r,s} less a_{N-1}, from a_1..a_{N-2}
+    alone, so an engine over a list one short raises if it reads a_{N-1}."""
+
+    @pytest.mark.parametrize("engine", ENGINES.values(), ids=ENGINES.keys())
     @PROPERTY
     @given(data=st.data())
-    def test_faber_rows(self, data):
+    def test_correction_is_h_less_the_top(self, engine, data):
         N = data.draw(st.integers(2, 30))
-        a = data.draw(st.lists(st.integers(-9, 9), min_size=N - 1, max_size=N - 1))
-        n = data.draw(st.integers(1, N // 2))
-        full = faber._FaberRows([0] + a)
-        short = faber._FaberRows([0] + a[:-1])
-        assert short.without_top(n, N) == full.entry(n, N - n) - n * a[-1]
+        coeff = data.draw(st.sampled_from([st.integers(-9, 9), rationals]))
+        a = data.draw(st.lists(coeff, min_size=N - 1, max_size=N - 1))
+        full, short = engine(a), engine(a[:-1])
+        for r in range(1, N):
+            h = full.h(r, N - r)
+            assert type(h) is Fraction and h == full.h(N - r, r)
+            assert short.correction(r, N - r) == short.correction(N - r, r) == h - a[-1], r
 
-    @PROPERTY
-    @given(data=st.data())
-    def test_grunsky_correction(self, data):
-        N = data.draw(st.integers(2, 30))
-        a = data.draw(st.lists(st.integers(-9, 9), min_size=N - 1, max_size=N - 1))
-        r = data.draw(st.integers(1, N - 1))
-        read = []
 
-        def short(k):
-            read.append(k)
-            return a[k - 1]
-        got = GrunskyCalculator(short).correction(r, N - r)
-        assert got == GrunskyCalculator(a).h(r, N - r) - a[-1]
-        assert max(read, default=0) <= N - 2
+class TestRouteIndependence:
+    """Each route of ``verify replicable|basis`` runs its own engine only."""
+
+    @staticmethod
+    def refuse(*args, **kwargs):
+        raise AssertionError("constructed by the other route")
+
+    def test_faber_routes_build_no_grunsky_calculator(self, monkeypatch):
+        monkeypatch.setattr(GrunskyCalculator, "__init__", self.refuse)
+        J = j_to(80)
+        basis = {k: J.coeff(k) for k in NORTON_BASIS}
+        assert coefficients(replicate(J, 4, 5), 5) == coefficients(J.truncate(5), 5)
+        assert coefficients(reconstruct_from_basis(basis, 30), 30) == coefficients(J.truncate(30), 30)
+
+    def test_grunsky_routes_build_no_faber_rows(self, monkeypatch):
+        monkeypatch.setattr(faber._FaberRows, "__init__", self.refuse)
+        J = j_to(80)
+        basis = {k: J.coeff(k) for k in NORTON_BASIS}
+        assert coefficients(replicate_by_grunsky(J, 4, 5), 5) == coefficients(J.truncate(5), 5)
+        assert coefficients(reconstruct_by_grunsky(basis, 30), 30) == coefficients(J.truncate(30), 30)
 
 
 class TestReconstruction:
@@ -311,11 +332,11 @@ class TestReconstruction:
     def test_odd_level_experiment_reports_not_raises(self):
         J = j_to(40)
         given = {k: J.coeff(k) for k in (1, 2, 3, 5)}
-        a, blocked = _descend(given, 30, _faber_row_step)
+        a, blocked = _descend(given, 30, faber._FaberRows)
         assert blocked == 5 and a == [0] + [J.coeff(k) for k in (1, 2, 3)]
 
     def test_odd_level_experiment_below_first_block(self):
         J = j_to(40)
         given = {k: J.coeff(k) for k in (1, 2, 3, 5)}
-        a, blocked = _descend(given, 4, _faber_row_step)
+        a, blocked = _descend(given, 4, faber._FaberRows)
         assert blocked is None and a == [0] + [J.coeff(k) for k in (1, 2, 3)]
