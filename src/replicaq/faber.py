@@ -70,7 +70,8 @@ class _FaberRows:
                   - sum_{i=1}^{n-2} a_i b_{n-1-i,m}      (m >= 1; b_{n,0} = 0),
 
     so row n up to entry m needs row n-1 up to entry m+1 and a up to a_{m+n-1}.
-    Entries are ints when a is, Fractions otherwise.
+    Entries are ints when a is integral, and exact by int-Fraction promotion
+    otherwise.
     """
 
     def __init__(self, a: list):
@@ -80,10 +81,7 @@ class _FaberRows:
     @classmethod
     def from_coeffs(cls, coeffs: Sequence) -> _FaberRows:
         """Rows over [a_1, ..., a_top], in ints when every a_k is integral."""
-        a = [_as_fraction(v) for v in coeffs]
-        if all(v.denominator == 1 for v in a):
-            a = [v.numerator for v in a]
-        return cls([0] + a)
+        return cls([0, *map(_exact, coeffs)])
 
     def _sums(self, j: int):
         """e -> S_j(e) = sum_{p<e} a_p b_{j-1,e-p} - sum_{i=1}^{j-2} a_i b_{j-1-i,e},
@@ -180,20 +178,17 @@ def faber_by_elimination(f: QSeries, n: int) -> FaberPolynomial:
         raise ValueError("elimination needs a normalized series q^-1 + O(q)")
     if f.trunc < n + 1:
         raise TruncationError(f"need trunc >= {n + 1}, have {f.trunc}")
-    if n == 0:
-        return FaberPolynomial(0, (Fraction(1),))
     powers = [f ** 0]
     for _ in range(n):
         powers.append(powers[-1] * f)
     combo = powers[n]
-    poly = [Fraction(0)] * (n + 1)
-    poly[0] = Fraction(1)
+    poly = [0] * n + [1]  # ascending
     for j in range(n - 1, -1, -1):
         c = combo.coeff(-j)
         if c:
             combo = combo - powers[j] * c
-            poly[n - j] = -c
-    return FaberPolynomial(n, tuple(poly))
+            poly[j] = -c
+    return _to_poly(poly)
 
 
 def faber_by_determinant(a: Sequence, n: int) -> FaberPolynomial:
@@ -208,6 +203,7 @@ def faber_by_determinant(a: Sequence, n: int) -> FaberPolynomial:
         return FaberPolynomial(0, (Fraction(1),))
     ak = _coeff_accessor(a)
     bs = [ak(k - 1) for k in range(2, n + 1)]  # b_2..b_n
+    # all ints or all Fractions: _pdiv_exact divides in the type of its divisor
     if all(isinstance(v, int) for v in bs):
         one = 1
     else:

@@ -222,14 +222,9 @@ def _normalized_int_coeffs(f: QSeries, bound: int) -> list:
     c = [f.coeff(n) for n in range(1, bound + 1)]
     if not c or c[0] not in (1, -1):
         raise ValueError("cannot normalize: c(1) must be +-1")
-    unit = c[0]
-    out = []
-    for v in c:
-        v = v * unit
-        if v.denominator != 1:
-            raise ValueError("weak multiplicativity needs integer coefficients")
-        out.append(v.numerator)
-    return out
+    if not all(isinstance(v, int) for v in c):
+        raise ValueError("weak multiplicativity needs integer coefficients")
+    return [v * c[0] for v in c]
 
 
 def weak_multiplicativity(f: QSeries, bound: int) -> MultiplicativityReport:

@@ -1,17 +1,24 @@
 """Exact truncated Laurent series in the nome q.
 
-Coefficients are arbitrary-precision rationals; exponents live on a grid
-lead_exp + k*step whose denominators divide 24 (the eta grid).  Truncation
-is an explicit attribute: exponents at or above ``trunc`` are unknown, not
-zero, and arithmetic never fabricates coefficients past the knowledge
-boundary of its operands.
+Coefficients are exact rationals, stored by one integrality rule
+(``_exact``): an integral coefficient is held as an int and any other as a
+Fraction, so integral series run through the int kernels with no
+conversion.  The public boundary stays Fraction: ``integer_coeffs``,
+Grunsky table entries and Faber polynomial coefficients.  Divide a
+coefficient read from a series as Fraction(x, n); x / n gives a float when
+x is an int.
+
+Exponents live on a grid lead_exp + k*step whose denominators divide 24
+(the eta grid).  Truncation is an explicit attribute: exponents at or above
+``trunc`` are unknown, not zero, and arithmetic never fabricates
+coefficients past the knowledge boundary of its operands.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 Rat = Union[int, Fraction]
 
@@ -41,7 +48,8 @@ def _as_fraction(v: Rat) -> Fraction:
 
 def _exact(v: Rat) -> Rat:
     """v as an int when it is integral, else as a Fraction: the one
-    integrality rule of the recursions that run in ints on integral input."""
+    integrality rule of the series store and of the recursions that run in
+    ints on integral input."""
     if isinstance(v, int):
         return v
     v = _as_fraction(v)
@@ -64,7 +72,7 @@ class QSeries:
         trunc = _as_fraction(trunc)
         if step <= 0:
             raise ValueError("step must be positive")
-        cs = [_as_fraction(c) for c in coeffs]
+        cs = [_exact(c) for c in coeffs]
         # trim leading zeros
         lo = 0
         while lo < len(cs) and cs[lo] == 0:
@@ -89,27 +97,23 @@ class QSeries:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coeff(self, exp: Rat) -> Fraction:
-        """Coefficient at exponent ``exp``; raises past the truncation order."""
+    def coeff(self, exp: Rat) -> Rat:
+        """Coefficient at exponent ``exp`` as stored, 0 where the series has no
+        term; raises past the truncation order."""
         if exp >= self.trunc:
             raise TruncationError(f"coefficient at q^{exp} is beyond trunc={self.trunc}")
         if type(exp) is int and self.step == 1 and self.lead_exp.denominator == 1:
             i = exp - self.lead_exp.numerator
-            return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
-        exp = _as_fraction(exp)
-        if not self.coeffs:
-            return Fraction(0)
-        idx = (exp - self.lead_exp) / self.step
-        if idx.denominator != 1:
-            return Fraction(0)
+            return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
+        idx = (_as_fraction(exp) - self.lead_exp) / self.step
         i = idx.numerator
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return Fraction(0)
+        return self.coeffs[i] if idx.denominator == 1 and 0 <= i < len(self.coeffs) else 0
 
     def integer_coeffs(self, lo: int, hi: int) -> list:
-        """Coefficients at integer exponents lo..hi inclusive."""
-        return [self.coeff(k) for k in range(lo, hi + 1)]
+        """Coefficients at integer exponents lo..hi inclusive, as Fractions:
+        the benchmark's ``workloads.plain`` renders only Fractions as decimal
+        strings, so an int here would compare unequal to its reference."""
+        return [_as_fraction(self.coeff(k)) for k in range(lo, hi + 1)]
 
     def exponents(self):
         return [self.lead_exp + i * self.step for i in range(len(self.coeffs))]
@@ -169,7 +173,7 @@ class QSeries:
         r = ratio.numerator
         if r == 1:
             return self.lead_exp / step, self.coeffs
-        out = [Fraction(0)] * ((len(self.coeffs) - 1) * r + 1)
+        out = [0] * ((len(self.coeffs) - 1) * r + 1)
         for i, c in enumerate(self.coeffs):
             out[i * r] = c
         return self.lead_exp / step, out
@@ -194,8 +198,8 @@ class QSeries:
         # the longer list is the start, and the shorter one is added into it
         if len(ca) < len(cb):
             (ia, ca), (ib, cb) = (ib, cb), (ia, ca)
-        out = [Fraction(0)] * ia + ca
-        out += [Fraction(0)] * (ib + len(cb) - len(out))
+        out = [0] * ia + ca
+        out += [0] * (ib + len(cb) - len(out))
         for i, c in enumerate(cb, ib):
             out[i] += c
         return QSeries(lead, step, out, trunc)
@@ -227,7 +231,7 @@ class QSeries:
         lead = (ia + ib) * step
         # number of product coefficients actually known
         n_out = min(_grid_points(lead, step, trunc), len(ca) + len(cb) - 1)
-        out = _convolve(ca, cb, n_out)
+        out = _int_conv(ca, cb, n_out)
         return QSeries(lead, step, out, trunc)
 
     __rmul__ = __mul__
@@ -256,15 +260,12 @@ class QSeries:
         """Multiplicative inverse up to the propagated truncation order."""
         if self.is_zero:
             raise ZeroDivisionError("cannot invert a series that vanishes to its trunc order")
-        c0 = self.coeffs[0]
         lead = self.lead_exp
-        # u = self / (c0 q^lead) = 1 + ..., known to order (trunc - lead);
-        # trailing zeros below trunc are known and count toward the order
+        # the list past q^lead is known to order (trunc - lead): trailing zeros
+        # below trunc are known and count toward the order; the inverse stays
+        # in ints for an integral list led by +-1
         n = max(len(self.coeffs), _grid_points(lead, self.step, self.trunc))
-        u = self.coeffs + [Fraction(0)] * (n - len(self.coeffs))
-        if abs(c0) == 1 and all(c.denominator == 1 for c in u):
-            u = [c.numerator for c in u]
-        inv = _int_series_inverse(u, n)
+        inv = _int_series_inverse(self.coeffs + [0] * (n - len(self.coeffs)), n)
         trunc = self.trunc - 2 * lead
         return QSeries(-lead, self.step, inv, trunc)
 
@@ -281,10 +282,10 @@ def _aligned(a: QSeries, b: QSeries, step: Fraction):
     series its (index offset from that lead, coeff list)); a zero series sits
     at offset 0 with an empty list."""
     placed = [s._on_grid(step) for s in (a, b)]
-    lo = min((i for i, cs in placed if cs), default=Fraction(0))
+    lo = min((i for i, cs in placed if cs), default=0)
     out = []
     for i, cs in placed:
-        offset = i - lo if cs else Fraction(0)
+        offset = i - lo if cs else 0
         if offset.denominator != 1:
             raise GridError(f"lead exponent {i * step} is off the grid {lo * step} + k*{step}")
         out.append((offset.numerator, cs))
@@ -310,10 +311,9 @@ def agree(a: QSeries, b: QSeries, order: Rat):
     step = a._common_grid(b)
     lead, (ia, ca), (ib, cb) = _aligned(a, b, step)
     top = min(_grid_points(lead, step, order), max(ia + len(ca), ib + len(cb)))
-    zero = Fraction(0)
     for k in range(top):
-        x = ca[k - ia] if 0 <= k - ia < len(ca) else zero
-        y = cb[k - ib] if 0 <= k - ib < len(cb) else zero
+        x = ca[k - ia] if 0 <= k - ia < len(ca) else 0
+        y = cb[k - ib] if 0 <= k - ib < len(cb) else 0
         if x != y:
             return (lead + k * step, x, y)
     return None
@@ -325,18 +325,6 @@ def coefficients(series: QSeries, trunc: int) -> list:
     if series.trunc != trunc:
         raise TruncationError(f"series known below q^{series.trunc}, not q^{trunc}")
     return series.integer_coeffs(-1, trunc - 1)
-
-
-def _convolve(a: Sequence[Fraction], b: Sequence[Fraction], n_out: int) -> list:
-    """First n_out coefficients of the Cauchy product, as Fractions.
-
-    Integral operands run through ``_int_conv`` on ints: Fraction arithmetic
-    on integral values is the slow path.
-    """
-    if all(c.denominator == 1 for c in a) and all(c.denominator == 1 for c in b):
-        out = _int_conv([c.numerator for c in a], [c.numerator for c in b], n_out)
-        return [Fraction(v) for v in out]
-    return _int_conv(a, b, n_out)
 
 
 # -- classical oracles ---------------------------------------------------

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, Optional, Tuple
 
-from .qseries import QSeries, TruncationError, _as_fraction
+from .qseries import QSeries, TruncationError, _exact
 from .faber import _FaberRows
 from .grunsky import GrunskyCalculator, GrunskyTable
 
@@ -146,9 +146,9 @@ def mod_p_residues(f: QSeries, fp: QSeries, p: int, bound: int):
     ValueError on reaching a coefficient that is not an integer."""
     for i in range(1, bound + 1):
         a, b = f.coeff(i), fp.coeff(i)
-        if a.denominator != 1 or b.denominator != 1:
+        if not (isinstance(a, int) and isinstance(b, int)):
             raise ValueError("congruence check needs integer coefficients")
-        yield i, (a.numerator - b.numerator) % p
+        yield i, (a - b) % p
 
 
 # -- reducing pairs ------------------------------------------------------
@@ -225,11 +225,12 @@ def _descend(values: Mapping[int, Fraction], trunc: int, engine) -> Tuple[list, 
     both read from ``engine(a)`` over the list a as it grows: the correction
     h_{r,s} - a_{N-1} needs a_1..a_{N-2} only.  Returns (a, None) with
     a[p] = a_p, or (a, N) for the first grade N that is neither given nor
-    reducible.  The coefficients are ints when every given value is
-    integral, and a non-integral solution then raises ValueError.
+    reducible.  Each coefficient is an int when integral, a Fraction
+    otherwise; when every given value is integral, a non-integral solution
+    raises ValueError.
     """
-    given = {k: _as_fraction(v) for k, v in values.items()}
-    integral = all(v.denominator == 1 for v in given.values())
+    given = {k: _exact(v) for k, v in values.items()}
+    integral = all(isinstance(v, int) for v in given.values())
     a: list = [0]
     calc = engine(a)
     for N in range(2, trunc + 1):
@@ -240,11 +241,11 @@ def _descend(values: Mapping[int, Fraction], trunc: int, engine) -> Tuple[list, 
             pair = find_reducing_pair(N)
             if pair is None:
                 return a, N
-            value = calc.h(*pair.to_pair) - calc.correction(*pair.from_pair)
-            if integral and value.denominator != 1:
+            value = _exact(calc.h(*pair.to_pair) - calc.correction(*pair.from_pair))
+            if integral and not isinstance(value, int):
                 raise ValueError(
                     f"non-integral coefficient a_{k} = {value} from integral basis input")
-        a.append(value.numerator if integral else value)
+        a.append(value)
     return a, None
 
 

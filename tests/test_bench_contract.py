@@ -7,13 +7,17 @@ so a renamed or bypassed kernel shows up as a test failure rather than as a
 traced benchmark that silently loses a layer.  It also pins what must not run
 beneath a span: no dense series inverse beneath ``j_oracle``, and no Faber
 polynomial or series product beneath the Faber route to the Grunsky table,
-and the Grunsky calculator's memo that the tracer counts.
+and the Grunsky calculator's memo that the tracer counts.  Last, a checked
+pass of each workload must run every job without an error and count every
+negative control as a failure.
 """
 
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -72,3 +76,19 @@ def test_tracer_records_kernel_spans():
     # and counts len(calc._memo): one memo entry per entry of the grade-12 table
     assert ("grunsky.table", "bench.job") in chains, chains
     assert out["computed"] == 36, out["computed"]
+
+
+@pytest.mark.parametrize("workload", ["classify", "expand", "replicate"])
+def test_checked_pass_has_no_failures(workload):
+    """One checked benchmark pass: every job runs and matches its reference,
+    and every negative control is counted as a failure."""
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "passrun.py"), "--workload", workload,
+         "--seed", "1", "--t0", "0", "--check"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    errors = {job["id"]: job["error"] for job in report["jobs"] if job["error"] is not None}
+    assert report["jobs"] and not errors, errors
+    controls = report["negative_control"]
+    assert len(controls) == 3 and all(c["counted_as_failure"] for c in controls), controls

@@ -180,6 +180,14 @@ class TestMultiplicativity:
         rep = weak_multiplicativity(f, 8)
         assert not rep.verdict and rep.first_failure[:2] == (2, 3)
 
+    def test_normalizes_by_a_unit_and_rejects_non_integral(self):
+        tau = eta_product(parse_frame_shape("1^24"), 40)
+        assert weak_multiplicativity(tau * -1, 38) == weak_multiplicativity(tau, 38)
+        with pytest.raises(ValueError, match="integer coefficients"):
+            weak_multiplicativity(tau + QSeries(7, 1, [Fraction(1, 2)], 40), 38)
+        with pytest.raises(ValueError, match="c\\(1\\)"):
+            weak_multiplicativity(tau * 2, 38)
+
 
 class TestClassification:
     def test_partition_count(self):

@@ -139,7 +139,7 @@ def faber_polynomial_table(f, grade):
     for n in range(1, grade):
         series = faber_by_recursion(a, n)(f)
         for m in range(1, grade - n + 1):
-            t.set(m, n, series.coeff(m) / n)
+            t.set(m, n, Fraction(series.coeff(m), n))
     return t
 
 

@@ -1,5 +1,6 @@
 """Core series arithmetic, truncation bookkeeping and the three oracles."""
 
+import math
 import operator
 import random
 import subprocess
@@ -49,6 +50,11 @@ GRID_SERIES = st.builds(
     st.sampled_from(GRID_STEPS), st.integers(-48, 48).map(lambda k: Fraction(k, 24)),
     st.lists(st.sampled_from([0, 0, 1, -1, 3, Fraction(2, 3)]), max_size=10),
     st.integers(0, 3), GRID_OFFSETS)
+
+
+def stored_exactly(c) -> bool:
+    """The store contract: an int when integral, else a Fraction; never a float."""
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
 
 
 def random_series(rng, trunc=12):
@@ -119,7 +125,7 @@ class TestConstruction:
         for e in range(-4, 30):
             # past the end of coeffs and off the grid both read as zero
             assert f.coeff(e) == f.coeff(Fraction(e))
-            assert type(f.coeff(e)) is Fraction
+            assert stored_exactly(f.coeff(e)) and type(f.coeff(e)) is type(f.coeff(Fraction(e)))
         for e in (30, 31, Fraction(30), Fraction(61, 2)):
             with pytest.raises(TruncationError):
                 f.coeff(e)
@@ -127,6 +133,27 @@ class TestConstruction:
         assert empty.coeff(8) == empty.coeff(Fraction(8)) == 0
         with pytest.raises(TruncationError):
             empty.coeff(9)
+
+
+class TestStore:
+    @PROPERTY
+    @given(SERIES, SERIES, st.sampled_from([0, 3, -1, Fraction(1, 2), Fraction(4, 2)]),
+           st.sampled_from([1, 2, 3, Fraction(1, 2)]), st.integers(-2, 3))
+    def test_integral_coefficients_are_ints(self, a, b, c, k, n):
+        """Every operation stores int-if-integral, else Fraction; the public
+        integer_coeffs boundary stays Fraction."""
+        rebuilt = QSeries(a.lead_exp, a.step, [Fraction(v) for v in a.coeffs], a.trunc)
+        assert rebuilt == a
+        results = [a, rebuilt, a + b, a - b, a * b, a * c, c * a, a.substitute(k),
+                   a.truncate(a.trunc - a.step)]
+        if not a.is_zero:
+            results += [a.invert(), a ** n]
+        elif n >= 0:
+            results.append(a ** n)
+        for s in results:
+            assert all(stored_exactly(v) for v in s.coeffs), s.coeffs
+            hi = math.ceil(s.trunc) - 1
+            assert all(type(v) is Fraction for v in s.integer_coeffs(hi - 4, hi))
 
 
 class TestAgree:
@@ -215,7 +242,7 @@ class TestArithmetic:
     def test_add_is_coefficientwise(self, a, b):
         total = a + b
         assert total.trunc == min(a.trunc, b.trunc)
-        assert all(type(c) is Fraction for c in total.coeffs)
+        assert all(stored_exactly(c) for c in total.coeffs)
         lo = min(a.lead_exp, b.lead_exp)
         for k in range(int((total.trunc - lo) * 24)):
             e = lo + Fraction(k, 24)
