@@ -53,10 +53,16 @@ CoeffSource = Union[Sequence, Callable[[int], Fraction]]
 def _coeff_accessor(a: CoeffSource) -> Callable[[int], Union[int, Fraction]]:
     """a_k for k >= 1: an int when a_k is integral, a Fraction otherwise, so
     the recursions over it run in ints on integral input and stay exact
-    through int-Fraction promotion on any other."""
+    through int-Fraction promotion on any other.  A list raises
+    TruncationError for an a_k past its end."""
     if callable(a):
         return lambda k: _exact(a(k))
-    return lambda k: _exact(a[k - 1])
+
+    def ak(k: int):
+        if k > len(a):
+            raise TruncationError(f"needs a_{k}, the list ends at a_{len(a)}")
+        return _exact(a[k - 1])
+    return ak
 
 
 class _FaberRows:
@@ -194,98 +200,33 @@ def faber_by_elimination(f: QSeries, n: int) -> FaberPolynomial:
 def faber_by_determinant(a: Sequence, n: int) -> FaberPolynomial:
     """det(z I - A_n) for the shifted Hessenberg matrix with b_1 = 0, b_k = a_{k-1}.
 
-    Evaluated by fraction-free Bareiss elimination over polynomial entries, so
-    this path shares no code with the recursion.  The entries are int
-    polynomials when a_1..a_{n-1} are integral, where every Bareiss division
-    is exact in Z[z].
+    Evaluated by Berkowitz's division-free algorithm on the scalar matrix, so
+    this path shares no code with the recursion.  With no division, integral
+    input stays in ints and any other input stays exact by promotion.
     """
-    if n == 0:
-        return FaberPolynomial(0, (Fraction(1),))
     ak = _coeff_accessor(a)
-    bs = [ak(k - 1) for k in range(2, n + 1)]  # b_2..b_n
-    # all ints or all Fractions: _pdiv_exact divides in the type of its divisor
-    if all(isinstance(v, int) for v in bs):
-        one = 1
-    else:
-        bs, one = [Fraction(v) for v in bs], Fraction(1)
-    zero = one - one
-
-    def b(k):
-        return zero if k == 1 else bs[k - 2]
-
-    # M[i][j] as ascending polynomials in z (0-based indices)
-    M = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            if i == j:
-                row.append([-b(1), one])
-            elif j == i + 1:
-                row.append([-one])
-            elif j == 1:
-                row.append([-i * b(i)])
-            elif j < i:
-                row.append([-b(i - j + 1)])
-            else:
-                row.append([zero])
-        M.append(row)
-    det = _bareiss_poly_det(M, one)
-    return _to_poly(det)
+    b = [0, 0] + [ak(k - 1) for k in range(2, n + 1)]  # b[k] = b_k
+    # 1-based: A[i][1] = i b_i, A[i][j] = b_{i-j+1} for 1 < j <= i, A[i][i+1] = 1
+    A = [[(i * b[i] if j == 1 else b[i - j + 1]) if j <= i else int(j == i + 1)
+          for j in range(1, n + 1)] for i in range(1, n + 1)]
+    return _to_poly(reversed(_charpoly(A)))
 
 
-def _pdiv_exact(p, d):
-    """Exact polynomial division; remainder must vanish.  Int polynomials
-    divide in Z[z], with each quotient coefficient checked by divmod."""
-    p = list(p)
-    while len(p) > 1 and p[-1] == 0:
-        p.pop()
-    d = list(d)
-    while len(d) > 1 and d[-1] == 0:
-        d.pop()
-    if d == [0] or not d:
-        raise ZeroDivisionError
-    integral = isinstance(d[-1], int)
-    out = [0 if integral else Fraction(0)] * max(1, len(p) - len(d) + 1)
-    while len(p) >= len(d) and any(p):
-        k = len(p) - len(d)
-        if integral:
-            c, rem = divmod(p[-1], d[-1])
-            if rem:
-                raise ArithmeticError("Bareiss division must be exact in Z[z]")
-        else:
-            c = p[-1] / d[-1]
-        out[k] = c
-        for i, dv in enumerate(d):
-            p[k + i] -= c * dv
-        while len(p) > 1 and p[-1] == 0:
-            p.pop()
-    if any(p):
-        raise ArithmeticError("Bareiss division must be exact")
-    return out
-
-
-def _bareiss_poly_det(M, one):
-    def pmul(p, q):
-        return _int_conv(p, q, len(p) + len(q) - 1)
-
-    n = len(M)
-    M = [row[:] for row in M]
-    prev = [one]
-    zero = one - one
-    sign = 1
-    for k in range(n - 1):
-        if not any(M[k][k]):
-            swap = next((r for r in range(k + 1, n) if any(M[r][k])), None)
-            if swap is None:
-                return [zero]
-            M[k], M[swap] = M[swap], M[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = _padd(pmul(M[i][j], M[k][k]), _pscale(pmul(M[i][k], M[k][j]), -1))
-                M[i][j] = _pdiv_exact(num, prev)
-            M[i][k] = [zero]
-        prev = M[k][k]
-    det = M[n - 1][n - 1]
-    return _pscale(det, sign)
-
+def _charpoly(A) -> list:
+    """det(z I - A), descending, by Berkowitz's algorithm (Inf. Process. Lett.
+    18, 1984).  With A_k the trailing principal submatrix from row k, split as
+    [[a_kk, R], [C, M]] with M = A_{k+1}, the coefficients of det(z I - A_k)
+    are the lower-triangular Toeplitz matrix with first column
+    [1, -a_kk, -R C, -R M C, -R M^2 C, ...] times those of det(z I - M): a
+    truncated Cauchy product.  The empty matrix gives [1]."""
+    n = len(A)
+    p = [1]
+    for k in range(n - 1, -1, -1):
+        R, C = A[k][k + 1:], [A[i][k] for i in range(k + 1, n)]
+        M = [row[k + 1:] for row in A[k + 1:]]
+        t = [1, -A[k][k]]
+        for _ in range(n - 1 - k):
+            t.append(-sum(map(mul, R, C)))
+            C = [sum(map(mul, row, C)) for row in M]
+        p = _int_conv(t, p, len(t))
+    return p

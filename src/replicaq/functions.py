@@ -94,7 +94,7 @@ def parse_function_spec(text: str) -> FunctionSpec:
                 body, shift_text = rest[:i], rest[i:]
                 try:
                     shift = Fraction(shift_text)
-                except ValueError:
+                except (ValueError, ZeroDivisionError):
                     raise SpecError(f"bad shift in {text!r}") from None
                 break
         try:
@@ -104,8 +104,8 @@ def parse_function_spec(text: str) -> FunctionSpec:
         return FunctionSpec("eta", shape=shape, shift=shift)
     if head == "explicit":
         try:
-            coeffs = tuple(Fraction(tok) for tok in rest.split(",") if tok)
-        except ValueError:
+            coeffs = tuple(Fraction(tok) for tok in rest.split(",")) if rest else ()
+        except (ValueError, ZeroDivisionError):
             raise SpecError(f"bad coefficient list in {text!r}") from None
         return FunctionSpec("explicit", coefficients=coeffs)
     raise SpecError(f"unrecognized function spec {text!r}")

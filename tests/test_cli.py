@@ -63,8 +63,14 @@ class TestCoeffs:
         assert payload["coefficients"] == ["276", "-2048", "11202"]
 
     def test_bad_spec_exits_2(self, capsys):
-        code, payload, _ = run(capsys, "coeffs", "nonsense")
-        assert code == 2 and payload["status"] == "error"
+        # a zero denominator and an empty list token are malformed, not falsified
+        for spec in ("nonsense", "explicit:1/0", "eta:1^8/4^8+1/0", "explicit:1,,2"):
+            code, payload, _ = run(capsys, "coeffs", spec)
+            assert code == 2 and payload["status"] == "error", spec
+
+    def test_explicit_spec_without_coefficients(self, capsys):
+        code, payload, _ = run(capsys, "coeffs", "explicit:", "--terms", "2")
+        assert code == 0 and payload["coefficients"] == ["0", "0"]
 
     def test_bad_terms_exits_2(self, capsys):
         code, payload, _ = run(capsys, "coeffs", "j", "--terms", "0")

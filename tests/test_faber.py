@@ -6,10 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from replicaq.qseries import QSeries, j_oracle
+from replicaq import faber
+from replicaq.qseries import QSeries, TruncationError, j_oracle
 from replicaq.faber import (FaberPolynomial, faber_by_recursion,
-                            faber_by_elimination, faber_by_determinant, _pdiv_exact,
-                            _FaberRows)
+                            faber_by_elimination, faber_by_determinant, _FaberRows)
+from replicaq.grunsky import grunsky_by_recursion
 from replicaq.checks import symmetric_function_comparisons
 
 
@@ -58,16 +59,46 @@ class TestThreeWayAgreement:
                 assert faber_by_determinant(a, n) == rec
                 assert faber_by_elimination(f, n) == rec
 
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_on_integral_rational_and_mixed_input(self, data):
+        integral = st.integers(-9, 9)
+        rational = st.fractions(-9, 9, max_denominator=6)
+        a = data.draw(st.one_of(*(st.lists(entry, min_size=1, max_size=12) for entry in
+                                  (integral, rational, st.one_of(integral, rational)))))
+        n = data.draw(st.integers(0, len(a)))
+        f = QSeries(-1, 1, [1, 0] + a, len(a) + 1)
+        rec = faber_by_recursion(a, n)
+        assert faber_by_determinant(a, n) == rec
+        if n >= 1:
+            assert faber_by_elimination(f, n) == rec
 
-class TestExactDivision:
-    def test_inexact_quotient_coefficient_raises(self):
-        with pytest.raises(ArithmeticError):
-            _pdiv_exact([1, 1], [2])
 
-    def test_nonzero_remainder_raises(self):
-        # z^2 + 1 = (z - 1)(z + 1) + 2
-        with pytest.raises(ArithmeticError):
-            _pdiv_exact([1, 0, 1], [1, 1])
+class TestRouteIndependence:
+    @staticmethod
+    def refuse(*args, **kwargs):
+        raise AssertionError("the determinant reached the recursion's code")
+
+    def test_determinant_runs_without_the_recursion(self, monkeypatch):
+        J = j_oracle(12)
+        a = [J.coeff(k) for k in range(1, 12)]
+        for name in ("faber_by_recursion", "_FaberRows", "_padd", "_pscale", "_pmulz"):
+            monkeypatch.setattr(faber, name, self.refuse)
+        dets = [faber_by_determinant(a, n) for n in range(13)]
+        monkeypatch.undo()
+        assert dets == [faber_by_recursion(a, n) for n in range(13)]
+
+
+class TestShortCoefficientList:
+    @pytest.mark.parametrize("engine, a, need", [
+        (lambda a: faber_by_recursion(a, 6), [1, 2], 3),
+        (lambda a: faber_by_determinant(a, 6), [1, 2], 3),
+        (lambda a: grunsky_by_recursion(a, 10), [1, 2, 3], 4),
+        (lambda a: _FaberRows.from_coeffs(a).h(2, 3), [1, 2, 3], 4),
+    ], ids=["faber_recursion", "faber_determinant", "grunsky_recursion", "faber_rows"])
+    def test_raises_truncation_error_naming_the_coefficient(self, engine, a, need):
+        with pytest.raises(TruncationError, match=f"a_{need}"):
+            engine(a)
 
 
 class TestPoleKilling:
