@@ -21,8 +21,7 @@ from .replicable import (NORTON_BASIS, IRREDUCIBLE_GRADES, ReplicationFamily,
                          exhaustive_reducing_pair, reconstruct_from_basis,
                          reconstruct_by_grunsky)
 from .hecke import (up, vp, hecke_Tn, hecke_Tn_via_uv, twisted_Tn,
-                    hecke_faber_verify, p2_identities, first_p2_rule_failure,
-                    mahler_compute)
+                    hecke_faber_verify, p2_identities, mahler_compute)
 from .functions import (FunctionSpec, SpecError, parse_function_spec, realize,
                         fiction_series, j_family, fiction_family, tb2_family,
                         replication_family, TB2_SPEC)

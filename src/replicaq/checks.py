@@ -29,8 +29,8 @@ from .replicable import (NORTON_BASIS, IRREDUCIBLE_GRADES, ReplicationFamily,
                          inverse_identity_sum, mod_p_residues, find_reducing_pair,
                          exhaustive_reducing_pair, reconstruct_from_basis,
                          reconstruct_by_grunsky)
-from .hecke import (hecke_Tn, hecke_Tn_via_uv, up, vp, hecke_faber_verify,
-                    p2_identities, first_p2_rule_failure, mahler_compute)
+from .hecke import (hecke_Tn, hecke_Tn_via_uv, hecke_faber_verify, p2_identities,
+                    mahler_compute)
 from .functions import replication_family, tb2_family
 
 
@@ -84,8 +84,11 @@ def mahler(trunc: int, terms: int, top: int) -> dict:
     for name in ("j", "2b"):
         fam = replication_family(name, trunc)
         f = fam.base
-        fail = first_p2_rule_failure(fam, rules_to)
-        g = mahler_compute([f.coeff(i) for i in range(1, 6)], fam.power(2).coeff, top)
+        g = mahler_compute([f.coeff(i) for i in range(1, 6)], fam.power(2).coeff,
+                           max(top, rules_to + 1))
+        # the rule for a_n reads a_j for j < n only, so g equals f below the first miss
+        fail = next(((n, g.coeff(n), f.coeff(n)) for n in range(6, rules_to + 1)
+                     if g.coeff(n) != f.coeff(n)), None)
         out[name] = {
             "identities_ok": _series("mahler_identities", p2_identities(fam)),
             "rules_ok": CheckReport("mahler_rules", (fail[0] if fail else rules_to) - 5, fail),
@@ -187,14 +190,14 @@ def replicable(grade: int, perturbations: int, trunc: int, ks: tuple,
     inverse identity h_{m,n} = sum_{d | gcd(m,n)} (1/d) h^(d)_{mn/d^2} holds
     on J's table to grade 9 for gcd(m, n) <= 4, J being its own replicate."""
     # replicate(J, k, trunc) reads J below q^(k^2 trunc); the grade-9 sums to q^20
-    J = j_oracle(max(max(ks + route_ks) ** 2 * trunc, grade, 20) + 1)
+    fam = replication_family("j", max(max(ks + route_ks) ** 2 * trunc, grade, 20) + 1)
+    J = fam.base
     a = [J.coeff(k) for k in range(1, grade + 1)]
     rep = is_replicable(grunsky_by_recursion(a, grade))
     bumped = (a[:i] + [a[i] + 1] + a[i + 1:] for i in range(perturbations))
     controls = _scan("replicability", (
         (f"a_{i + 1} + 1", is_replicable(grunsky_by_recursion(b, grade)).ok, False)
         for i, b in enumerate(bumped)))
-    fam = ReplicationFamily(J, {d: J for d in (2, 3, 4)})
     t = grunsky_by_recursion(J.coeff, 9)
     return {
         "replicability_ok": CheckReport("replicability", rep.checked_pairs + controls.compared,
@@ -264,7 +267,7 @@ def hecke(trunc: int, randoms: int, families: Sequence[str], faber_trunc: int) -
     wrong = hecke_faber_verify(ReplicationFamily(f2b, {a: f2b for a in range(2, 8)}), 2, 20)
     return {
         "tp_decomposition_ok": _series("tp_decomposition", (
-            ((label, p), hecke_Tn(f, p), vp(f, p) * Fraction(1, p) + up(f, p), f.trunc / p)
+            ((label, p), hecke_Tn(f, p), hecke_Tn_via_uv(f, p), f.trunc / p)
             for label, f in inputs for p in (2, 3, 5, 7))),
         "uv_route_ok": _series("tn_routes", (
             ((label, n), hecke_Tn(f, n), hecke_Tn_via_uv(f, n), f.trunc / n)

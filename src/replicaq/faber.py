@@ -65,6 +65,13 @@ def _coeff_accessor(a: CoeffSource) -> Callable[[int], Union[int, Fraction]]:
     return ak
 
 
+def _ordered(r: int, s: int) -> tuple:
+    """(min, max) of a Grunsky index pair; raises ValueError below index 1."""
+    if min(r, s) < 1:
+        raise ValueError(f"Grunsky indices start at 1, got h_{{{r},{s}}}")
+    return (r, s) if r <= s else (s, r)
+
+
 class _FaberRows:
     """Rows b_{n,m} = [q^m] F_n(f) = n h_{m,n} of the Faber series of f.
 
@@ -118,8 +125,7 @@ class _FaberRows:
 
     def h(self, r: int, s: int) -> Fraction:
         """h_{r,s} = b_{r,s} / r for r <= s, in either argument order."""
-        if r > s:
-            r, s = s, r
+        r, s = _ordered(r, s)
         return Fraction(self.extend(r, s)[s], r)
 
     def correction(self, r: int, s: int) -> Fraction:
@@ -129,8 +135,7 @@ class _FaberRows:
         telescoping the row recurrence down to b_{1,g-1} = a_{g-1} leaves
         b_{r,s} - r a_{g-1} = sum_{j=2}^{r} S_j(g-j).
         """
-        if r > s:
-            r, s = s, r
+        r, s = _ordered(r, s)
         if r > 1:
             self.extend(r - 1, s - 1)
         g = r + s
@@ -155,8 +160,6 @@ def _pmulz(p):
 
 def _to_poly(ascending) -> FaberPolynomial:
     asc = list(ascending)
-    while len(asc) > 1 and asc[-1] == 0:
-        asc.pop()
     n = len(asc) - 1
     return FaberPolynomial(n, tuple(_as_fraction(c) for c in reversed(asc)))
 
@@ -180,6 +183,8 @@ def faber_by_recursion(a: Sequence, n: int) -> FaberPolynomial:
 
 def faber_by_elimination(f: QSeries, n: int) -> FaberPolynomial:
     """Kill every pole of f^n below order n with lower powers of f."""
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
     if not f.is_normalized():
         raise ValueError("elimination needs a normalized series q^-1 + O(q)")
     if f.trunc < n + 1:
@@ -204,6 +209,8 @@ def faber_by_determinant(a: Sequence, n: int) -> FaberPolynomial:
     this path shares no code with the recursion.  With no division, integral
     input stays in ints and any other input stays exact by promotion.
     """
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
     ak = _coeff_accessor(a)
     b = [0, 0] + [ak(k - 1) for k in range(2, n + 1)]  # b[k] = b_k
     # 1-based: A[i][1] = i b_i, A[i][j] = b_{i-j+1} for 1 < j <= i, A[i][i+1] = 1

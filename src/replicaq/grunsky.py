@@ -15,7 +15,7 @@ from math import lcm
 from typing import Dict, Tuple, Union
 
 from .qseries import QSeries, TruncationError, _as_fraction
-from .faber import CoeffSource, _FaberRows, _coeff_accessor
+from .faber import CoeffSource, _FaberRows, _coeff_accessor, _ordered
 
 
 @dataclass
@@ -71,15 +71,13 @@ class GrunskyCalculator:
         self._D = 1
 
     def h(self, r: int, s: int) -> Fraction:
-        if r > s:
-            r, s = s, r
+        r, s = _ordered(r, s)
         return Fraction(self._scaled(r, s), self._D)
 
     def correction(self, r: int, s: int) -> Fraction:
         """h_{r,s} - a_{r+s-1}, the double sum of the recursion: it reads only
         a_k with k <= r + s - 2, so it is known before a_{r+s-1} is."""
-        if r > s:
-            r, s = s, r
+        r, s = _ordered(r, s)
         return Fraction(self._scaled_sum(r, s), self._D)
 
     def table(self, grade: int) -> GrunskyTable:

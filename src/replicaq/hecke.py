@@ -222,17 +222,6 @@ def _int_valued(c: CoeffFn) -> CoeffFn:
     return get
 
 
-def first_p2_rule_failure(fam: ReplicationFamily, top: int) -> Optional[tuple]:
-    """First (n, predicted, actual) with 6 <= n <= top where a rule misses a_n."""
-    a, h2 = _int_valued(fam.base.coeff), _int_valued(fam.power(2).coeff)
-    for n in range(6, top + 1):
-        rule, m = _rule_for(n)
-        predicted = rule(a, h2, m)
-        if predicted != a(n):
-            return (n, predicted, a(n))
-    return None
-
-
 def mahler_compute(seeds: Sequence[Num], h2: CoeffFn, trunc: int) -> QSeries:
     """Expand a replicable function from a_1..a_5 and its duplicate's
     coefficients, by the two p = 2 rules.  Integral seeds and values of h2,

@@ -207,8 +207,6 @@ class QSeries:
     __radd__ = __add__
 
     def __sub__(self, other) -> "QSeries":
-        if isinstance(other, (int, Fraction)):
-            other = QSeries(0, 1, [other], self.trunc)
         return self + (-other)
 
     def __rsub__(self, other) -> "QSeries":
@@ -244,17 +242,13 @@ class QSeries:
         if n == 0:
             t = self.trunc if self.is_zero else self.trunc - self.lead_exp
             return QSeries(0, 1, [1], t)
-        # repeated squaring keeps the truncation propagation of mul
-        result = None
-        base = self
-        m = n
-        while m:
-            if m & 1:
-                result = base if result is None else result * base
-            m >>= 1
-            if m:
-                base = base * base
-        return result
+        # the truncation a chain of n - 1 products would propagate
+        if self.is_zero:
+            return QSeries(0, 1, [], n * self.trunc)
+        lead, step, trunc = self.lead_exp, self.step, self.trunc
+        size = _grid_points(lead, step, trunc)
+        coeffs = self.coeffs + [0] * (size - len(self.coeffs))
+        return QSeries(n * lead, step, _int_power(coeffs, n, size), trunc + (n - 1) * lead)
 
     def invert(self) -> "QSeries":
         """Multiplicative inverse up to the propagated truncation order."""

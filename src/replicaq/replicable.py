@@ -203,16 +203,15 @@ def _case_reducing_pair(N: int) -> Optional[ReducingPair]:
 
 
 def find_reducing_pair(N: int) -> Optional[ReducingPair]:
-    """Case-analysis reducer with exhaustive fallback; returns None only for
-    the irreducible grades."""
+    """The reducing pair the case analysis gives at grade N; None only for
+    the irreducible grades.  ``exhaustive_reducing_pair`` is the oracle that
+    ``checks.basis`` compares it with."""
     if N < 2:
         raise ValueError("grade must be at least 2")
     pair = _case_reducing_pair(N)
-    if pair is not None:
-        if not pair.valid:
-            raise DescentError(f"case analysis gave an invalid pair {pair}")
-        return pair
-    return exhaustive_reducing_pair(N)
+    if pair is not None and not pair.valid:
+        raise DescentError(f"case analysis gave an invalid pair {pair}")
+    return pair
 
 
 # -- reconstruction from the basis ---------------------------------------

@@ -162,7 +162,9 @@ class TestVerify:
         assert code == 2 and payload["status"] == "error"
 
     def test_injected_bug_falsifies(self, capsys, monkeypatch):
-        # mutation control: corrupt the oracle seen by one suite
+        # mutation control: corrupt the oracle seen by one suite, which takes
+        # J from the function-to-family map
+        import replicaq.functions as functions
         import replicaq.qseries as qs
         real = qs.j_int_coeffs
 
@@ -172,7 +174,7 @@ class TestVerify:
                 c[3] += 1  # perturbs a_2
             return c
 
-        monkeypatch.setattr(checks, "j_oracle",
+        monkeypatch.setattr(functions, "j_oracle",
                             lambda t: qs.QSeries(-1, 1, corrupted(int(t) + 2), t))
         code, payload, _ = run(capsys, "verify", "replicable")
         assert code == 1 and payload["status"] == "falsified"

@@ -101,6 +101,16 @@ class TestShortCoefficientList:
             engine(a)
 
 
+class TestNegativeDegree:
+    def test_every_route_rejects_it(self):
+        J = j_oracle(12)
+        a = [J.coeff(k) for k in range(1, 12)]
+        for route in (lambda n: faber_by_recursion(a, n), lambda n: faber_by_determinant(a, n),
+                      lambda n: faber_by_elimination(J, n)):
+            with pytest.raises(ValueError, match="degree must be nonnegative"):
+                route(-1)
+
+
 class TestPoleKilling:
     def test_fn_of_j(self):
         J = j_oracle(12)

@@ -6,12 +6,13 @@ from fractions import Fraction
 import pytest
 
 import replicaq.hecke as hecke
+from replicaq import checks
 from replicaq.faber import faber_by_recursion
 from replicaq.qseries import QSeries, TruncationError, agree, j_oracle
 from replicaq.replicable import ReplicationFamily
 from replicaq.hecke import (up, vp, hecke_Tn, hecke_Tn_via_uv, twisted_Tn,
-                            hecke_faber_verify, p2_identities,
-                            first_p2_rule_failure, mahler_compute, _half_twist, _rule_for)
+                            hecke_faber_verify, p2_identities, mahler_compute,
+                            _half_twist, _rule_for)
 from replicaq.functions import j_family, fiction_family, tb2_family
 
 
@@ -169,10 +170,22 @@ class TestHeckeFaber:
         assert reports[1].first_mismatch is not None
 
 
+def rule_expansion(fam, trunc):
+    """The p = 2 rules' expansion from fam's a_1..a_5 and f^(2), to q^trunc."""
+    f = fam.base
+    return mahler_compute([f.coeff(i) for i in range(1, 6)], fam.power(2).coeff, trunc)
+
+
+def bent_j_family():
+    """J with a_7 raised by 1, over J's true duplicate."""
+    fam = j_family(60)
+    return ReplicationFamily(fam.base + QSeries(7, 1, [1], 60), {2: fam.power(2)})
+
+
 def assert_identities_and_rules(fam, top):
     for name, lhs, rhs, order in p2_identities(fam):
         assert agree(lhs, rhs, order) is None, name
-    assert first_p2_rule_failure(fam, top) is None
+    assert agree(rule_expansion(fam, top + 1), fam.base, top + 1) is None
 
 
 class TestMahler:
@@ -190,10 +203,21 @@ class TestMahler:
         assert_identities_and_rules(tb2_family(60), 50)
 
     def test_rule_failure_reported(self):
-        fam = j_family(60)
-        bent = ReplicationFamily(fam.base + QSeries(7, 1, [1], 60), {2: fam.power(2)})
-        n, predicted, actual = first_p2_rule_failure(bent, 50)
+        bent = bent_j_family()
+        n, predicted, actual = agree(rule_expansion(bent, 51), bent.base, 51)
         assert (n, actual) == (7, predicted + 1)
+
+    def test_check_reports_the_first_rule_failure(self, monkeypatch):
+        bent = bent_j_family()
+        real = checks.replication_family
+        monkeypatch.setattr(checks, "replication_family",
+                            lambda name, trunc: bent if name == "j" else real(name, trunc))
+        # a_7 by its rule, from a_j with j < 7 and f^(2): J's own a_7
+        rule, m = _rule_for(7)
+        predicted = rule(bent.base.coeff, bent.power(2).coeff, m)
+        assert predicted == j_oracle(8).coeff(7)
+        report = checks.mahler(60, 50, 30)["j"]["rules_ok"]
+        assert (report.compared, report.first_mismatch) == (2, (7, predicted, predicted + 1))
 
     def test_compute_j_200_terms(self):
         J = j_oracle(205)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import replicaq.faber as faber
+from replicaq import checks
 import replicaq.replicable as replicable
 from replicaq.qseries import (QSeries, TruncationError, coefficients, j_oracle,
                               j_int_coeffs)
@@ -202,6 +203,22 @@ class TestReducingPairs:
             if pair is not None:
                 assert pair.valid and pair.grade == sum(pair.from_pair) == N, pair
 
+    def test_case_analysis_alone_covers_every_reducible_grade_to_3000(self):
+        for N in range(2, 3001):
+            if N not in IRREDUCIBLE_GRADES:
+                pair = replicable._case_reducing_pair(N)
+                assert pair is not None and pair.valid and pair.grade == N, N
+
+    def test_gap_in_case_analysis_is_reported_not_filled(self, monkeypatch):
+        real = replicable._case_reducing_pair
+        monkeypatch.setattr(replicable, "_case_reducing_pair",
+                            lambda N: None if N == 26 else real(N))
+        report = checks.basis(30, 20)["reducing_pairs_ok"]
+        assert report.first_mismatch == ((26, "reducible"), False, True)
+        J = j_to(30)
+        with pytest.raises(DescentError, match="grade 26"):
+            reconstruct_from_basis({k: J.coeff(k) for k in NORTON_BASIS}, 30)
+
     def test_invalid_case_pair_is_descent_error(self, monkeypatch):
         monkeypatch.setattr(replicable, "_case_reducing_pair",
                             lambda N: ReducingPair(N, (1, N - 1), (1, 1)))
@@ -241,6 +258,14 @@ class TestEngineContract:
             h = full.h(r, N - r)
             assert type(h) is Fraction and h == full.h(N - r, r)
             assert short.correction(r, N - r) == short.correction(N - r, r) == h - a[-1], r
+
+    @pytest.mark.parametrize("engine", ENGINES.values(), ids=ENGINES.keys())
+    def test_index_below_one_rejected(self, engine):
+        e = engine([j_to(12).coeff(k) for k in range(1, 12)])
+        for r, s in ((0, 3), (3, 0), (-1, 4)):
+            for method in (e.h, e.correction):
+                with pytest.raises(ValueError, match="indices start at 1"):
+                    method(r, s)
 
 
 class TestRouteIndependence:
