@@ -24,6 +24,6 @@ from .hecke import (up, vp, hecke_Tn, hecke_Tn_via_uv, twisted_Tn,
                     hecke_faber_verify, p2_identities, mahler_compute)
 from .functions import (FunctionSpec, SpecError, parse_function_spec, realize,
                         fiction_series, j_family, fiction_family, tb2_family,
-                        replication_family, TB2_SPEC)
+                        replication_family, HAUPTMODULN)
 
 __version__ = "0.1.0"

@@ -31,7 +31,7 @@ from .replicable import (NORTON_BASIS, IRREDUCIBLE_GRADES, ReplicationFamily,
                          reconstruct_by_grunsky)
 from .hecke import (hecke_Tn, hecke_Tn_via_uv, hecke_faber_verify, p2_identities,
                     mahler_compute)
-from .functions import replication_family, tb2_family
+from .functions import HAUPTMODULN, replication_family
 
 
 @dataclass(frozen=True)
@@ -75,13 +75,13 @@ def _series(name: str, items: Iterable[tuple], exact: bool = False) -> CheckRepo
 
 
 def mahler(trunc: int, terms: int, top: int) -> dict:
-    """For J and 2B known to q^trunc: the identities E1 and E2 behind the
-    p = 2 rules, the rules against a_6 .. a_terms, and ``mahler_compute`` from
-    a_1 .. a_5 and f^(2) against f below q^top.  Also J's first four
-    coefficients against their published values."""
+    """For each function of ``HAUPTMODULN`` known to q^trunc: the identities
+    E1 and E2 behind the p = 2 rules, the rules against a_6 .. a_terms, and
+    ``mahler_compute`` from a_1 .. a_5 and f^(2) against f below q^top.  Also
+    J's first four coefficients against their published values."""
     out = {}
     rules_to = min(terms, trunc - 1)
-    for name in ("j", "2b"):
+    for name in HAUPTMODULN:
         fam = replication_family(name, trunc)
         f = fam.base
         g = mahler_compute([f.coeff(i) for i in range(1, 6)], fam.power(2).coeff,
@@ -186,9 +186,11 @@ def replicable(grade: int, perturbations: int, trunc: int, ks: tuple,
                route_ks: tuple) -> dict:
     """J's Grunsky table to ``grade`` is replicable, and adding 1 to any one
     of a_1 .. a_perturbations makes it not; replicate(J, k) = J below q^trunc
-    for k in ks, and equals replicate_by_grunsky for k in route_ks; and the
-    inverse identity h_{m,n} = sum_{d | gcd(m,n)} (1/d) h^(d)_{mn/d^2} holds
-    on J's table to grade 9 for gcd(m, n) <= 4, J being its own replicate."""
+    for k in ks, and equals replicate_by_grunsky for k in route_ks; both
+    routes give, for each function of ``HAUPTMODULN`` and k in route_ks, the
+    table's f^(k) below q^trunc; and the inverse identity h_{m,n} =
+    sum_{d | gcd(m,n)} (1/d) h^(d)_{mn/d^2} holds on J's table to grade 9 for
+    gcd(m, n) <= 4, J being its own replicate."""
     # replicate(J, k, trunc) reads J below q^(k^2 trunc); the grade-9 sums to q^20
     fam = replication_family("j", max(max(ks + route_ks) ** 2 * trunc, grade, 20) + 1)
     J = fam.base
@@ -199,6 +201,8 @@ def replicable(grade: int, perturbations: int, trunc: int, ks: tuple,
         (f"a_{i + 1} + 1", is_replicable(grunsky_by_recursion(b, grade)).ok, False)
         for i, b in enumerate(bumped)))
     t = grunsky_by_recursion(J.coeff, 9)
+    rows = ((name, replication_family(name, max(route_ks) ** 2 * trunc + 1))
+            for name in HAUPTMODULN)
     return {
         "replicability_ok": CheckReport("replicability", rep.checked_pairs + controls.compared,
                                         rep.counterexample or controls.first_mismatch),
@@ -208,6 +212,11 @@ def replicable(grade: int, perturbations: int, trunc: int, ks: tuple,
         "replicate_routes_agree": _series("replicate_routes", (
             (f"k={k}", replicate(J, k, trunc), replicate_by_grunsky(J, k, trunc), trunc)
             for k in route_ks), exact=True),
+        "replicates_are_power_map_classes": _series("power_map_classes", (
+            ((name, f"k={k}", label), route(g.base, k, trunc), g.power(k).truncate(trunc), trunc)
+            for name, g in rows for k in route_ks
+            for label, route in (("replicate", replicate),
+                                 ("replicate_by_grunsky", replicate_by_grunsky))), exact=True),
         "inverse_identity_ok": _scan("inverse_identity", (
             ((m, n), t.get(m, n), inverse_identity_sum(fam, m, n))
             for m, n in t.pairs() if gcd(m, n) <= 4)),
@@ -216,7 +225,7 @@ def replicable(grade: int, perturbations: int, trunc: int, ks: tuple,
 
 def mod2_congruence(trunc: int, bound: int) -> CheckReport:
     """a_i(2B) = a_i(J) mod 2 for 1 <= i <= bound, J being 2B's duplicate."""
-    fam = tb2_family(trunc)
+    fam = replication_family("2b", trunc)
     return _scan("mod2_congruence", ((i, r, 0) for i, r in
                                      mod_p_residues(fam.base, fam.power(2), 2, bound)))
 
@@ -255,7 +264,7 @@ def hecke(trunc: int, randoms: int, families: Sequence[str], faber_trunc: int) -
     """On J and ``randoms`` seeded random normalized series known to q^trunc:
     T_p f = V_p f / p + U_p f for p in 2, 3, 5, 7, and the closed formula for
     T_n against the U/V composition for n in 2, 4, 6.  For each family named
-    in ``families`` ("j", "2b", "c=-1", "c=0", "c=1"), n T_n f = F_n(f)
+    in ``families`` (keys of ``HAUPTMODULN`` or "c=C"), n T_n f = F_n(f)
     (twisted T_n) for n <= 6 below q^faber_trunc; and 2B posing as its own
     duplicate (which is J) must break it at n = 2."""
     inputs = [("J", j_oracle(trunc))]
@@ -263,7 +272,7 @@ def hecke(trunc: int, randoms: int, families: Sequence[str], faber_trunc: int) -
     for i in range(randoms):
         coeffs = [1, 0] + [rng.randint(-9, 9) for _ in range(trunc + 1)]
         inputs.append((f"random {i}", QSeries(-1, 1, coeffs, trunc)))
-    f2b = tb2_family(62).base
+    f2b = replication_family("2b", 62).base
     wrong = hecke_faber_verify(ReplicationFamily(f2b, {a: f2b for a in range(2, 8)}), 2, 20)
     return {
         "tp_decomposition_ok": _series("tp_decomposition", (
@@ -299,19 +308,20 @@ def degree24(bound: int) -> dict:
     at 14; and the Euler factors of Delta = eta(q)^24 at p = 2, 3, 5, 7."""
     shapes = classify_degree24(bound)  # its recheck runs on the factor route
     oracles = [_log_derivative_coeffs(s.exponents(), bound) for s in shapes]
+    labels = [str(s) for s in shapes]
     tau = eta_product(parse_frame_shape("1^24"), 60)
     return {
         "count_ok": _scan("degree24_count", [
             ("partitions of 24", sum(1 for _ in partitions_of(24)), 1575),
             ("multiplicative", len(shapes), 30)]),
         "routes_agree": _scan("degree24_routes", (
-            ((str(s), k), got, want) for s, oracle in zip(shapes, oracles)
+            ((label, k), got, want) for label, s, oracle in zip(labels, shapes, oracles)
             for k, (got, want) in enumerate(zip_longest(
                 _product_int_coeffs(s.exponents(), bound), oracle)))),
         "multiplicativity_ok": _scan("degree24_multiplicativity", (
-            (str(s), weak_multiplicativity(
+            (label, weak_multiplicativity(
                 QSeries(s.lead_exponent(), 1, oracle, bound + 2), bound).first_failure, None)
-            for s, oracle in zip(shapes, oracles))),
+            for label, s, oracle in zip(labels, shapes, oracles))),
         "balance_ok": _scan("degree24_balance", [
             ("1 2 7 14", is_balanced(Partition([1, 2, 7, 14])), 14)]),
         "euler_factors_ok": _scan("delta_euler_factors", (

@@ -16,8 +16,8 @@ from . import checks
 from .frames import classify_degree24
 from .replicable import NORTON_BASIS, reconstruct_from_basis
 from .hecke import mahler_compute
-from .functions import (FunctionSpec, SpecError, parse_function_spec, realize,
-                        replication_family)
+from .functions import (HAUPTMODULN, FunctionSpec, SpecError, parse_function_spec,
+                        realize, replication_family)
 
 SCHEMA = 1
 
@@ -149,7 +149,7 @@ SUITES = {
         **checks.replicable(max(7, min(g, 16)), 0, 9, (2, 3), (2, 3)),
         "mod_2_congruence_ok": checks.mod2_congruence(t, min(t - 1, 20))},
     "basis": lambda t, g: {**checks.basis(g, 30), "grade_bound": g},
-    "hecke": lambda t, g: checks.hecke(max(t, 31), 10, ("j", "2b"), t),
+    "hecke": lambda t, g: checks.hecke(max(t, 31), 10, tuple(HAUPTMODULN), t),
     "mahler": lambda t, g: checks.mahler(max(t, 31), max(t - 2, 10), max(t, 31) // 2),
     "degree24": lambda t, g: checks.degree24(max(100, g)),
 }

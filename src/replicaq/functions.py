@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Union
 
 from .qseries import QSeries, Rat, _as_fraction, j_oracle
@@ -113,10 +114,38 @@ def parse_function_spec(text: str) -> FunctionSpec:
 
 # -- families ------------------------------------------------------------
 
+# The hauptmoduln of seven Monster classes, by payload short name: (class
+# order N, spec).  Norton's replication is the power map, T_g^(a) = T_(g^a),
+# and g^a has order N / gcd(a, N): that rule, in ``_power_map_family``, is
+# all this table knows of which replicate is which.
+HAUPTMODULN = {
+    "j": (1, FunctionSpec("j")),
+    "2b": (2, parse_function_spec("eta:1^24/2^24+24")),
+    "3b": (3, parse_function_spec("eta:1^12/3^12+12")),
+    "4c": (4, parse_function_spec("eta:1^8/4^8+8")),
+    "5b": (5, parse_function_spec("eta:1^6/5^6+6")),
+    "7b": (7, parse_function_spec("eta:1^4/7^4+4")),
+    "13b": (13, parse_function_spec("eta:1^2/13^2+2")),
+}
+
+
+def _power_map_family(order: int, trunc: Rat) -> ReplicationFamily:
+    """The family of the table's function of class order ``order``: f^(a) is
+    the function of order order / gcd(a, order), each realized once."""
+    specs = dict(HAUPTMODULN.values())
+    orders = {a: order // gcd(a, order) for a in range(1, 13)}
+    series = {n: realize(specs[n], trunc) for n in dict.fromkeys(orders.values())}
+    return ReplicationFamily(series[order], {a: series[orders[a]] for a in range(2, 13)})
+
+
 def j_family(trunc: Rat) -> ReplicationFamily:
     """J is its own replicate at every index."""
-    J = j_oracle(trunc)
-    return ReplicationFamily(J, {a: J for a in range(2, 13)})
+    return _power_map_family(1, trunc)
+
+
+def tb2_family(trunc: Rat) -> ReplicationFamily:
+    """The 2B hauptmodul: even-index replicates are J, odd-index are itself."""
+    return _power_map_family(2, trunc)
 
 
 def fiction_family(c: int, trunc: Rat) -> ReplicationFamily:
@@ -125,28 +154,18 @@ def fiction_family(c: int, trunc: Rat) -> ReplicationFamily:
                              {a: fiction_series(c ** a, trunc) for a in range(2, 13)})
 
 
-TB2_SPEC = FunctionSpec("eta", shape=parse_frame_shape("1^24/2^24"), shift=Fraction(24))
-
-
-def tb2_family(trunc: Rat) -> ReplicationFamily:
-    """The 2B hauptmodul: even-index replicates are J, odd-index are itself."""
-    f = realize(TB2_SPEC, trunc)
-    J = j_oracle(trunc)
-    return ReplicationFamily(f, {a: (J if a % 2 == 0 else f) for a in range(2, 13)})
-
-
 def replication_family(function: Union[FunctionSpec, str], trunc: Rat) -> ReplicationFamily:
-    """The replication family of J, the 2B hauptmodul or a fiction 1/q + c q,
-    known to q^trunc.  ``function`` is a FunctionSpec or a short name of the
-    check payloads: "j", "2b" or "c=C"; any other function raises SpecError."""
+    """The replication family of a function of ``HAUPTMODULN`` or a fiction
+    1/q + c q, known to q^trunc.  ``function`` is a FunctionSpec or a short
+    name of the check payloads: a key of ``HAUPTMODULN`` or "c=C"; any other
+    function raises SpecError."""
     if isinstance(function, str):
-        function = TB2_SPEC if function == "2b" else parse_function_spec(
-            function if function == "j" else "fiction:" + function)
-    if function.variant == "j":
-        return j_family(trunc)
+        function = (HAUPTMODULN[function][1] if function in HAUPTMODULN
+                    else parse_function_spec("fiction:" + function))
     if function.variant == "fiction":
         return fiction_family(function.c, trunc)
-    if function == TB2_SPEC:
-        return tb2_family(trunc)
+    for order, spec in HAUPTMODULN.values():
+        if function == spec:
+            return _power_map_family(order, trunc)
     raise SpecError(f"no replication family known for spec {function}; "
                     "methods beyond 'oracle' need one")

@@ -222,11 +222,13 @@ class QSeries:
             a_lead = self.lead_exp if not self.is_zero else self.trunc
             b_lead = other.lead_exp if not other.is_zero else other.trunc
             return QSeries(0, 1, [], min(self.trunc + b_lead, other.trunc + a_lead))
-        step = self._common_grid(other)
+        # the product's exponents are the sum of the leads plus multiples of
+        # the steps' gcd; unlike a sum, it needs no grid through both leads
+        step = _frgcd(self.step, other.step)
         trunc = min(self.trunc + other.lead_exp, other.trunc + self.lead_exp)
-        ia, ca = self._on_grid(step)
-        ib, cb = other._on_grid(step)
-        lead = (ia + ib) * step
+        ca = self._on_grid(step)[1]
+        cb = other._on_grid(step)[1]
+        lead = self.lead_exp + other.lead_exp
         # number of product coefficients actually known
         n_out = min(_grid_points(lead, step, trunc), len(ca) + len(cb) - 1)
         out = _int_conv(ca, cb, n_out)

@@ -5,6 +5,7 @@ rational equality, zero tolerance).
 """
 
 from replicaq import checks
+from replicaq.functions import HAUPTMODULN
 
 
 def failures(result):
@@ -43,7 +44,7 @@ def test_acceptance_5_norton_basis():
 
 
 def test_acceptance_6_hecke():
-    families = ("j", "c=-1", "c=0", "c=1", "2b")
+    families = ("c=-1", "c=0", "c=1", *HAUPTMODULN)
     report(6, "Hecke operators and Hecke-Faber identity", checks.hecke(43, 50, families, 30))
 
 

@@ -9,7 +9,12 @@ import replicaq.checks as checks
 import replicaq.cli as cli
 from replicaq.cli import SUITES, main
 from replicaq.qseries import TruncationError
-from replicaq.functions import parse_function_spec, replication_family
+from replicaq.functions import HAUPTMODULN, parse_function_spec, replication_family
+
+# the class hauptmoduln by payload short name, written out independently of the table
+HAUPTMODULN_SPECS = {"j": "j", "2b": "eta:1^24/2^24+24", "3b": "eta:1^12/3^12+12",
+                     "4c": "eta:1^8/4^8+8", "5b": "eta:1^6/5^6+6", "7b": "eta:1^4/7^4+4",
+                     "13b": "eta:1^2/13^2+2"}
 
 
 def run(capsys, *argv):
@@ -52,6 +57,12 @@ class TestCoeffs:
             with pytest.raises(TruncationError):
                 cli._coeffs_by_method(parse_function_spec(spec), "recurrence", terms)
 
+    @pytest.mark.parametrize("spec", HAUPTMODULN_SPECS.values())
+    def test_hauptmodul_three_methods(self, capsys, spec):
+        code, payload, _ = run(capsys, "coeffs", spec, "--terms", "150",
+                               "--method", "recurrence,oracle,basis")
+        assert code == 0 and payload["status"] == "verified"
+
     def test_basis_method(self, capsys):
         code, payload, _ = run(capsys, "coeffs", "j", "--terms", "30",
                                "--method", "basis,oracle")
@@ -77,12 +88,13 @@ class TestCoeffs:
         assert code == 2
 
     def test_recurrence_needs_a_known_family(self, capsys):
-        code, payload, _ = run(capsys, "coeffs", "eta:1^8/4^8+8", "--terms", "10",
+        code, payload, _ = run(capsys, "coeffs", "eta:1^8/4^8+7", "--terms", "10",
                                "--method", "recurrence")
         assert code == 2 and payload["error"] == (
-            "no replication family known for spec eta:1^8/4^8+8; "
+            "no replication family known for spec eta:1^8/4^8+7; "
             "methods beyond 'oracle' need one")
-        for name, text in (("j", "j"), ("2b", "eta:1^24/2^24+24"), ("c=-1", "fiction:c=-1")):
+        assert set(HAUPTMODULN) == set(HAUPTMODULN_SPECS)
+        for name, text in (*HAUPTMODULN_SPECS.items(), ("c=-1", "fiction:c=-1")):
             by_name = replication_family(name, 12)
             by_spec = replication_family(parse_function_spec(text), 12)
             assert by_name.base == by_spec.base

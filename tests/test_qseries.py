@@ -279,6 +279,29 @@ class TestArithmetic:
         assert f ** 0 == QSeries(0, 1, [1], 11)
         assert f ** 3 == f * f * f
 
+    def test_product_chain_is_stored_as_the_power(self):
+        # eta's 1/24 lead is no reason for a 1/24 grid: a product needs only the steps
+        e = eta(200)
+        chain, power = e * (e * e), e ** 3
+        assert chain == power
+        assert (chain.step, len(chain.coeffs)) == (power.step, len(power.coeffs)) == (1, 191)
+
+    @PROPERTY
+    @given(GRID_SERIES, GRID_SERIES)
+    def test_mul_is_the_double_sum_on_the_steps_gcd(self, a, b):
+        prod = a * b
+        if a.is_zero or b.is_zero:
+            return
+        assert prod.step == qseries._frgcd(a.step, b.step)
+        want = {}
+        for ea, ca in zip(a.exponents(), a.coeffs):
+            for eb, cb in zip(b.exponents(), b.coeffs):
+                want[ea + eb] = want.get(ea + eb, 0) + ca * cb
+        lo = a.lead_exp + b.lead_exp
+        for k in range(int((prod.trunc - lo) * 24)):
+            e = lo + Fraction(k, 24)
+            assert prod.coeff(e) == want.get(e, 0)
+
     def test_substitute(self):
         f = QSeries(-1, 1, [1, 0, 5], 4)
         g = f.substitute(3)

@@ -20,8 +20,9 @@ from replicaq.replicable import (NORTON_BASIS, IRREDUCIBLE_GRADES,
                                  exhaustive_reducing_pair,
                                  reconstruct_from_basis, reconstruct_by_grunsky,
                                  _descend)
-from replicaq.functions import (fiction_series, parse_function_spec, realize,
-                                tb2_family)
+import replicaq.functions as functions
+from replicaq.functions import (HAUPTMODULN, fiction_series, parse_function_spec, realize,
+                                replication_family, tb2_family)
 
 # J and six eta-quotient hauptmoduln: 2B, 3B, 4C, 5B, 7B, 13B
 SEVEN = ("j", "eta:1^24/2^24+24", "eta:1^12/3^12+12", "eta:1^8/4^8+8",
@@ -120,6 +121,41 @@ class TestReplicateRoutes:
         f = QSeries(-1, 1, [1, 0] + a, n + 1)
         assert (coefficients(replicate(f, k, T), T)
                 == coefficients(replicate_by_grunsky(f, k, T), T))
+
+
+class TestPowerMapTable:
+    """f^(a) of the class of order N is the hauptmodul of order N / gcd(a, N)."""
+
+    def test_replicates_are_the_powers_classes(self):
+        fam = replication_family("4c", 20)
+        by_spec = {spec: realize(parse_function_spec(spec), 20) for spec in SEVEN[:4]}
+        assert fam.base == by_spec["eta:1^8/4^8+8"]
+        assert all(fam.power(a) == by_spec["eta:1^8/4^8+8"] for a in (3, 5, 7, 9, 11))
+        assert all(fam.power(a) == by_spec["eta:1^24/2^24+24"] for a in (2, 6, 10))
+        assert all(fam.power(a) == by_spec["j"] for a in (4, 8, 12))
+        assert all(replication_family("13b", 20).power(a) == realize(
+            parse_function_spec(SEVEN[-1]), 20) for a in range(2, 13))
+
+    def test_each_function_is_realized_once(self, monkeypatch):
+        calls = []
+        real = functions.realize
+        monkeypatch.setattr(functions, "realize",
+                            lambda spec, trunc: calls.append(str(spec)) or real(spec, trunc))
+        replication_family("4c", 10)
+        assert sorted(calls) == ["eta:1^24/2^24+24", "eta:1^8/4^8+8", "j"]
+
+    @pytest.mark.parametrize("name", HAUPTMODULN)
+    def test_fixed_point_rule_fails_where_an_index_shares_a_factor(self, monkeypatch, name):
+        # f^(a) = f for every a: wrong for 2B, 3B and 4C at k in (2, 3, 4), and
+        # indistinguishable there for J and for 5B, 7B and 13B
+        def fixed(function, trunc):
+            f = replication_family(function, trunc).base
+            return ReplicationFamily(f, {a: f for a in range(2, 13)})
+
+        monkeypatch.setattr(checks, "HAUPTMODULN", {name: HAUPTMODULN[name]})
+        monkeypatch.setattr(checks, "replication_family", fixed)
+        report = checks.replicable(7, 0, 3, (2,), (2, 3, 4))["replicates_are_power_map_classes"]
+        assert report.ok == (name not in ("2b", "3b", "4c")), report
 
 
 def identity_failures(fam, t, bound):
