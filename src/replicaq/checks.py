@@ -31,7 +31,7 @@ from .replicable import (NORTON_BASIS, IRREDUCIBLE_GRADES, ReplicationFamily,
                          reconstruct_by_grunsky)
 from .hecke import (hecke_Tn, hecke_Tn_via_uv, hecke_faber_verify, p2_identities,
                     mahler_compute)
-from .functions import HAUPTMODULN, replication_family
+from .functions import HAUPTMODULN, realize, replication_family
 
 
 @dataclass(frozen=True)
@@ -224,10 +224,12 @@ def replicable(grade: int, perturbations: int, trunc: int, ks: tuple,
 
 
 def mod2_congruence(trunc: int, bound: int) -> CheckReport:
-    """a_i(2B) = a_i(J) mod 2 for 1 <= i <= bound, J being 2B's duplicate."""
-    fam = replication_family("2b", trunc)
+    """a_i(2B) = a_i(J) mod 2 for 1 <= i <= bound, J being 2B's duplicate.  J
+    comes from ``j_oracle``, not from 2B's family, so a wrong duplicate in the
+    family cannot make the check compare 2B with itself."""
+    f2b = replication_family("2b", trunc).base
     return _scan("mod2_congruence", ((i, r, 0) for i, r in
-                                     mod_p_residues(fam.base, fam.power(2), 2, bound)))
+                                     mod_p_residues(f2b, j_oracle(trunc), 2, bound)))
 
 
 def basis(grade: int, trunc: int) -> dict:
@@ -260,20 +262,34 @@ def basis(grade: int, trunc: int) -> dict:
     }
 
 
+# The rows of ``HAUPTMODULN`` whose function, posing as every replicate of
+# itself, breaks n T_n f = F_n(f) for some n <= 6 below q^20: at 2, 4, 6 for
+# 2B and 4C, at 3, 6 for 3B and at 5 for 5B.  J is its own replicate, and for
+# 7B and 13B no n <= 6 reaches the class order, so those three pass at every
+# n <= 6 and would control nothing.
+WRONG_FAMILY_ROWS = ("2b", "3b", "4c", "5b")
+
+
+def _posing_as_own_replicates(name: str) -> list:
+    """The Hecke-Faber reports, n <= 6 below q^20, of the function ``name``
+    of ``HAUPTMODULN`` with f^(a) = f for every a."""
+    f = realize(HAUPTMODULN[name][1], 120)
+    return hecke_faber_verify(ReplicationFamily(f, {a: f for a in range(2, 13)}), 6, 20)
+
+
 def hecke(trunc: int, randoms: int, families: Sequence[str], faber_trunc: int) -> dict:
     """On J and ``randoms`` seeded random normalized series known to q^trunc:
     T_p f = V_p f / p + U_p f for p in 2, 3, 5, 7, and the closed formula for
     T_n against the U/V composition for n in 2, 4, 6.  For each family named
     in ``families`` (keys of ``HAUPTMODULN`` or "c=C"), n T_n f = F_n(f)
-    (twisted T_n) for n <= 6 below q^faber_trunc; and 2B posing as its own
-    duplicate (which is J) must break it at n = 2."""
+    (twisted T_n) for n <= 6 below q^faber_trunc; and each of 2B, 3B, 4C
+    and 5B posing as all its own replicates must break it at some n <= 6
+    below q^20."""
     inputs = [("J", j_oracle(trunc))]
     rng = random.Random(616)
     for i in range(randoms):
         coeffs = [1, 0] + [rng.randint(-9, 9) for _ in range(trunc + 1)]
         inputs.append((f"random {i}", QSeries(-1, 1, coeffs, trunc)))
-    f2b = replication_family("2b", 62).base
-    wrong = hecke_faber_verify(ReplicationFamily(f2b, {a: f2b for a in range(2, 8)}), 2, 20)
     return {
         "tp_decomposition_ok": _series("tp_decomposition", (
             ((label, p), hecke_Tn(f, p), hecke_Tn_via_uv(f, p), f.trunc / p)
@@ -283,8 +299,10 @@ def hecke(trunc: int, randoms: int, families: Sequence[str], faber_trunc: int) -
             for label, f in inputs for n in (2, 4, 6))),
         "hecke_faber": {name: _hecke_faber(replication_family(name, 6 * faber_trunc), faber_trunc)
                         for name in families},
-        "wrong_family_rejected": CheckReport("wrong_family_rejected", 1,
-                                             ("n=2", "accepted") if wrong[1].ok else None),
+        # (row, accepted, False): a row that keeps the identity is a mismatch
+        "wrong_family_rejected": _scan("wrong_family_rejected", (
+            (name, all(r.ok for r in _posing_as_own_replicates(name)), False)
+            for name in WRONG_FAMILY_ROWS)),
     }
 
 

@@ -2,7 +2,7 @@
 
 Exit codes: 0 for verified/computed, 1 for a falsified check, 2 for usage or
 input errors.  Every payload carries {"schema": 1} and renders big integers as
-decimal strings.
+decimal strings.  Commands only compute; ``main`` writes every outcome once.
 """
 
 from __future__ import annotations
@@ -20,10 +20,30 @@ from .functions import (HAUPTMODULN, FunctionSpec, SpecError, parse_function_spe
                         realize, replication_family)
 
 SCHEMA = 1
+EXIT_CODES = {"verified": 0, "computed": 0, "falsified": 1, "error": 2}
+METHODS = ("oracle", "recurrence", "basis")
 
 
 class UsageError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError where argparse would print its usage and exit 2."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _at_least(floor: int):
+    """An argparse type: an int no smaller than ``floor``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < floor:
+            raise argparse.ArgumentTypeError(f"must be >= {floor}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def _rat(x: Fraction) -> str:
@@ -31,17 +51,17 @@ def _rat(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def _emit(status: str, payload: dict, summary: str) -> int:
-    doc = {"schema": SCHEMA, "status": status}
-    doc.update(payload)
-    json.dump(doc, sys.stdout, sort_keys=True)
-    sys.stdout.write("\n")
-    print(summary, file=sys.stderr)
-    if status in ("verified", "computed"):
-        return 0
-    if status == "falsified":
-        return 1
-    return 2
+def _methods(text: str) -> list:
+    """The --method list, checked before any work: known names, each once."""
+    methods = [m.strip() for m in text.split(",") if m.strip()]
+    if not methods:
+        raise UsageError("no method given")
+    for i, m in enumerate(methods):
+        if m not in METHODS:
+            raise UsageError(f"unknown method {m!r}")
+        if m in methods[:i]:
+            raise UsageError(f"repeated method {m!r}")
+    return methods
 
 
 def _coeffs_by_method(spec: FunctionSpec, method: str, terms: int) -> list:
@@ -62,23 +82,13 @@ def _coeffs_by_method(spec: FunctionSpec, method: str, terms: int) -> list:
         basis = {k: f.coeff(k) for k in NORTON_BASIS}
         g = reconstruct_from_basis(basis, max(trunc, 3))
         return [g.coeff(k) for k in range(1, trunc)]
-    raise UsageError(f"unknown method {method!r}")
 
 
-def cmd_coeffs(args) -> int:
-    try:
-        spec = parse_function_spec(args.spec)
-    except SpecError as exc:
-        return _emit("error", {"error": str(exc)}, f"bad function spec: {exc}")
-    methods = [m.strip() for m in args.method.split(",") if m.strip()]
-    if not methods:
-        return _emit("error", {"error": "no method given"}, "no method given")
-    try:
-        results = {m: _coeffs_by_method(spec, m, args.terms) for m in methods}
-    except (UsageError, SpecError) as exc:
-        return _emit("error", {"error": str(exc)}, str(exc))
+def cmd_coeffs(args) -> tuple:
+    spec = parse_function_spec(args.spec)
+    methods = _methods(args.method)
+    results = {m: _coeffs_by_method(spec, m, args.terms) for m in methods}
     first = results[methods[0]]
-    agree = all(results[m] == first for m in methods)
     payload = {
         "spec": str(spec),
         "terms": args.terms,
@@ -86,34 +96,31 @@ def cmd_coeffs(args) -> int:
         "coefficients": [_rat(c) for c in first],
     }
     if len(methods) == 1:
-        return _emit("computed", payload, f"{args.terms} coefficients of {spec}")
-    if agree:
-        return _emit("verified", payload,
-                     f"{len(methods)} methods agree on {args.terms} coefficients of {spec}")
+        return "computed", payload, f"{args.terms} coefficients of {spec}"
+    if all(results[m] == first for m in methods):
+        return ("verified", payload,
+                f"{len(methods)} methods agree on {args.terms} coefficients of {spec}")
     diff = next(k for k in range(args.terms)
                 if any(results[m][k] != first[k] for m in methods))
     payload["first_disagreement"] = {
         "index": diff + 1,
         "values": {m: _rat(results[m][diff]) for m in methods},
     }
-    return _emit("falsified", payload, f"methods disagree at a_{diff + 1}")
+    return "falsified", payload, f"methods disagree at a_{diff + 1}"
 
 
-def cmd_classify24(args) -> int:
-    if args.bound < 100:
-        return _emit("error", {"error": "bound must be >= 100"}, "bound must be >= 100")
+def cmd_classify24(args) -> tuple:
     shapes = classify_degree24(args.bound)
     payload = {
         "bound": args.bound,
         "count": len(shapes),
         "shapes": [str(s) for s in shapes],
     }
-    return _emit("computed", payload,
-                 f"{len(shapes)} multiplicative eta products of degree 24 "
-                 f"(bound {args.bound})")
+    return ("computed", payload,
+            f"{len(shapes)} multiplicative eta products of degree 24 (bound {args.bound})")
 
 
-def cmd_numerology(args) -> int:
+def cmd_numerology(args) -> tuple:
     values, reports = checks.numerology()
     payload = {
         "checks": {
@@ -133,9 +140,8 @@ def cmd_numerology(args) -> int:
         },
         "replicable_function_census": {"count": 616, "provenance": "quoted"},
     }
-    ok = all(r.ok for r in reports.values())
-    status = "verified" if ok else "falsified"
-    return _emit(status, payload, f"numerology {status}")
+    status = "verified" if all(r.ok for r in reports.values()) else "falsified"
+    return status, payload, f"numerology {status}"
 
 
 # -- verify suites -------------------------------------------------------
@@ -179,67 +185,58 @@ def _reports_json(tree: dict):
     return out, ok
 
 
-def cmd_verify(args) -> int:
-    if args.suite != "all" and args.suite not in SUITES:
-        return _emit("error", {"error": f"unknown suite {args.suite!r}"},
-                     f"unknown suite {args.suite!r}")
-    # below these sizes a suite compares next to nothing and would pass vacuously
-    if args.trunc < 10:
-        return _emit("error", {"error": "trunc must be >= 10"}, "trunc must be >= 10")
-    if args.grade < 2:
-        return _emit("error", {"error": "grade must be >= 2"}, "grade must be >= 2")
+def cmd_verify(args) -> tuple:
     names = list(SUITES) if args.suite == "all" else [args.suite]
     results = {}
     for name in names:
         results[name], suite_ok = _reports_json(SUITES[name](args.trunc, args.grade))
         results[name]["ok"] = suite_ok
-    ok = all(r["ok"] for r in results.values())
-    payload = {"suites": results, "trunc": args.trunc, "grade": args.grade}
-    status = "verified" if ok else "falsified"
     failed = [n for n, r in results.items() if not r["ok"]]
-    summary = ("verified: " + ", ".join(names) if ok
-               else "falsified: " + ", ".join(failed))
-    return _emit(status, payload, summary)
+    payload = {"suites": results, "trunc": args.trunc, "grade": args.grade}
+    if failed:
+        return "falsified", payload, "falsified: " + ", ".join(failed)
+    return "verified", payload, "verified: " + ", ".join(names)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="replicaq",
         description="Exact q-series computations for replicable functions.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("coeffs", help="expand a function spec")
     p.add_argument("spec", help="j | fiction:c=C | eta:SHAPE+SHIFT | explicit:a1,a2,...")
-    p.add_argument("--terms", type=int, default=10)
+    p.add_argument("--terms", type=_at_least(1), default=10)
     p.add_argument("--method", default="oracle",
-                   help="comma list of {oracle, recurrence, basis}")
+                   help="comma list of {oracle, recurrence, basis}, each once")
     p.set_defaults(func=cmd_coeffs)
 
     p = sub.add_parser("classify24", help="multiplicative eta products of degree 24")
-    p.add_argument("--bound", type=int, default=200)
+    p.add_argument("--bound", type=_at_least(100), default=200)
     p.set_defaults(func=cmd_classify24)
 
     p = sub.add_parser("numerology", help="the identities behind the numbers")
     p.set_defaults(func=cmd_numerology)
 
+    # below these sizes a suite compares next to nothing and would pass vacuously
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", help="faber|grunsky|replicable|basis|hecke|mahler|degree24|all")
-    p.add_argument("--trunc", type=int, default=24)
-    p.add_argument("--grade", type=int, default=60)
+    p.add_argument("suite", choices=[*SUITES, "all"])
+    p.add_argument("--trunc", type=_at_least(10), default=24)
+    p.add_argument("--grade", type=_at_least(2), default=60)
     p.set_defaults(func=cmd_verify)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    if args.command == "coeffs" and args.terms < 1:
-        return _emit("error", {"error": "--terms must be positive"},
-                     "--terms must be positive")
-    return args.func(args)
+        args = build_parser().parse_args(argv)
+        status, payload, summary = args.func(args)
+    except (UsageError, SpecError) as exc:
+        status, payload, summary = "error", {"error": str(exc)}, str(exc)
+    json.dump({"schema": SCHEMA, "status": status, **payload}, sys.stdout, sort_keys=True)
+    sys.stdout.write("\n")
+    print(summary, file=sys.stderr)
+    return EXIT_CODES[status]
 
 
 if __name__ == "__main__":

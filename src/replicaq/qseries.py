@@ -34,10 +34,7 @@ class TruncationError(ValueError):
 
 
 def _frgcd(x: Fraction, y: Fraction) -> Fraction:
-    if x == 0:
-        return abs(y)
-    if y == 0:
-        return abs(x)
+    """The largest step both are integer multiples of; gcd(0, n) = |n| covers zero."""
     return Fraction(gcd(x.numerator * y.denominator, y.numerator * x.denominator),
                     x.denominator * y.denominator)
 

@@ -2,6 +2,10 @@
 
 import dataclasses
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -231,3 +235,70 @@ class TestOutputContract:
         json.loads(out.out)
         assert out.err.strip() != ""
         assert "{" not in out.err
+
+
+# every way a run exits 2, from the parser and from a command
+EXIT_2_ARGV = {
+    "no command": (),
+    "unknown command": ("bogus",),
+    "missing spec": ("coeffs",),
+    "missing suite": ("verify",),
+    "terms not an int": ("coeffs", "j", "--terms", "abc"),
+    "terms floor - 1": ("coeffs", "j", "--terms", "0"),
+    "bound floor - 1": ("classify24", "--bound", "99"),
+    "trunc floor - 1": ("verify", "faber", "--trunc", "9"),
+    "grade floor - 1": ("verify", "basis", "--grade", "1"),
+    "unknown suite": ("verify", "bogus"),
+    "unknown method": ("coeffs", "j", "--method", "nope"),
+    "empty method": ("coeffs", "j", "--method", " , "),
+    "repeated method": ("coeffs", "j", "--method", "oracle,recurrence,oracle"),
+    "bad spec": ("coeffs", "nonsense"),
+    "no family": ("coeffs", "eta:1^8/4^8+7", "--method", "recurrence"),
+    "not a simple pole": ("coeffs", "eta:1^24"),
+}
+
+
+class TestExitPaths:
+    @pytest.mark.parametrize("argv", EXIT_2_ARGV.values(), ids=EXIT_2_ARGV)
+    def test_every_error_is_one_json_line_and_one_stderr_line(self, capsys, argv):
+        code = main(list(argv))
+        out = capsys.readouterr()
+        assert code == 2
+        assert out.out.count("\n") == 1 and out.out.endswith("\n")
+        payload = json.loads(out.out)
+        assert payload["schema"] == 1 and payload["status"] == "error"
+        assert out.err.count("\n") == 1 and out.err == payload["error"] + "\n"
+
+    @pytest.mark.parametrize("method, error", [
+        ("basis,nope", "unknown method 'nope'"), ("basis,basis", "repeated method 'basis'"),
+        ("oracle, oracle", "repeated method 'oracle'"), (",", "no method given")])
+    def test_method_checked_before_any_work(self, capsys, monkeypatch, method, error):
+        def no_work(*args):
+            raise AssertionError("work started before --method was checked")
+
+        for name in ("realize", "reconstruct_from_basis", "replication_family"):
+            monkeypatch.setattr(cli, name, no_work)
+        code, payload, _ = run(capsys, "coeffs", "j", "--terms", "600", "--method", method)
+        assert code == 2 and payload["error"] == error
+
+    def test_floors_in_the_error_text(self, capsys):
+        for argv, error in ((("coeffs", "j", "--terms", "0"), "argument --terms: must be >= 1"),
+                            (("classify24", "--bound", "5"), "argument --bound: must be >= 100"),
+                            (("verify", "faber", "--trunc", "2"),
+                             "argument --trunc: must be >= 10")):
+            code, payload, _ = run(capsys, *argv)
+            assert code == 2 and payload["error"] == error
+
+    @pytest.mark.parametrize("argv, code", [(("verify", "bogus"), 2), (("--help",), 0)])
+    def test_process_exit_codes(self, argv, code):
+        src = pathlib.Path(cli.__file__).parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+        done = subprocess.run([sys.executable, "-m", "replicaq.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == code
+        if code:
+            assert json.loads(done.stdout)["status"] == "error"
+            assert done.stderr.count("\n") == 1
+        else:
+            assert done.stdout.startswith("usage: replicaq") and done.stderr == ""

@@ -169,6 +169,28 @@ class TestHeckeFaber:
         assert reports[0].ok and not reports[1].ok
         assert reports[1].first_mismatch is not None
 
+    @pytest.mark.parametrize("name, failing", [("2b", [2, 4, 6]), ("3b", [3, 6]),
+                                               ("4c", [2, 4, 6]), ("5b", [5])])
+    def test_each_wrong_family_row_rejected(self, name, failing):
+        assert name in checks.WRONG_FAMILY_ROWS
+        reports = checks._posing_as_own_replicates(name)
+        assert [r.n for r in reports if not r.ok] == failing
+
+    @pytest.mark.parametrize("name", ["j", "7b", "13b"])
+    def test_rows_left_out_of_the_control_keep_the_identity(self, name):
+        assert name not in checks.WRONG_FAMILY_ROWS
+        assert all(r.ok for r in checks._posing_as_own_replicates(name))
+
+    def test_wrong_family_control_compares_every_row(self, monkeypatch):
+        report = checks.hecke(31, 0, (), 24)["wrong_family_rejected"]
+        assert report.ok and report.compared == 4
+        # mutation: 4C's posing family answers as 7B's, which keeps the identity
+        real = checks._posing_as_own_replicates
+        monkeypatch.setattr(checks, "_posing_as_own_replicates",
+                            lambda name: real("7b" if name == "4c" else name))
+        report = checks.hecke(31, 0, (), 24)["wrong_family_rejected"]
+        assert report.compared == 3 and report.first_mismatch == ("4c", True, False)
+
 
 def rule_expansion(fam, trunc):
     """The p = 2 rules' expansion from fam's a_1..a_5 and f^(2), to q^trunc."""

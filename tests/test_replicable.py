@@ -211,6 +211,30 @@ class TestModPCongruence:
         with pytest.raises(ValueError):
             residues(f, f, 2, 10)
 
+    @pytest.mark.parametrize("wrong", ["2b", "3b"])
+    def test_check_compares_2b_with_j_whatever_its_family_says(self, monkeypatch, wrong):
+        # a family whose duplicate is 2B itself made every residue 0
+        def family(name, trunc):
+            bad = replication_family(wrong, trunc).base
+            return ReplicationFamily(replication_family(name, trunc).base,
+                                     {a: bad for a in range(2, 13)})
+
+        seen = []
+        real = checks.mod_p_residues
+        monkeypatch.setattr(checks, "replication_family", family)
+        monkeypatch.setattr(checks, "mod_p_residues",
+                            lambda f, fp, p, bound: seen.append((f, fp)) or real(f, fp, p, bound))
+        report = checks.mod2_congruence(55, 50)
+        assert report.ok and report.compared == 50
+        assert seen == [(realize(HAUPTMODULN["2b"][1], 55), j_oracle(55))]
+
+    @pytest.mark.parametrize("other, index", [("3b", 3), ("5b", 1)])
+    def test_check_falsified_for_a_function_not_congruent_to_j(self, monkeypatch, other, index):
+        monkeypatch.setattr(checks, "replication_family",
+                            lambda name, trunc: replication_family(other, trunc))
+        report = checks.mod2_congruence(55, 50)
+        assert not report.ok and report.first_mismatch == (index, 1, 0)
+
 
 class TestReducingPairs:
     def test_known_cases(self):
