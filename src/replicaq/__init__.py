@@ -7,7 +7,7 @@ machinery and weight-0 Hecke operators, all cross-checked against each other.
 
 from .qseries import (QSeries, GridError, TruncationError, agree, eta, eisenstein_e4,
                       delta, j_oracle)
-from .frames import (Partition, FrameShape, FrameShapeError, parse_frame_shape,
+from .frames import (FrameShape, FrameShapeError, parse_frame_shape,
                      is_balanced, eta_product, weak_multiplicativity,
                      classify_degree24, euler_factor_check)
 from .faber import (FaberPolynomial, faber_by_recursion, faber_by_elimination,

@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 
 from .qseries import (QSeries, TruncationError, agree, j_oracle, _exponents_below,
                       _int_conv)
-from .frames import (Partition, parse_frame_shape, is_balanced, eta_product,
+from .frames import (parse_frame_shape, is_balanced, eta_product,
                      weak_multiplicativity, classify_degree24, euler_factor_check,
                      partitions_of, _log_derivative_coeffs, _product_int_coeffs)
 from .faber import faber_by_recursion, faber_by_elimination, faber_by_determinant
@@ -160,12 +160,13 @@ def symmetric_function_comparisons(xs: Sequence, order: int):
         yield from (((kind, k), product[k], exp[k]) for k in range(n))
 
 
-def grunsky(trunc: int, grade: int) -> dict:
+def grunsky(grade: int) -> dict:
     """J's Grunsky table to ``grade`` by Norton's recursion and from the Faber
     rows of J, with gcd(m, n) h_{m,n} integral on the recursion table; and the
-    bivariate log expansion against both tables to min(grade, 12)."""
-    J = j_oracle(trunc)
-    rec = grunsky_by_recursion([J.coeff(k) for k in range(1, trunc)], grade)
+    bivariate log expansion against both tables to min(grade, 12).  Both
+    tables read a_1 .. a_(grade-1) of J."""
+    J = j_oracle(grade)
+    rec = grunsky_by_recursion([J.coeff(k) for k in range(1, grade)], grade)
     fab = grunsky_from_faber(J, grade)
     bi = min(grade, 12)
     bad = denominator_bound_violations(rec)
@@ -223,13 +224,13 @@ def replicable(grade: int, perturbations: int, trunc: int, ks: tuple,
     }
 
 
-def mod2_congruence(trunc: int, bound: int) -> CheckReport:
+def mod2_congruence(bound: int) -> CheckReport:
     """a_i(2B) = a_i(J) mod 2 for 1 <= i <= bound, J being 2B's duplicate.  J
     comes from ``j_oracle``, not from 2B's family, so a wrong duplicate in the
     family cannot make the check compare 2B with itself."""
-    f2b = replication_family("2b", trunc).base
+    f2b = replication_family("2b", bound + 1).base
     return _scan("mod2_congruence", ((i, r, 0) for i, r in
-                                     mod_p_residues(f2b, j_oracle(trunc), 2, bound)))
+                                     mod_p_residues(f2b, j_oracle(bound + 1), 2, bound)))
 
 
 def basis(grade: int, trunc: int) -> dict:
@@ -318,12 +319,24 @@ def _hecke_faber(fam: ReplicationFamily, trunc: int) -> CheckReport:
                        bad and (bad.n,) + bad.first_mismatch)
 
 
+# Mason's 21 cycle shapes of M24, each a multiplicative eta product of
+# degree 24 (G. Mason, "M24 and certain automorphic forms", Contemp. Math. 45,
+# 1985): a known answer for the classification.
+_M24_CYCLE_SHAPES = (
+    "1^24", "1^8 2^8", "2^12", "1^6 3^6", "3^8",
+    "1^4 2^2 4^4", "2^4 4^4", "4^6", "1^4 5^4", "1^2 2^2 3^2 6^2",
+    "6^4", "1^3 7^3", "1^2 2^1 4^1 8^2", "2^2 10^2", "1^2 11^2",
+    "2^1 4^1 6^1 12^1", "12^2", "1^1 2^1 7^1 14^1", "1^1 3^1 5^1 15^1", "3^1 21^1",
+    "1^1 23^1")
+
+
 def degree24(bound: int) -> dict:
     """The 1575 partitions of 24 give exactly 30 weakly multiplicative eta
-    products at ``bound``; each of the 30 expanded to q^bound by the factor
-    route and by the log-derivative recurrence, entry by entry, and weakly
-    multiplicative to ``bound`` on the recurrence's series; 1 2 7 14 balanced
-    at 14; and the Euler factors of Delta = eta(q)^24 at p = 2, 3, 5, 7."""
+    products at ``bound``, among them Mason's 21 cycle shapes of M24; each of
+    the 30 expanded to q^bound by the factor route and by the log-derivative
+    recurrence, entry by entry, and weakly multiplicative to ``bound`` on the
+    recurrence's series; 1 2 7 14 balanced at 14; and the Euler factors of
+    Delta = eta(q)^24 at p = 2, 3, 5, 7."""
     shapes = classify_degree24(bound)  # its recheck runs on the factor route
     oracles = [_log_derivative_coeffs(s.exponents(), bound) for s in shapes]
     labels = [str(s) for s in shapes]
@@ -332,6 +345,8 @@ def degree24(bound: int) -> dict:
         "count_ok": _scan("degree24_count", [
             ("partitions of 24", sum(1 for _ in partitions_of(24)), 1575),
             ("multiplicative", len(shapes), 30)]),
+        "m24_shapes_ok": _scan("degree24_m24_shapes", (
+            (shape, shape in labels, True) for shape in _M24_CYCLE_SHAPES)),
         "routes_agree": _scan("degree24_routes", (
             ((label, k), got, want) for label, s, oracle in zip(labels, shapes, oracles)
             for k, (got, want) in enumerate(zip_longest(
@@ -341,7 +356,7 @@ def degree24(bound: int) -> dict:
                 QSeries(s.lead_exponent(), 1, oracle, bound + 2), bound).first_failure, None)
             for label, s, oracle in zip(labels, shapes, oracles))),
         "balance_ok": _scan("degree24_balance", [
-            ("1 2 7 14", is_balanced(Partition([1, 2, 7, 14])), 14)]),
+            ("1 2 7 14", is_balanced((1, 2, 7, 14)), 14)]),
         "euler_factors_ok": _scan("delta_euler_factors", (
             (p, euler_factor_check(tau, p, 12), True) for p in (2, 3, 5, 7))),
     }

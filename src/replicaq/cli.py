@@ -149,11 +149,11 @@ def cmd_numerology(args) -> tuple:
 # suite name -> (trunc, grade) -> {payload key: CheckReport, or a dict of them}
 SUITES = {
     "faber": lambda t, g: checks.faber(t, min(8, t - 2), 4),
-    "grunsky": lambda t, g: checks.grunsky(t, min(g, t - 1)),
+    "grunsky": lambda t, g: checks.grunsky(min(g, t - 1)),
     # is_replicable compares no pair of J's table below grade 7
     "replicable": lambda t, g: {
         **checks.replicable(max(7, min(g, 16)), 0, 9, (2, 3), (2, 3)),
-        "mod_2_congruence_ok": checks.mod2_congruence(t, min(t - 1, 20))},
+        "mod_2_congruence_ok": checks.mod2_congruence(min(t - 1, 20))},
     "basis": lambda t, g: {**checks.basis(g, 30), "grade_bound": g},
     "hecke": lambda t, g: checks.hecke(max(t, 31), 10, tuple(HAUPTMODULN), t),
     "mahler": lambda t, g: checks.mahler(max(t, 31), max(t - 2, 10), max(t, 31) // 2),

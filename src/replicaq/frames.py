@@ -1,8 +1,9 @@
-"""Partitions, frame shapes and eta products.
+"""Frame shapes and eta products.
 
 A frame shape like ``2^24/1^24`` is a formal quotient of cycle lengths; each
-part k contributes a factor eta(q^k).  Balance, weak multiplicativity and the
-degree-24 classification of multiplicative eta products live here.
+part k contributes a factor eta(q^k)^(c_k), c_k its net exponent.  Balance,
+weak multiplicativity and the degree-24 classification of multiplicative eta
+products live here.
 """
 
 from __future__ import annotations
@@ -23,106 +24,65 @@ class FrameShapeError(ValueError):
 
 
 @dataclass(frozen=True)
-class Partition:
-    """Multiset of positive integers, stored sorted ascending."""
-
-    parts: tuple
-
-    def __init__(self, parts):
-        parts = tuple(sorted(int(p) for p in parts))
-        if not parts:
-            raise FrameShapeError("partition must be nonempty")
-        if parts[0] < 1:
-            raise FrameShapeError("partition parts must be positive")
-        object.__setattr__(self, "parts", parts)
-
-    @property
-    def degree(self) -> int:
-        return sum(self.parts)
-
-    def multiplicities(self) -> dict:
-        out: dict = {}
-        for p in self.parts:
-            out[p] = out.get(p, 0) + 1
-        return out
-
-    def __str__(self) -> str:
-        mults = self.multiplicities()
-        return " ".join(f"{p}^{m}" for p, m in sorted(mults.items()))
-
-
-@dataclass(frozen=True)
 class FrameShape:
-    """Formal eta quotient: numerator parts over denominator parts."""
+    """Formal eta quotient prod_k eta(q^k)^(c_k), stored as its net exponents:
+    the pairs (k, c_k) with c_k != 0, ascending in k."""
 
-    numerator: Partition
-    denominator: Optional[Partition]
+    net: tuple
 
-    def __init__(self, numerator, denominator=None):
-        num = list(numerator.parts if isinstance(numerator, Partition) else numerator)
-        den = []
-        if denominator is not None:
-            den = list(denominator.parts if isinstance(denominator, Partition) else denominator)
-        # cancel common parts on construction
-        for p in list(den):
-            if p in num:
-                num.remove(p)
-                den.remove(p)
-        if not num:
+    def __init__(self, numerator, denominator=()):
+        """The net count of each part over the two sequences of parts."""
+        count: dict = {}
+        for sign, parts in ((1, numerator), (-1, denominator)):
+            for p in parts:
+                if type(p) is not int or p < 1:
+                    raise FrameShapeError(f"a part must be an int >= 1, not {p!r}")
+                count[p] = count.get(p, 0) + sign
+        net = tuple(sorted((p, c) for p, c in count.items() if c))
+        if not any(c > 0 for _, c in net):
             raise FrameShapeError("numerator cancels away entirely")
-        object.__setattr__(self, "numerator", Partition(num))
-        object.__setattr__(self, "denominator", Partition(den) if den else None)
+        object.__setattr__(self, "net", net)
 
     def exponents(self) -> dict:
         """part -> net eta exponent."""
-        out = dict(self.numerator.multiplicities())
-        if self.denominator is not None:
-            for p, m in self.denominator.multiplicities().items():
-                out[p] = out.get(p, 0) - m
-        return {p: m for p, m in out.items() if m}
+        return dict(self.net)
 
     def lead_exponent(self) -> Fraction:
-        s = self.numerator.degree
-        if self.denominator is not None:
-            s -= self.denominator.degree
-        return Fraction(s, 24)
+        return Fraction(sum(k * c for k, c in self.net), 24)
 
     def __str__(self) -> str:
-        if self.denominator is None:
-            return str(self.numerator)
-        return f"{self.numerator}/{self.denominator}"
+        num = " ".join(f"{k}^{c}" for k, c in self.net if c > 0)
+        den = " ".join(f"{k}^{-c}" for k, c in self.net if c < 0)
+        return f"{num}/{den}" if den else num
 
 
 _TOKEN = re.compile(r"^(\d+)\^(\d+)$")
 
 
-def _parse_partition(text: str) -> Partition:
-    parts = []
-    for tok in text.split():
-        m = _TOKEN.match(tok)
-        if not m:
-            raise FrameShapeError(f"bad frame-shape token {tok!r}")
-        p, mult = int(m.group(1)), int(m.group(2))
-        if p < 1 or mult < 1:
-            raise FrameShapeError(f"parts and multiplicities must be positive: {tok!r}")
-        parts.extend([p] * mult)
-    return Partition(parts)
-
-
 def parse_frame_shape(text: str) -> FrameShape:
     """Grammar: `part^mult` tokens joined by spaces, optional `/` before the denominator."""
-    text = text.strip()
-    if "/" in text:
-        num_text, _, den_text = text.partition("/")
-        return FrameShape(_parse_partition(num_text), _parse_partition(den_text))
-    return FrameShape(_parse_partition(text))
+    sides = ([], [])
+    for side, parts in zip(text.split("/", 1), sides):
+        tokens = side.split()
+        if not tokens:
+            raise FrameShapeError(f"empty side in frame shape {text!r}")
+        for tok in tokens:
+            m = _TOKEN.match(tok)
+            if not m:
+                raise FrameShapeError(f"bad frame-shape token {tok!r}")
+            p, mult = int(m.group(1)), int(m.group(2))
+            if p < 1 or mult < 1:
+                raise FrameShapeError(f"parts and multiplicities must be positive: {tok!r}")
+            parts.extend([p] * mult)
+    return FrameShape(*sides)
 
 
 # -- balance -------------------------------------------------------------
 
-def is_balanced(p: Partition) -> Optional[int]:
-    """Balance number N if outside-in pairwise products are constant, else None."""
-    parts = p.parts
+def is_balanced(parts) -> Optional[int]:
+    """Balance number N if the outside-in pairwise products of the sorted
+    parts (a cycle shape) are constant, else None."""
+    parts = sorted(parts)
     t = len(parts)
     n = parts[0] * parts[-1]
     for i in range(1, (t + 1) // 2):
@@ -303,7 +263,6 @@ def classify_degree24(bound: int) -> list:
         c = _product_int_coeffs(shape.exponents(), bound - 1)
         if _first_mult_failure(c, bound) is None:
             out.append(shape)
-    out.sort(key=lambda s: s.numerator.parts)
     return out
 
 

@@ -51,8 +51,9 @@ def hecke_Tn(f: QSeries, n: int) -> QSeries:
         raise ValueError("index must be positive")
     pairs = [(a, n // a) for a in range(1, n + 1) if n % a == 0]
     trunc = f.trunc / n
+    lo = n * min(f.lead_exp.numerator, -1)  # the a = n term c(j / n) starts at j = n lead
     out = []
-    j = -n
+    j = lo
     while j < trunc:
         total = Fraction(0)
         for a, d in pairs:
@@ -60,7 +61,7 @@ def hecke_Tn(f: QSeries, n: int) -> QSeries:
                 total += d * f.coeff(j * d // a)
         out.append(total / n)
         j += 1
-    return QSeries(-n, 1, out, trunc)
+    return QSeries(lo, 1, out, trunc)
 
 
 def _uv_sum(power: Callable[[int], QSeries], n: int) -> QSeries:

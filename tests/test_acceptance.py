@@ -32,7 +32,7 @@ def test_acceptance_2_faber_three_way():
 
 
 def test_acceptance_3_grunsky():
-    report(3, "Grunsky triple agreement and denominator bound", checks.grunsky(61, 60))
+    report(3, "Grunsky triple agreement and denominator bound", checks.grunsky(60))
 
 
 def test_acceptance_4_replicability():
@@ -57,4 +57,4 @@ def test_acceptance_8_numerology():
 
 
 def test_acceptance_9_mod2_congruence():
-    report(9, "2B mod-2 congruence", checks.mod2_congruence(55, 50))
+    report(9, "2B mod-2 congruence", checks.mod2_congruence(50))

@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -9,8 +10,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from replicaq import checks
 from replicaq.qseries import QSeries, delta_int_coeffs
-from replicaq.frames import (Partition, FrameShape, FrameShapeError,
+from replicaq.frames import (FrameShape, FrameShapeError,
                              parse_frame_shape, is_balanced, eta_product,
                              weak_multiplicativity, partitions_of,
                              classify_degree24, euler_factor_check,
@@ -19,10 +21,20 @@ from replicaq.frames import (Partition, FrameShape, FrameShapeError,
 import replicaq.frames as frames
 
 
+def expanded(shape):
+    """The parts of a shape with no negative exponent, ascending, each
+    repeated by its exponent."""
+    assert all(c > 0 for _, c in shape.net), shape
+    return tuple(k for k, c in shape.net for _ in range(c))
+
+
+PARTS = st.lists(st.integers(1, 24), max_size=6)
+
+
 class TestParsing:
     def test_simple(self):
         s = parse_frame_shape("1^24")
-        assert s.numerator.parts == (1,) * 24 and s.denominator is None
+        assert s.net == ((1, 24),) and expanded(s) == (1,) * 24
         assert str(s) == "1^24"
 
     def test_quotient(self):
@@ -32,16 +44,42 @@ class TestParsing:
 
     def test_mixed(self):
         s = parse_frame_shape("1^1 2^1 7^1 14^1")
-        assert s.numerator.parts == (1, 2, 7, 14)
+        assert expanded(s) == (1, 2, 7, 14)
+        # stored sorted: the order parts arrive in makes no other shape
+        t = FrameShape([14, 2, 7, 1])
+        assert t == s and hash(t) == hash(s) and str(t) == "1^1 2^1 7^1 14^1"
+        u = FrameShape([8, 4, 4, 4, 4, 4, 4, 4, 8, 4], [2, 8, 2, 8, 2, 8, 2, 8])
+        assert str(u) == "4^8/2^4 8^2"
 
     def test_cancellation(self):
         s = FrameShape([1, 1, 2], [2])
         assert s.exponents() == {1: 2}
 
     def test_rejects_garbage(self):
-        for bad in ("", "1^0", "0^3", "x^2", "1^2/", "1^-1"):
+        for bad in ("", "1^0", "0^3", "x^2", "1^2/", "1^-1", "1^2/2^1/3^1", "1^1/1^2"):
             with pytest.raises(FrameShapeError):
                 parse_frame_shape(bad)
+
+    def test_rejects_a_part_that_is_not_a_positive_int(self):
+        for num, den in (([2.5], ()), (["3"], ()), ([0], ()), ([3.0], ()), ([1], [2.5]),
+                         ([1], [-1]), ([True], ())):
+            with pytest.raises(FrameShapeError):
+                FrameShape(num, den)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(PARTS, PARTS)
+    def test_a_shape_is_its_net_count(self, num, den):
+        count = Counter(num)
+        count.subtract(den)
+        net = {k: c for k, c in count.items() if c}
+        if not any(c > 0 for c in net.values()):
+            with pytest.raises(FrameShapeError):
+                FrameShape(num, den)
+            return
+        s = FrameShape(num, den)
+        assert s.exponents() == net
+        assert parse_frame_shape(str(s)) == s
+        assert s.lead_exponent() == Fraction(sum(num) - sum(den), 24)
 
     def test_weight_and_lead(self):
         s = parse_frame_shape("1^24/2^24")
@@ -51,14 +89,15 @@ class TestParsing:
 
 class TestBalance:
     def test_1_2_7_14(self):
-        assert is_balanced(Partition([1, 2, 7, 14])) == 14
+        assert is_balanced((1, 2, 7, 14)) == 14
+        assert is_balanced([14, 1, 7, 2]) == 14
 
     def test_uniform(self):
-        assert is_balanced(Partition([1] * 24)) == 1
-        assert is_balanced(Partition([2] * 12)) == 4
+        assert is_balanced([1] * 24) == 1
+        assert is_balanced([2] * 12) == 4
 
     def test_unbalanced(self):
-        assert is_balanced(Partition([1, 2, 3])) is None
+        assert is_balanced([1, 2, 3]) is None
 
 
 class TestEtaProduct:
@@ -200,10 +239,24 @@ class TestClassification:
         assert "1^24" in names
         assert "1^1 2^1 7^1 14^1" in names
         assert "1^2 11^2" in names
-        assert "24^1" not in names or is_balanced(Partition([24]))
+        assert "24^1" not in names or is_balanced([24])
         # every survivor is balanced
         for s in shapes:
-            assert is_balanced(s.numerator) is not None
+            assert is_balanced(expanded(s)) is not None
+
+    def test_shapes_come_in_ascending_order_of_their_parts(self):
+        # the order the CLI prints and the benchmark's digest reads
+        parts = [expanded(s) for s in classify_degree24(200)]
+        assert parts == sorted(parts) and len(set(parts)) == 30
+
+    def test_m24_anchor_names_a_missing_cycle_shape(self, monkeypatch):
+        assert checks.degree24(100)["m24_shapes_ok"] == checks.CheckReport(
+            "degree24_m24_shapes", 21)
+        real = classify_degree24(100)
+        monkeypatch.setattr(checks, "classify_degree24",
+                            lambda bound: [s for s in real if str(s) != "1^3 7^3"])
+        report = checks.degree24(100)["m24_shapes_ok"]
+        assert not report.ok and report.first_mismatch == ("1^3 7^3", False, True)
 
 
 class TestScreen:

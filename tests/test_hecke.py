@@ -78,6 +78,14 @@ class TestTn:
             for n in (2, 3, 4, 6, 12):
                 assert agree(hecke_Tn(f, n), hecke_Tn_via_uv(f, n), f.trunc / n) is None
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("lead", range(-4, 3))
+    def test_closed_vs_uv_routes_at_any_lead(self, lead, n):
+        # a pole of order L puts the a = n term's first coefficient at q^(-nL)
+        rng = random.Random(100 * n + lead)
+        f = QSeries(lead, 1, [1] + [rng.randint(-9, 9) for _ in range(40)], lead + 41)
+        assert agree(hecke_Tn(f, n), hecke_Tn_via_uv(f, n), f.trunc / n) is None
+
     def test_index_zero_rejected(self):
         for n in (0, -2):
             with pytest.raises(ValueError):

@@ -224,15 +224,15 @@ class TestModPCongruence:
         monkeypatch.setattr(checks, "replication_family", family)
         monkeypatch.setattr(checks, "mod_p_residues",
                             lambda f, fp, p, bound: seen.append((f, fp)) or real(f, fp, p, bound))
-        report = checks.mod2_congruence(55, 50)
+        report = checks.mod2_congruence(50)
         assert report.ok and report.compared == 50
-        assert seen == [(realize(HAUPTMODULN["2b"][1], 55), j_oracle(55))]
+        assert seen == [(realize(HAUPTMODULN["2b"][1], 51), j_oracle(51))]
 
     @pytest.mark.parametrize("other, index", [("3b", 3), ("5b", 1)])
     def test_check_falsified_for_a_function_not_congruent_to_j(self, monkeypatch, other, index):
         monkeypatch.setattr(checks, "replication_family",
                             lambda name, trunc: replication_family(other, trunc))
-        report = checks.mod2_congruence(55, 50)
+        report = checks.mod2_congruence(50)
         assert not report.ok and report.first_mismatch == (index, 1, 0)
 
 
