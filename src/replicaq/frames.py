@@ -83,6 +83,8 @@ def is_balanced(parts) -> Optional[int]:
     """Balance number N if the outside-in pairwise products of the sorted
     parts (a cycle shape) are constant, else None."""
     parts = sorted(parts)
+    if not parts:
+        raise FrameShapeError("a cycle shape needs at least one part")
     t = len(parts)
     n = parts[0] * parts[-1]
     for i in range(1, (t + 1) // 2):

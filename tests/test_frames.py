@@ -98,6 +98,8 @@ class TestBalance:
 
     def test_unbalanced(self):
         assert is_balanced([1, 2, 3]) is None
+        with pytest.raises(FrameShapeError):
+            is_balanced([])
 
 
 class TestEtaProduct:
