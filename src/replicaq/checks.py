@@ -110,7 +110,7 @@ def faber(trunc: int, n_max: int, randoms: int) -> dict:
     functions of {1} and of ``randoms`` seeded random sets of four rationals
     to degree n_max, as products against their power-sum exponentials."""
     J = j_oracle(trunc)
-    inputs = [("J", J, [J.coeff(k) for k in range(1, trunc)])]
+    inputs = [("J", J, J.coeff_range(1, trunc - 1))]
     rng = random.Random(2024)
     for i in range(randoms):
         a = [Fraction(rng.randint(-7, 7)) for _ in range(trunc - 2)]
@@ -166,7 +166,7 @@ def grunsky(grade: int) -> dict:
     bivariate log expansion against both tables to min(grade, 12).  Both
     tables read a_1 .. a_(grade-1) of J."""
     J = j_oracle(grade)
-    rec = grunsky_by_recursion([J.coeff(k) for k in range(1, grade)], grade)
+    rec = grunsky_by_recursion(J.coeff_range(1, grade - 1), grade)
     fab = grunsky_from_faber(J, grade)
     bi = min(grade, 12)
     bad = denominator_bound_violations(rec)
@@ -195,7 +195,7 @@ def replicable(grade: int, perturbations: int, trunc: int, ks: tuple,
     # replicate(J, k, trunc) reads J below q^(k^2 trunc); the grade-9 sums to q^20
     fam = replication_family("j", max(max(ks + route_ks) ** 2 * trunc, grade, 20) + 1)
     J = fam.base
-    a = [J.coeff(k) for k in range(1, grade + 1)]
+    a = J.coeff_range(1, grade)
     rep = is_replicable(grunsky_by_recursion(a, grade))
     bumped = (a[:i] + [a[i] + 1] + a[i + 1:] for i in range(perturbations))
     controls = _scan("replicability", (

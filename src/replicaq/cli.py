@@ -68,7 +68,7 @@ def _coeffs_by_method(spec: FunctionSpec, method: str, terms: int) -> list:
     trunc = terms + 1
     if method == "oracle":
         f = realize(spec, trunc)
-        return [f.coeff(k) for k in range(1, trunc)]
+        return f.coeff_range(1, terms)
     if method == "recurrence":
         top = max(trunc, 7)
         # the rules read the seeds a_1..a_5 and the duplicate f^(2) below q^(top // 2)
@@ -76,12 +76,12 @@ def _coeffs_by_method(spec: FunctionSpec, method: str, terms: int) -> list:
         f = fam.base
         seeds = [f.coeff(i) for i in range(1, 6)]
         g = mahler_compute(seeds, fam.power(2).coeff, top)
-        return [g.coeff(k) for k in range(1, trunc)]
+        return g.coeff_range(1, terms)
     if method == "basis":
         f = realize(spec, NORTON_BASIS[-1] + 1)
         basis = {k: f.coeff(k) for k in NORTON_BASIS}
         g = reconstruct_from_basis(basis, max(trunc, 3))
-        return [g.coeff(k) for k in range(1, trunc)]
+        return g.coeff_range(1, terms)
 
 
 def cmd_coeffs(args) -> tuple:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
 from math import gcd
 from operator import mul
 from typing import Optional
@@ -32,12 +33,22 @@ class FrameShape:
 
     def __init__(self, numerator, denominator=()):
         """The net count of each part over the two sequences of parts."""
+        self._count(chain(zip(numerator, repeat(1)), zip(denominator, repeat(-1))))
+
+    @classmethod
+    def _of_multiplicities(cls, weighted) -> "FrameShape":
+        """The shape of (part, signed multiplicity) pairs; no part is repeated
+        out into a list, so a multiplicity costs nothing for its size."""
+        shape = cls.__new__(cls)
+        shape._count(weighted)
+        return shape
+
+    def _count(self, weighted) -> None:
         count: dict = {}
-        for sign, parts in ((1, numerator), (-1, denominator)):
-            for p in parts:
-                if type(p) is not int or p < 1:
-                    raise FrameShapeError(f"a part must be an int >= 1, not {p!r}")
-                count[p] = count.get(p, 0) + sign
+        for p, m in weighted:
+            if type(p) is not int or p < 1:
+                raise FrameShapeError(f"a part must be an int >= 1, not {p!r}")
+            count[p] = count.get(p, 0) + m
         net = tuple(sorted((p, c) for p, c in count.items() if c))
         if not any(c > 0 for _, c in net):
             raise FrameShapeError("numerator cancels away entirely")
@@ -61,8 +72,8 @@ _TOKEN = re.compile(r"^(\d+)\^(\d+)$")
 
 def parse_frame_shape(text: str) -> FrameShape:
     """Grammar: `part^mult` tokens joined by spaces, optional `/` before the denominator."""
-    sides = ([], [])
-    for side, parts in zip(text.split("/", 1), sides):
+    weighted = []
+    for sign, side in zip((1, -1), text.split("/", 1)):
         tokens = side.split()
         if not tokens:
             raise FrameShapeError(f"empty side in frame shape {text!r}")
@@ -70,11 +81,11 @@ def parse_frame_shape(text: str) -> FrameShape:
             m = _TOKEN.match(tok)
             if not m:
                 raise FrameShapeError(f"bad frame-shape token {tok!r}")
-            p, mult = int(m.group(1)), int(m.group(2))
-            if p < 1 or mult < 1:
-                raise FrameShapeError(f"parts and multiplicities must be positive: {tok!r}")
-            parts.extend([p] * mult)
-    return FrameShape(*sides)
+            mult = int(m.group(2))
+            if mult < 1:
+                raise FrameShapeError(f"multiplicities must be positive: {tok!r}")
+            weighted.append((int(m.group(1)), sign * mult))
+    return FrameShape._of_multiplicities(weighted)
 
 
 # -- balance -------------------------------------------------------------
@@ -138,12 +149,17 @@ def _log_derivative_series(exponents: dict, n_terms: int):
     b = [1]
     yield 1
     for n in range(1, n_terms + 1):
-        total = sum(map(mul, s[1:n + 1], b[n - 1::-1]))  # sum of s_i b_(n-i)
-        q, r = divmod(-total, n)
-        if r:
-            raise ArithmeticError(f"eta-product recurrence left remainder {r} at index {n}")
-        b.append(q)
-        yield q
+        b.append(_log_derivative_step(s, b, n))
+        yield b[n]
+
+
+def _log_derivative_step(s: list, b: list, n: int) -> int:
+    """b_n = -(1/n) sum_{i=1..n} s_i b_(n-i), from s_1..s_n and b_0..b_(n-1);
+    a remainder raises ArithmeticError instead of being rounded away."""
+    q, r = divmod(-sum(map(mul, s[1:n + 1], b[n - 1::-1])), n)
+    if r:
+        raise ArithmeticError(f"eta-product recurrence left remainder {r} at index {n}")
+    return q
 
 
 def _log_derivative_coeffs(exponents: dict, n_terms: int) -> list:
@@ -181,12 +197,12 @@ class MultiplicativityReport:
 
 def _normalized_int_coeffs(f: QSeries, bound: int) -> list:
     """[c(1)..c(bound)] with c(1) normalized to 1; raises if c(1) not a unit."""
-    c = [f.coeff(n) for n in range(1, bound + 1)]
+    c = f.coeff_range(1, bound)
     if not c or c[0] not in (1, -1):
         raise ValueError("cannot normalize: c(1) must be +-1")
-    if not all(isinstance(v, int) for v in c):
+    if not all(map(isinstance, c, repeat(int))):
         raise ValueError("weak multiplicativity needs integer coefficients")
-    return [v * c[0] for v in c]
+    return c if c[0] == 1 else [-v for v in c]
 
 
 def weak_multiplicativity(f: QSeries, bound: int) -> MultiplicativityReport:
@@ -200,9 +216,11 @@ def _first_mult_failure(c: list, bound: int) -> Optional[tuple]:
     for m in range(2, bound):
         if m * (m + 1) > bound:
             break
+        cm = c[m - 1]
         for n in range(m + 1, bound // m + 1):
-            if gcd(m, n) == 1 and c[m * n - 1] != c[m - 1] * c[n - 1]:
-                return (m, n, c[m - 1], c[n - 1], c[m * n - 1])
+            # the gcd only where the values differ: most coprime pairs agree
+            if c[m * n - 1] != cm * c[n - 1] and gcd(m, n) == 1:
+                return (m, n, cm, c[n - 1], c[m * n - 1])
     return None
 
 
@@ -233,33 +251,63 @@ def _coprime_splits(bound: int) -> list:
     return splits
 
 
-def _passes_screen(exponents: dict, splits: list) -> bool:
-    """Whether c(mn) = c(m) c(n) for every pair in ``splits``, with c(N) =
-    b_(N-1) for N < len(splits) (a product of degree 24 leads with q^1).
-    Each pair is checked as soon as its c(mn) exists, so a failure at c(6)
-    costs six coefficients."""
-    c = [None]  # c[N] = c(N)
-    for b in _log_derivative_series(exponents, len(splits) - 2):
-        c.append(b)
-        for m, n in splits[len(c) - 1]:
-            if c[m] * c[n] != b:
-                return False
-    return True
+def _screened_partitions(splits: list) -> list:
+    """The partitions of 24, in partitions_of order, whose coefficients
+    c(N) = b_(N-1) (a product of degree 24 leads with q^1) satisfy
+    c(mn) = c(m) c(n) for every pair in ``splits``, len(splits) > 25.
+
+    One depth-first walk fixes the multiplicity c_k of the part k for
+    k = 1, 2, ..; parts >= k + 1 leave b_0..b_k unchanged, so once c_1..c_k
+    are fixed those coefficients are final.  The walk adds b_k as it fixes
+    c_k and checks the pairs with mn = k + 1; a prefix that fails one is
+    dropped with all its completions.  A complete partition runs on to
+    b_(len(splits) - 2), stopping at its first failing pair.  Every prefix
+    shares one set of the recurrence's e, s and b lists.
+    """
+    top = len(splits) - 2
+    divisors = [[d for d in range(1, i + 1) if i % d == 0] for i in range(top + 1)]
+    mult = [0] * (top + 1)  # mult[k] = c_k on the walk's current path
+    e = [0] * (top + 1)     # e, s and b as in _log_derivative_series
+    s = [0] * (top + 1)
+    b = [1] * (top + 1)
+    out = []
+
+    def holds(i):
+        """Set b_i from the fixed parts; whether every pair with mn = i + 1 holds."""
+        e[i] = sum([mult[d] for d in divisors[i]])
+        s[i] = sum([d * e[d] for d in divisors[i]])
+        b[i] = bi = _log_derivative_step(s, b, i)
+        return all(b[m - 1] * b[n - 1] == bi for m, n in splits[i + 1])
+
+    def walk(k, remaining):
+        for c in range(remaining // k, -1, -1):  # more k's first: partitions_of order
+            left = remaining - k * c
+            if 0 < left <= k:  # no parts above k sum to it
+                continue
+            mult[k] = c
+            if not holds(k):
+                continue
+            if left:
+                walk(k + 1, left)
+            elif all(holds(i) for i in range(k + 1, top + 1)):
+                out.append(tuple(d for d in range(1, k + 1) for _ in range(mult[d])))
+        mult[k] = 0
+
+    walk(1, 24)
+    return out
 
 
 def classify_degree24(bound: int) -> list:
     """The weakly multiplicative eta products among the partitions of 24.
 
     Screens every partition numerically up to ``bound`` coprime products;
-    a cheap low-order screen, on the log-derivative recurrence and stopping
-    at a partition's first failing pair, rejects most candidates first, and
+    a cheap low-order screen to c(42), one pruned walk over the partitions
+    on the log-derivative recurrence, rejects most candidates first, and
     the survivors are rechecked on the factor route.
     """
     if bound < 100:
         raise ValueError("screening bound must be at least 100")
-    splits = _coprime_splits(min(bound, 42))
-    survivors = [shape for shape in map(FrameShape, partitions_of(24))
-                 if _passes_screen(shape.exponents(), splits)]
+    survivors = map(FrameShape, _screened_partitions(_coprime_splits(42)))
     out = []
     for shape in survivors:
         c = _product_int_coeffs(shape.exponents(), bound - 1)

@@ -150,7 +150,7 @@ def grunsky_from_faber(f: QSeries, grade: int) -> GrunskyTable:
         raise ValueError("Grunsky extraction needs a normalized series")
     if f.trunc < grade:
         raise TruncationError(f"need trunc >= {grade}, have {f.trunc}")
-    return _table(_FaberRows.from_coeffs([f.coeff(k) for k in range(1, grade)]).h, grade)
+    return _table(_FaberRows.from_coeffs(f.coeff_range(1, grade - 1)).h, grade)
 
 
 # -- bivariate generating function ---------------------------------------

@@ -116,7 +116,7 @@ def hecke_faber_verify(fam: ReplicationFamily, n_max: int, trunc: int) -> List[H
     twisted T_n, V_a U_(n/a) f^(a), reads f^(a) only below q^(n trunc / a^2),
     so twisted T_n runs on the family's f^(a), a | n, cut to q^(n trunc)."""
     f = fam.base
-    a_list = [f.coeff(k) for k in range(1, min(int(f.trunc), n_max + 1))]
+    a_list = f.coeff_range(1, min(int(f.trunc) - 1, n_max))
     out = []
     for n in range(1, n_max + 1):
         cut = ReplicationFamily(_cut(f, n * trunc), {

@@ -16,13 +16,17 @@ coefficients past the knowledge boundary of its operands.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
-from math import gcd
+from math import ceil, gcd
 from typing import Iterable, Union
 
 Rat = Union[int, Fraction]
 
 GRID_DENOMINATOR = 24
+
+_BIG_ENDIAN = sys.byteorder == "big"  # array('q') holds native-order words
 
 
 class GridError(ValueError):
@@ -106,11 +110,29 @@ class QSeries:
         i = idx.numerator
         return self.coeffs[i] if idx.denominator == 1 and 0 <= i < len(self.coeffs) else 0
 
+    def coeff_range(self, lo: int, hi: int) -> list:
+        """Coefficients at integer exponents lo..hi inclusive, as stored: what
+        ``coeff`` gives at each, read at once.  Raises past the truncation order.
+
+        On a step-1 grid with an integral lead this is one slice of the list;
+        any other grid reads through ``coeff``."""
+        if hi < lo:
+            return []
+        if hi >= self.trunc:  # named as coeff names it: the first exponent past trunc
+            first = max(lo, ceil(self.trunc))
+            raise TruncationError(f"coefficient at q^{first} is beyond trunc={self.trunc}")
+        if self.step != 1 or self.lead_exp.denominator != 1:
+            return [self.coeff(k) for k in range(lo, hi + 1)]
+        lead, n = self.lead_exp.numerator, hi + 1 - lo
+        out = [0] * min(max(lead - lo, 0), n)  # exponents below the lead
+        out += self.coeffs[max(lo - lead, 0):max(hi + 1 - lead, 0)]
+        return out + [0] * (n - len(out))  # and past the stored list
+
     def integer_coeffs(self, lo: int, hi: int) -> list:
         """Coefficients at integer exponents lo..hi inclusive, as Fractions:
         the benchmark's ``workloads.plain`` renders only Fractions as decimal
         strings, so an int here would compare unequal to its reference."""
-        return [_as_fraction(self.coeff(k)) for k in range(lo, hi + 1)]
+        return list(map(_as_fraction, self.coeff_range(lo, hi)))
 
     def exponents(self):
         return [self.lead_exp + i * self.step for i in range(len(self.coeffs))]
@@ -424,13 +446,63 @@ def _kronecker_conv(a: list, b: list, n_out: int) -> list:
     Each list is packed into an int with one byte-aligned slot per coefficient,
     A = sum a_i 2^(8wi).  Every product coefficient is bounded by
     max|a| max|b| min(len), which fixes the slot width w so that it fits in
-    (-2^(8w-1), 2^(8w-1)).  Adding half the slot range to every slot makes all
-    slots nonnegative, so A*B reads off slot by slot as unsigned bytes.
+    (-2^(8w-1), 2^(8w-1)).  Slots of at most 8 bytes go through machine words
+    (_word_slot_product), wider ones one slot at a time (_byte_slot_product).
     """
     top = max(map(abs, a)) * max(map(abs, b))
     if not top:
         return [0] * n_out
     width = (top * min(len(a), len(b))).bit_length() // 8 + 1
+    k = min(len(a) + len(b) - 1, n_out)
+    slots = _word_slot_product if width <= 8 else _byte_slot_product
+    return slots(a, b, width, k) + [0] * (n_out - k)
+
+
+# byte -> 0xFF if its top bit is set, else 0: the sign fill of a slot's top byte
+_SIGN_FILL = bytes(0xFF if i & 0x80 else 0 for i in range(256))
+
+
+def _word_slot_product(a: list, b: list, width: int, k: int) -> list:
+    """The first k coefficients of a*b, packed in slots of width <= 8 bytes.
+
+    Both lists go through array('q'): the low ``width`` bytes of each 64-bit
+    word, copied by strided slices, are its two's complement slot.  With S
+    the top bit of every slot and U the unsigned read of the slots, the signed
+    packing is A = U - ((U & S) << 1).  Adding S to the product A*B makes
+    every slot nonnegative, and XOR with S turns each back into its two's
+    complement, whose top byte, translated to 0x00 or 0xFF, fills the word.
+    """
+    m = len(a) + len(b) - 1
+    sign = int.from_bytes((bytes(width - 1) + b"\x80") * m, "little")
+
+    def packed(xs: list) -> int:
+        words = array("q", xs)
+        if _BIG_ENDIAN:
+            words.byteswap()
+        raw = words.tobytes()
+        slots = bytearray(width * len(xs))
+        for j in range(width):
+            slots[j::width] = raw[j::8]
+        u = int.from_bytes(slots, "little")
+        return u - ((u & sign) << 1)
+
+    raw = ((packed(a) * packed(b) + sign) ^ sign).to_bytes(width * m, "little")
+    words = bytearray(8 * k)
+    for j in range(width):
+        words[j::8] = raw[j:width * k:width]
+    fill = raw[width - 1:width * k:width].translate(_SIGN_FILL)
+    for j in range(width, 8):
+        words[j::8] = fill
+    out = array("q", words)
+    if _BIG_ENDIAN:
+        out.byteswap()
+    return out.tolist()
+
+
+def _byte_slot_product(a: list, b: list, width: int, k: int) -> list:
+    """The first k coefficients of a*b, packed one slot at a time: adding half
+    the slot range to every slot makes all slots nonnegative, so A*B reads
+    off slot by slot as unsigned bytes."""
     half = 1 << (8 * width - 1)
     halves = half.to_bytes(width, "little")
 
@@ -441,10 +513,8 @@ def _kronecker_conv(a: list, b: list, n_out: int) -> list:
     m = len(a) + len(b) - 1
     prod = packed(a) * packed(b) + int.from_bytes(halves * m, "little")
     raw = prod.to_bytes(width * m, "little")
-    k = min(m, n_out)
-    out = [int.from_bytes(raw[i:i + width], "little") - half
-           for i in range(0, width * k, width)]
-    return out + [0] * (n_out - k)
+    return [int.from_bytes(raw[i:i + width], "little") - half
+            for i in range(0, width * k, width)]
 
 
 def _int_power(a: list, e: int, n_out: int) -> list:

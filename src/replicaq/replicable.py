@@ -112,7 +112,7 @@ def _replicate(f: QSeries, k: int, trunc: int, engine) -> QSeries:
     if f.trunc <= top:
         raise TruncationError(
             f"replicate({k}) to {trunc} terms reads a_{top}, beyond trunc={f.trunc}")
-    h = engine([f.coeff(p) for p in range(1, top + 1)]).h
+    h = engine(f.coeff_range(1, top)).h
     coeffs = [1] + [0] * trunc  # exponents -1, 0, 1, ..., trunc-1
     for i in range(1, trunc):
         coeffs[i + 1] = k * sum(mu * h(r, step * i) for mu, r, step in terms)

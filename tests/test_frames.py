@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from math import gcd
@@ -17,7 +18,7 @@ from replicaq.frames import (FrameShape, FrameShapeError,
                              weak_multiplicativity, partitions_of,
                              classify_degree24, euler_factor_check,
                              _product_int_coeffs, _log_derivative_coeffs,
-                             _first_mult_failure, _coprime_splits, _passes_screen)
+                             _first_mult_failure, _coprime_splits, _screened_partitions)
 import replicaq.frames as frames
 
 
@@ -59,6 +60,12 @@ class TestParsing:
         for bad in ("", "1^0", "0^3", "x^2", "1^2/", "1^-1", "1^2/2^1/3^1", "1^1/1^2"):
             with pytest.raises(FrameShapeError):
                 parse_frame_shape(bad)
+
+    def test_a_huge_multiplicity_is_counted_not_expanded(self):
+        start = time.perf_counter()
+        s = parse_frame_shape("1^1000000000/2^1")
+        assert time.perf_counter() - start < 1
+        assert s.net == ((1, 10 ** 9), (2, -1))
 
     def test_rejects_a_part_that_is_not_a_positive_int(self):
         for num, den in (([2.5], ()), (["3"], ()), ([0], ()), ([3.0], ()), ([1], [2.5]),
@@ -261,15 +268,23 @@ class TestClassification:
         assert not report.ok and report.first_mismatch == ("1^3 7^3", False, True)
 
 
+def full_scan(parts) -> bool:
+    """Whether all 42 recurrence coefficients of a partition of 24 pass the pair scan."""
+    exps = FrameShape(parts).exponents()
+    return _first_mult_failure(_log_derivative_coeffs(exps, 41), 42) is None
+
+
+@pytest.fixture(scope="module")
+def fully_scanned():
+    return [parts for parts in partitions_of(24) if full_scan(parts)]
+
+
 class TestScreen:
-    def test_screen_is_the_full_scan_on_every_partition(self):
-        # the early-exit screen keeps exactly the partitions whose 42
-        # recurrence coefficients pass the pair scan
-        splits = _coprime_splits(42)
-        for parts in partitions_of(24):
-            exps = FrameShape(parts).exponents()
-            full = _first_mult_failure(_log_derivative_coeffs(exps, 41), 42) is None
-            assert _passes_screen(exps, splits) == full, parts
+    def test_screen_is_the_full_scan_on_every_partition(self, fully_scanned):
+        # the pruned walk keeps exactly the partitions whose 42 recurrence
+        # coefficients pass the pair scan, in partitions_of order
+        assert len(fully_scanned) == 32
+        assert _screened_partitions(_coprime_splits(42)) == fully_scanned
 
     def test_splits_are_the_coprime_pairs(self):
         splits = _coprime_splits(42)
@@ -278,26 +293,44 @@ class TestScreen:
         assert splits[30] == [(2, 15), (3, 10), (5, 6)]
 
     def test_screen_stops_at_the_first_failing_pair(self, monkeypatch):
-        taken = []
-        series = frames._log_derivative_series
+        # the walk takes b_n only where b_0..b_(n-1) pass every pair with
+        # mn <= n, and takes it once for all the completions of its prefix
+        # (s_1..s_n fix the parts up to n)
+        splits = _coprime_splits(42)
+        taken = set()
+        step = frames._log_derivative_step
 
-        def counted(exponents, n_terms):
-            for b in series(exponents, n_terms):
-                taken.append(b)
-                yield b
+        def checked(s, b, n):
+            assert all(b[m - 1] * b[k - 1] == b[m * k - 1]
+                       for N in range(n + 1) for m, k in splits[N])
+            key = (n, tuple(s[1:n + 1]))
+            assert key not in taken
+            taken.add(key)
+            return step(s, b, n)
 
-        monkeypatch.setattr(frames, "_log_derivative_series", counted)
-        # 1^22 2^1 fails at c(6) != c(2) c(3): six coefficients are taken, c(1)..c(6)
-        shape = parse_frame_shape("1^22 2^1")
-        exps = shape.exponents()
-        c = _log_derivative_coeffs(exps, 41)
-        assert c[5] != c[1] * c[2]
-        taken.clear()
-        assert not _passes_screen(exps, _coprime_splits(42))
-        assert len(taken) == 6
-        taken.clear()
-        assert _passes_screen(parse_frame_shape("1^24").exponents(), _coprime_splits(42))
-        assert len(taken) == 42
+        monkeypatch.setattr(frames, "_log_derivative_step", checked)
+        assert len(_screened_partitions(splits)) == 32
+        # 1315 of the 1575 partitions fail at c(6); taking c(1)..c(6) of each
+        # partition apart would cost more steps than the whole walk
+        assert len(taken) < 6 * 1575
+
+    def test_frame_shapes_are_built_for_the_survivors_only(self, monkeypatch):
+        built = []
+
+        def counted(parts):
+            built.append(parts)
+            return FrameShape(parts)
+
+        monkeypatch.setattr(frames, "FrameShape", counted)
+        assert len(classify_degree24(702)) == 30
+        assert len(built) == 32
+
+    @pytest.mark.parametrize("bound", [100, 702, 3000])
+    def test_classification_is_the_full_scan_then_the_recheck(self, bound, fully_scanned):
+        want = [shape for shape in map(FrameShape, fully_scanned)
+                if _first_mult_failure(_product_int_coeffs(shape.exponents(), bound - 1),
+                                       bound) is None]
+        assert classify_degree24(bound) == want
 
 
 class TestEulerFactor:

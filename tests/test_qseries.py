@@ -135,6 +135,43 @@ class TestConstruction:
             empty.coeff(9)
 
 
+# series on the q grid or the 1/24 grid, with an integral or a 1/24-grid
+# lead, zeros and non-integral entries, known from the lead to 12 past it
+BULK_SERIES = st.builds(
+    lambda step, lead, coeffs, known: QSeries(lead, step, coeffs, lead + known),
+    st.sampled_from([Fraction(1), Fraction(1, 24)]),
+    st.one_of(st.integers(-4, 4), st.integers(-96, 96).map(lambda k: Fraction(k, 24))),
+    st.lists(st.sampled_from([0, 0, 1, -1, 5, Fraction(2, 3)]), max_size=14),
+    st.integers(0, 12))
+
+
+class TestBulkRead:
+    @PROPERTY
+    @given(BULK_SERIES, st.integers(-9, 4), st.integers(-3, 16))
+    def test_bulk_read_is_the_per_index_read(self, f, lo, width):
+        # lo from below the lead, hi from below lo to past the stored list and trunc
+        hi = lo + width
+        try:
+            want = [f.coeff(k) for k in range(lo, hi + 1)]
+        except TruncationError as exc:
+            assert hi >= f.trunc
+            with pytest.raises(TruncationError) as got:
+                f.coeff_range(lo, hi)
+            assert str(got.value) == str(exc)
+            return
+        got = f.coeff_range(lo, hi)
+        assert got == want and list(map(type, got)) == list(map(type, want))
+        assert f.integer_coeffs(lo, hi) == want
+
+    def test_bulk_read_raises_at_trunc(self):
+        f = j_oracle(20)
+        assert f.coeff_range(-3, 19) == [f.coeff(k) for k in range(-3, 20)]
+        assert f.coeff_range(25, 24) == []
+        for hi in (20, 21):
+            with pytest.raises(TruncationError, match="q\\^20 "):
+                f.coeff_range(-1, hi)
+
+
 class TestStore:
     @PROPERTY
     @given(SERIES, SERIES, st.sampled_from([0, 3, -1, Fraction(1, 2), Fraction(4, 2)]),
@@ -515,6 +552,52 @@ class TestKronecker:
             for _ in range(e):
                 want = _schoolbook_conv(want, a, n_out)
             assert _int_power(a, e, n_out) == want
+
+
+class TestSlotWidths:
+    """The packed product at every slot width from one byte to past a machine
+    word, against the schoolbook loop."""
+
+    @PROPERTY
+    @given(st.integers(1, 9), st.integers(1, 14), st.integers(1, 14), st.data())
+    def test_every_width_matches_schoolbook(self, width, len_a, len_b, data):
+        # entries up to v in size, v^2 min(len) as close under the width's
+        # product bound 2^(8 width - 1) - 1 as a square allows
+        v = math.isqrt((2 ** (8 * width - 1) - 1) // min(len_a, len_b))
+        entry = st.one_of(st.just(0), st.just(0), st.sampled_from([v, -v]),
+                          st.integers(-v, v))
+        a = data.draw(st.lists(entry, min_size=len_a, max_size=len_a))
+        b = data.draw(st.lists(entry, min_size=len_b, max_size=len_b))
+        a[data.draw(st.integers(0, len_a - 1))] = data.draw(st.sampled_from([v, -v]))
+        b[data.draw(st.integers(0, len_b - 1))] = data.draw(st.sampled_from([v, -v]))
+        assert (v * v * min(len_a, len_b)).bit_length() // 8 + 1 == width
+        full = len_a + len_b - 1
+        for n_out in (0, 1, full - 1, full, full + 3, data.draw(st.integers(0, 30))):
+            out = _kronecker_conv(a, b, n_out)
+            assert out == _schoolbook_conv(a, b, n_out)
+            assert all(type(x) is int for x in out)
+
+    @pytest.mark.parametrize("width", range(1, 10))
+    def test_product_bound_at_the_slot_limit(self, width, monkeypatch):
+        # max|a| max|b| min(len) = 2^(8 width - 1) - 1 exactly, and every
+        # product coefficient is that bound or its negative; slots of at most
+        # 8 bytes take the word path, wider ones the byte path
+        taken = []
+        for name in ("_word_slot_product", "_byte_slot_product"):
+            real = getattr(qseries, name)
+
+            def spy(a, b, w, k, real=real, name=name):
+                taken.append((name, w))
+                return real(a, b, w, k)
+
+            monkeypatch.setattr(qseries, name, spy)
+        top = 2 ** (8 * width - 1) - 1
+        b = [top, -top, 0, 0, top, -top, -top]
+        for a in ([1], [-1]):
+            for n_out in (3, len(b), len(b) + 4):
+                assert _kronecker_conv(a, b, n_out) == _schoolbook_conv(a, b, n_out)
+        path = "_word_slot_product" if width <= 8 else "_byte_slot_product"
+        assert taken == [(path, width)] * 6
 
 
 class TestSparseInverse:
