@@ -84,11 +84,10 @@ def mahler(trunc: int, terms: int, top: int) -> dict:
     for name in HAUPTMODULN:
         fam = replication_family(name, trunc)
         f = fam.base
-        g = mahler_compute([f.coeff(i) for i in range(1, 6)], fam.power(2).coeff,
-                           max(top, rules_to + 1))
+        g = mahler_compute(f.coeff_range(1, 5), fam.power(2).coeff, max(top, rules_to + 1))
         # the rule for a_n reads a_j for j < n only, so g equals f below the first miss
-        fail = next(((n, g.coeff(n), f.coeff(n)) for n in range(6, rules_to + 1)
-                     if g.coeff(n) != f.coeff(n)), None)
+        pairs = zip(g.coeff_range(6, rules_to), f.coeff_range(6, rules_to))
+        fail = next(((n, x, y) for n, (x, y) in enumerate(pairs, 6) if x != y), None)
         out[name] = {
             "identities_ok": _series("mahler_identities", p2_identities(fam)),
             "rules_ok": CheckReport("mahler_rules", (fail[0] if fail else rules_to) - 5, fail),

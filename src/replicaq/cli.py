@@ -46,11 +46,6 @@ def _at_least(floor: int):
     return parse
 
 
-def _rat(x: Fraction) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def _methods(text: str) -> list:
     """The --method list, checked before any work: known names, each once."""
     methods = [m.strip() for m in text.split(",") if m.strip()]
@@ -73,9 +68,7 @@ def _coeffs_by_method(spec: FunctionSpec, method: str, terms: int) -> list:
         top = max(trunc, 7)
         # the rules read the seeds a_1..a_5 and the duplicate f^(2) below q^(top // 2)
         fam = replication_family(spec, max(top // 2, 6))
-        f = fam.base
-        seeds = [f.coeff(i) for i in range(1, 6)]
-        g = mahler_compute(seeds, fam.power(2).coeff, top)
+        g = mahler_compute(fam.base.coeff_range(1, 5), fam.power(2).coeff, top)
         return g.coeff_range(1, terms)
     if method == "basis":
         f = realize(spec, NORTON_BASIS[-1] + 1)
@@ -93,7 +86,7 @@ def cmd_coeffs(args) -> tuple:
         "spec": str(spec),
         "terms": args.terms,
         "methods": methods,
-        "coefficients": [_rat(c) for c in first],
+        "coefficients": list(map(str, first)),
     }
     if len(methods) == 1:
         return "computed", payload, f"{args.terms} coefficients of {spec}"
@@ -104,7 +97,7 @@ def cmd_coeffs(args) -> tuple:
                 if any(results[m][k] != first[k] for m in methods))
     payload["first_disagreement"] = {
         "index": diff + 1,
-        "values": {m: _rat(results[m][diff]) for m in methods},
+        "values": {m: str(results[m][diff]) for m in methods},
     }
     return "falsified", payload, f"methods disagree at a_{diff + 1}"
 
@@ -166,7 +159,7 @@ def _plain(x):
     if isinstance(x, tuple):
         return [_plain(v) for v in x]
     if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
-        return _rat(x)
+        return str(x)
     return x
 
 

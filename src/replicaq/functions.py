@@ -56,7 +56,9 @@ def fiction_series(c: int, trunc: Rat) -> QSeries:
 
 
 def realize(spec: FunctionSpec, trunc: Rat) -> QSeries:
-    """Expand the spec to a QSeries with the given truncation order."""
+    """Expand the spec to a QSeries with the given truncation order.  An eta
+    spec must give q^-1 + O(q): a nonzero constant term raises SpecError,
+    which names the shift that would cancel it."""
     trunc = _as_fraction(trunc)
     if spec.variant == "j":
         return j_oracle(trunc)
@@ -68,6 +70,10 @@ def realize(spec: FunctionSpec, trunc: Rat) -> QSeries:
     if f.lead_exp != -1:
         raise SpecError(f"eta quotient {spec.shape} has lead exponent "
                         f"{f.lead_exp}, not the required simple pole")
+    if f.trunc > 0 and f.coeff(0) != 0:
+        fixed = FunctionSpec("eta", shape=spec.shape, shift=spec.shift - f.coeff(0))
+        raise SpecError(f"{spec} has constant term {f.coeff(0)}, not 0; "
+                        f"the normalized function is {fixed}")
     return f
 
 

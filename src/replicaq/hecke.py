@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from math import ceil
+from operator import mul
+from typing import Callable, List, Optional, Sequence, Union
 
 from .qseries import QSeries, _exact, agree
 from .faber import faber_by_recursion
@@ -29,14 +30,9 @@ def up(f: QSeries, p: int) -> QSeries:
     _require_integer_grid(f)
     if p < 1:
         raise ValueError("p must be positive")
-    trunc = f.trunc / p
-    lo = -((-f.lead_exp.numerator) // p)  # ceil(lead / p)
-    coeffs = []
-    j = lo
-    while j < trunc:
-        coeffs.append(f.coeff(p * j))
-        j += 1
-    return QSeries(lo, 1, coeffs, trunc)
+    lead = f.lead_exp.numerator
+    lo = -(-lead // p)  # ceil(lead / p)
+    return QSeries(lo, 1, f.coeffs[p * lo - lead::p], f.trunc / p)
 
 
 def vp(f: QSeries, p: int) -> QSeries:
@@ -52,15 +48,12 @@ def hecke_Tn(f: QSeries, n: int) -> QSeries:
     pairs = [(a, n // a) for a in range(1, n + 1) if n % a == 0]
     trunc = f.trunc / n
     lo = n * min(f.lead_exp.numerator, -1)  # the a = n term c(j / n) starts at j = n lead
-    out = []
-    j = lo
-    while j < trunc:
-        total = Fraction(0)
-        for a, d in pairs:
-            if j % a == 0:
-                total += d * f.coeff(j * d // a)
-        out.append(total / n)
-        j += 1
+    hi = ceil(trunc) - 1
+    # j d / a runs from lo n (j = lo, a = 1) up to hi n, or up to hi // n when hi < 0
+    base = lo * n
+    c = f.coeff_range(base, max(hi * n, hi // n)) if hi >= lo else []
+    out = [Fraction(sum(d * c[j * d // a - base] for a, d in pairs if j % a == 0), n)
+           for j in range(lo, hi + 1)]
     return QSeries(lo, 1, out, trunc)
 
 
@@ -140,12 +133,11 @@ CoeffFn = Callable[[int], Num]
 
 def _half_twist(g: QSeries) -> QSeries:
     """q^(1/2) -> -q^(1/2): negate coefficients at odd half-integer exponents."""
-    coeffs = []
-    for e, c in zip(g.exponents(), g.coeffs):
-        m = e * 2
-        if m.denominator != 1:
-            raise ValueError("series does not live on the half-integer grid")
-        coeffs.append(-c if m.numerator % 2 else c)
+    lead, step = 2 * g.lead_exp, 2 * g.step  # in half-units
+    if (g.coeffs and lead.denominator != 1) or (len(g.coeffs) > 1 and step.denominator != 1):
+        raise ValueError("series does not live on the half-integer grid")
+    lead, step = lead.numerator, step.numerator
+    coeffs = [-c if (lead + i * step) % 2 else c for i, c in enumerate(g.coeffs)]
     return QSeries(g.lead_exp, g.step, coeffs, g.trunc)
 
 
@@ -158,32 +150,32 @@ def _halved(whole: Num, doubled: Num) -> Num:
     return whole + Fraction(doubled, 2)
 
 
-def _rule_even(a: CoeffFn, h2: CoeffFn, m: int) -> Num:
+# The rules read lists with index 0 unused: a[j] = a_j for every j below the
+# index computed, and h2[k] = h2_k.
+
+def _rule_even(a: list, h2: list, m: int) -> Num:
     """a_{2m} = a_{m+1} + sum_{1<=j<m/2} a_j a_{m-j}
     (+ (a_{m/2}^2 - h2_{m/2}) / 2 when m is even)."""
-    whole = a(m + 1)
-    for j in range(1, (m + 1) // 2):
-        whole += a(j) * a(m - j)
+    half = (m + 1) // 2
+    whole = a[m + 1] + sum(map(mul, a[1:half], a[m - 1:m - half:-1]))
     if m % 2:
         return whole
-    return _halved(whole, a(m // 2) * a(m // 2) - h2(m // 2))
+    return _halved(whole, a[m // 2] * a[m // 2] - h2[m // 2])
 
 
-def _rule_odd(a: CoeffFn, h2: CoeffFn, m: int) -> Num:
+def _rule_odd(a: list, h2: list, m: int) -> Num:
     """a_{2m+1} for m >= 3: a_{m+3} - a_2 a_m + sum_{1<=k<=(m-1)/2} a_{2m-4k} h2_k
     + (h2_m - [m even] h2_{m/2+1} + sum_{i=1}^{m+1} a_i a_{m+2-i}
        + sum_{i=1}^{2m-1} (-1)^i a_i a_{2m-i}) / 2."""
-    whole = a(m + 3) - a(2) * a(m)
-    for k in range(1, (m + 1) // 2):
-        whole += a(2 * m - 4 * k) * h2(k)
-    doubled = h2(m)
+    k = (m - 1) // 2
+    whole = (a[m + 3] - a[2] * a[m]
+             + sum(map(mul, a[2 * m - 4 * k:2 * m - 3:4], h2[k:0:-1])))
+    doubled = h2[m] + sum(map(mul, a[1:m + 2], a[m + 1:0:-1]))
     if m % 2 == 0:
-        doubled -= h2(m // 2 + 1)
-    for i in range(1, m + 2):
-        doubled += a(i) * a(m + 2 - i)
-    for i in range(1, 2 * m):
-        term = a(i) * a(2 * m - i)
-        doubled += -term if i % 2 else term
+        doubled -= h2[m // 2 + 1]
+    # (-1)^i: the even i add, the odd i subtract
+    doubled += sum(map(mul, a[2:2 * m:2], a[2 * m - 2:0:-2]))
+    doubled -= sum(map(mul, a[1:2 * m:2], a[2 * m - 1:0:-2]))
     return _halved(whole, doubled)
 
 
@@ -215,24 +207,17 @@ def p2_identities(fam: ReplicationFamily) -> list:
             ("E2", A * B + A * C + B * C, f * (2 * a2) - f2 + 2 * (a4 - a1), half - 2)]
 
 
-def _int_valued(c: CoeffFn) -> CoeffFn:
-    """c memoised, with integral values as ints so the rules run in int arithmetic."""
-    @lru_cache(maxsize=None)
-    def get(i: int) -> Num:
-        return _exact(c(i))
-    return get
-
-
 def mahler_compute(seeds: Sequence[Num], h2: CoeffFn, trunc: int) -> QSeries:
     """Expand a replicable function from a_1..a_5 and its duplicate's
-    coefficients, by the two p = 2 rules.  Integral seeds and values of h2,
-    ints or Fractions, enter the rules as ints, so integral input runs in
-    integer arithmetic."""
+    coefficients, by the two p = 2 rules.  h2 is read once, at 1 <= k < trunc // 2,
+    the indices the rules reach.  Integral seeds and values of h2, ints or
+    Fractions, enter the rules as ints, so integral input runs in integer
+    arithmetic."""
     if len(seeds) != 5:
         raise ValueError("need exactly the five seeds a_1..a_5")
-    seed, h2 = _int_valued(lambda i: seeds[i - 1]), _int_valued(h2)
-    a: Dict[int, Num] = {i: seed(i) for i in range(1, 6)}
+    a = [0, *map(_exact, seeds)]
+    h2 = [0] + [_exact(h2(k)) for k in range(1, trunc // 2)]
     for n in range(6, trunc):
         rule, m = _rule_for(n)
-        a[n] = rule(a.__getitem__, h2, m)
-    return QSeries(-1, 1, [1, 0] + [a[i] for i in range(1, trunc)], trunc)
+        a.append(rule(a, h2, m))
+    return QSeries(-1, 1, [1, 0] + a[1:trunc], trunc)

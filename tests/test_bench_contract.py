@@ -9,7 +9,7 @@ beneath a span: no dense series inverse beneath ``j_oracle``, and no Faber
 polynomial or series product beneath the Faber route to the Grunsky table,
 and the Grunsky calculator's memo that the tracer counts.  Last, a checked
 pass of each workload must run every job without an error and count every
-negative control as a failure.
+negative control as a failure, also when the tracer is installed.
 """
 
 import json
@@ -78,13 +78,13 @@ def test_tracer_records_kernel_spans():
     assert out["computed"] == 36, out["computed"]
 
 
-@pytest.mark.parametrize("workload", ["classify", "expand", "replicate"])
-def test_checked_pass_has_no_failures(workload):
-    """One checked benchmark pass: every job runs and matches its reference,
-    and every negative control is counted as a failure."""
+def checked_pass(workload, *options):
+    """The report of one checked benchmark pass, after asserting that every
+    job runs and matches its reference, and that every negative control is
+    counted as a failure."""
     proc = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "passrun.py"), "--workload", workload,
-         "--seed", "1", "--t0", "0", "--check"],
+         "--seed", "1", "--t0", "0", "--check", *options],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.strip().splitlines()[-1])
@@ -92,3 +92,21 @@ def test_checked_pass_has_no_failures(workload):
     assert report["jobs"] and not errors, errors
     controls = report["negative_control"]
     assert len(controls) == 3 and all(c["counted_as_failure"] for c in controls), controls
+    return report
+
+
+@pytest.mark.parametrize("workload", ["classify", "expand", "replicate"])
+def test_checked_pass_has_no_failures(workload):
+    checked_pass(workload)
+
+
+@pytest.mark.parametrize("workload", ["classify", "expand", "replicate"])
+def test_traced_pass_has_no_failures(workload, tmp_path):
+    """The tracer rebinds library functions by name: a traced pass must still
+    run every job, and on expand the Hecke layers must record time."""
+    spans = tmp_path / "spans.json"
+    trace = checked_pass(workload, "--trace", str(spans))["trace"]
+    assert json.loads(spans.read_text())
+    if workload == "expand":
+        assert trace["hecke.mahler_compute.self_s"] > 0, trace
+        assert trace["hecke.Tn.self_s"] > 0, trace

@@ -12,7 +12,7 @@ import pytest
 import replicaq.checks as checks
 import replicaq.cli as cli
 from replicaq.cli import SUITES, main
-from replicaq.qseries import TruncationError
+from replicaq.qseries import TruncationError, j_oracle
 from replicaq.functions import HAUPTMODULN, parse_function_spec, replication_family
 
 # the class hauptmoduln by payload short name, written out independently of the table
@@ -87,15 +87,49 @@ class TestCoeffs:
         code, payload, _ = run(capsys, "coeffs", "explicit:", "--terms", "2")
         assert code == 0 and payload["coefficients"] == ["0", "0"]
 
+    @pytest.mark.parametrize("spec, constant, normalized", [
+        ("eta:1^8/4^8+7", "-1", "eta:1^8/4^8+8"), ("eta:1^24/2^24+25", "1", "eta:1^24/2^24+24"),
+        ("eta:3^8/6^8-1/2", "-1/2", "eta:3^8/6^8+0")])
+    def test_unnormalized_eta_spec_exits_2(self, capsys, spec, constant, normalized):
+        code, payload, err = run(capsys, "coeffs", spec, "--terms", "5")
+        assert code == 2 and payload["status"] == "error"
+        assert payload["error"] == (f"{spec} has constant term {constant}, not 0; "
+                                    f"the normalized function is {normalized}")
+        code, payload, _ = run(capsys, "coeffs", normalized, "--terms", "5")
+        assert code == 0 and payload["status"] == "computed"
+
+    @pytest.mark.parametrize("index", [1, 7, 30])
+    def test_methods_that_disagree_falsify(self, capsys, monkeypatch, index):
+        real = cli._coeffs_by_method
+
+        def bent(spec, method, terms):
+            out = real(spec, method, terms)
+            if method == "basis":
+                out[index - 1] += 1
+            return out
+
+        monkeypatch.setattr(cli, "_coeffs_by_method", bent)
+        code, payload, err = run(capsys, "coeffs", "j", "--terms", "30",
+                                 "--method", "oracle,recurrence,basis")
+        J = [str(c) for c in j_oracle(31).coeff_range(1, 30)]
+        assert code == 1 and payload["status"] == "falsified"
+        assert payload["coefficients"] == J
+        want = J[index - 1]
+        assert payload["first_disagreement"] == {
+            "index": index,
+            "values": {"oracle": want, "recurrence": want, "basis": str(int(want) + 1)}}
+        assert err == f"methods disagree at a_{index}\n"
+
     def test_bad_terms_exits_2(self, capsys):
         code, payload, _ = run(capsys, "coeffs", "j", "--terms", "0")
         assert code == 2
 
     def test_recurrence_needs_a_known_family(self, capsys):
-        code, payload, _ = run(capsys, "coeffs", "eta:1^8/4^8+7", "--terms", "10",
+        # a normalized eta quotient that is not in the table
+        code, payload, _ = run(capsys, "coeffs", "eta:3^8/6^8", "--terms", "10",
                                "--method", "recurrence")
         assert code == 2 and payload["error"] == (
-            "no replication family known for spec eta:1^8/4^8+7; "
+            "no replication family known for spec eta:3^8/6^8+0; "
             "methods beyond 'oracle' need one")
         assert set(HAUPTMODULN) == set(HAUPTMODULN_SPECS)
         for name, text in (*HAUPTMODULN_SPECS.items(), ("c=-1", "fiction:c=-1")):
@@ -253,7 +287,9 @@ EXIT_2_ARGV = {
     "empty method": ("coeffs", "j", "--method", " , "),
     "repeated method": ("coeffs", "j", "--method", "oracle,recurrence,oracle"),
     "bad spec": ("coeffs", "nonsense"),
-    "no family": ("coeffs", "eta:1^8/4^8+7", "--method", "recurrence"),
+    "no family": ("coeffs", "eta:3^8/6^8", "--method", "recurrence"),
+    "not normalized": ("coeffs", "eta:1^8/4^8+7"),
+    "fiction out of range": ("coeffs", "fiction:c=2"),
     "not a simple pole": ("coeffs", "eta:1^24"),
 }
 

@@ -2,8 +2,10 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import replicaq.hecke as hecke
 from replicaq import checks
@@ -14,6 +16,8 @@ from replicaq.hecke import (up, vp, hecke_Tn, hecke_Tn_via_uv, twisted_Tn,
                             hecke_faber_verify, p2_identities, mahler_compute,
                             _half_twist, _rule_for)
 from replicaq.functions import j_family, fiction_family, tb2_family
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 def random_normalized(rng, trunc=40):
@@ -85,6 +89,17 @@ class TestTn:
         rng = random.Random(100 * n + lead)
         f = QSeries(lead, 1, [1] + [rng.randint(-9, 9) for _ in range(40)], lead + 41)
         assert agree(hecke_Tn(f, n), hecke_Tn_via_uv(f, n), f.trunc / n) is None
+
+    def test_series_known_only_below_q0(self):
+        # [q^j] T_n f, j < trunc / n, reads c(j / n); with trunc <= 0 that is past trunc
+        f = QSeries(-2, 1, [1, 3], -1)
+        assert hecke_Tn(f, 1) == f
+        for n in (2, 3, 5):
+            with pytest.raises(TruncationError):
+                hecke_Tn(f, n)
+        # known below its lead: no exponent of T_n f is known, and none is read
+        empty = QSeries(0, 1, [], -5)
+        assert hecke_Tn(empty, 2) == QSeries(-2, 1, [], Fraction(-5, 2))
 
     def test_index_zero_rejected(self):
         for n in (0, -2):
@@ -200,6 +215,45 @@ class TestHeckeFaber:
         assert report.compared == 3 and report.first_mismatch == ("4c", True, False)
 
 
+# integral and non-integral values, some of them hundreds of bits long
+NUMBERS = st.one_of(st.integers(-9, 9), st.integers(-10**40, 10**40),
+                    st.fractions(min_value=-9, max_value=9, max_denominator=6))
+
+
+def transcribed_rules(seeds, h2, trunc):
+    """a_1 .. a_(trunc-1) from the seeds and h2[k] = h2_k by the two rules as
+    the README writes them, term by term, in Fractions."""
+    a = {i: Fraction(s) for i, s in enumerate(seeds, 1)}
+    for n in range(6, trunc):
+        m = n // 2
+        if n % 2 == 0:
+            # a_{2m} = a_{m+1} + sum_{1<=j<m/2} a_j a_{m-j} (+ (a_{m/2}^2 - h2_{m/2})/2, m even)
+            value = a[m + 1]
+            for j in range(1, m):
+                if 2 * j < m:
+                    value += a[j] * a[m - j]
+            if m % 2 == 0:
+                value += (a[m // 2] ** 2 - h2[m // 2]) / 2
+        else:
+            # a_{2m+1} = a_{m+3} - a_2 a_m + sum_{1<=k<=(m-1)/2} a_{2m-4k} h2_k
+            #   + (h2_m - [m even] h2_{m/2+1} + sum_{i=1}^{m+1} a_i a_{m+2-i}
+            #      + sum_{i=1}^{2m-1} (-1)^i a_i a_{2m-i}) / 2
+            value = a[m + 3] - a[2] * a[m]
+            for k in range(1, m + 1):
+                if 2 * k <= m - 1:
+                    value += a[2 * m - 4 * k] * h2[k]
+            doubled = Fraction(h2[m])
+            if m % 2 == 0:
+                doubled -= h2[m // 2 + 1]
+            for i in range(1, m + 2):
+                doubled += a[i] * a[m + 2 - i]
+            for i in range(1, 2 * m):
+                doubled += (-1) ** i * a[i] * a[2 * m - i]
+            value += doubled / 2
+        a[n] = value
+    return [a[i] for i in range(1, trunc)]
+
+
 def rule_expansion(fam, trunc):
     """The p = 2 rules' expansion from fam's a_1..a_5 and f^(2), to q^trunc."""
     f = fam.base
@@ -226,6 +280,20 @@ class TestMahler:
         assert g.coeff(0) == 2
         assert g.coeff(Fraction(1, 2)) == -3
 
+    def test_half_twist_by_exponent(self):
+        # every lead and step on the 1/6 grid, up to 2, with zero to five terms
+        sixths = [Fraction(k, 6) for k in range(-9, 13)]
+        for lead, step, size in product(sixths, [s for s in sixths if s > 0], range(6)):
+            f = QSeries(lead, step, range(1, size + 1), lead + size * step)
+            doubled = [2 * e for e in f.exponents()]
+            if any(m.denominator != 1 for m in doubled):
+                with pytest.raises(ValueError):
+                    _half_twist(f)
+                continue
+            g = _half_twist(f)
+            assert g.trunc == f.trunc and g.exponents() == f.exponents()
+            assert g.coeffs == [-c if m.numerator % 2 else c for m, c in zip(doubled, f.coeffs)]
+
     def test_identities_and_rules_j(self):
         assert_identities_and_rules(j_family(60), 50)
 
@@ -244,7 +312,8 @@ class TestMahler:
                             lambda name, trunc: bent if name == "j" else real(name, trunc))
         # a_7 by its rule, from a_j with j < 7 and f^(2): J's own a_7
         rule, m = _rule_for(7)
-        predicted = rule(bent.base.coeff, bent.power(2).coeff, m)
+        predicted = rule([0, *bent.base.coeff_range(1, 6)], [0, *bent.power(2).coeff_range(1, 3)],
+                         m)
         assert predicted == j_oracle(8).coeff(7)
         report = checks.mahler(60, 50, 30)["j"]["rules_ok"]
         assert (report.compared, report.first_mismatch) == (2, (7, predicted, predicted + 1))
@@ -286,10 +355,10 @@ class TestMahler:
         def h2(i):
             return Fraction(i % 3, 2)
 
-        a = {i: Fraction(s) for i, s in enumerate(seeds, 1)}
+        a = [0] + [Fraction(s) for s in seeds]
         for n in range(6, 40):
             rule, m = _rule_for(n)
-            a[n] = Fraction(rule(a.__getitem__, h2, m))
+            a.append(Fraction(rule(a, [h2(k) for k in range(20)], m)))
         g = mahler_compute(seeds, h2, 40)
         assert [g.coeff(i) for i in range(1, 40)] == [a[i] for i in range(1, 40)]
         assert any(a[i].denominator > 1 for i in range(6, 40))
@@ -297,3 +366,19 @@ class TestMahler:
     def test_seed_count_enforced(self):
         with pytest.raises(ValueError):
             mahler_compute([1, 2, 3], lambda i: 0, 10)
+
+    @pytest.mark.parametrize("trunc", [1, 2, 6, 7, 8, 9, 13, 40, 41])
+    def test_h2_is_read_once_at_each_index_the_rules_reach(self, trunc):
+        calls = []
+        mahler_compute([1, 2, 3, 4, 5], lambda k: calls.append(k) or k, trunc)
+        assert sorted(calls) == list(range(1, trunc // 2))
+
+    @PROPERTY
+    @given(st.lists(NUMBERS, min_size=5, max_size=5), st.lists(NUMBERS, min_size=30, max_size=30),
+           st.integers(1, 61))
+    def test_rules_are_the_two_formulas(self, seeds, h2_values, trunc):
+        h2 = [0, *h2_values]
+        g = mahler_compute(seeds, h2.__getitem__, trunc)
+        assert g.trunc == trunc and g.coeff(-1) == 1
+        assert g.coeff_range(0, trunc - 1) == [0] + transcribed_rules(seeds, h2, trunc)
+
