@@ -200,7 +200,7 @@ def replicable(grade: int, perturbations: int, trunc: int, ks: tuple,
     controls = _scan("replicability", (
         (f"a_{i + 1} + 1", is_replicable(grunsky_by_recursion(b, grade)).ok, False)
         for i, b in enumerate(bumped)))
-    t = grunsky_by_recursion(J.coeff, 9)
+    t = grunsky_by_recursion(J.coeff_range(1, 8), 9)
     rows = ((name, replication_family(name, max(route_ks) ** 2 * trunc + 1))
             for name in HAUPTMODULN)
     return {

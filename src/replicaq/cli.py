@@ -65,6 +65,7 @@ def _coeffs_by_method(spec: FunctionSpec, method: str, terms: int) -> list:
         f = realize(spec, trunc)
         return f.coeff_range(1, terms)
     if method == "recurrence":
+        realize(spec, 1)  # refuses a spec that is not normalized, as the other methods do
         top = max(trunc, 7)
         # the rules read the seeds a_1..a_5 and the duplicate f^(2) below q^(top // 2)
         fam = replication_family(spec, max(top // 2, 6))

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Callable, Sequence, Union
+from typing import Sequence
 
 from .qseries import QSeries, TruncationError, _as_fraction, _exact, _int_conv
 
@@ -45,24 +45,15 @@ class FaberPolynomial:
         return acc
 
 
-# a_1, a_2, ... of a normalized series (a_0 = 0): a list with a[k-1] = a_k,
-# or a callable with a(k) = a_k
-CoeffSource = Union[Sequence, Callable[[int], Fraction]]
-
-
-def _coeff_accessor(a: CoeffSource) -> Callable[[int], Union[int, Fraction]]:
-    """a_k for k >= 1: an int when a_k is integral, a Fraction otherwise, so
-    the recursions over it run in ints on integral input and stay exact
-    through int-Fraction promotion on any other.  A list raises
-    TruncationError for an a_k past its end."""
-    if callable(a):
-        return lambda k: _exact(a(k))
-
-    def ak(k: int):
-        if k > len(a):
-            raise TruncationError(f"needs a_{k}, the list ends at a_{len(a)}")
-        return _exact(a[k - 1])
-    return ak
+def _coeff_list(coeffs: Sequence, top: int = 0) -> list:
+    """[0, a_1, a_2, ...] from [a_1, a_2, ...] of a normalized series, each a_k
+    an int when integral and a Fraction otherwise, so the recursions over it
+    run in ints on integral input and stay exact through int-Fraction
+    promotion on any other.  Raises TruncationError naming the first a_k
+    missing when the list stops short of a_top."""
+    if len(coeffs) < top:
+        raise TruncationError(f"needs a_{len(coeffs) + 1}, the list ends at a_{len(coeffs)}")
+    return [0, *map(_exact, coeffs)]
 
 
 def _ordered(r: int, s: int) -> tuple:
@@ -75,9 +66,10 @@ def _ordered(r: int, s: int) -> tuple:
 class _FaberRows:
     """Rows b_{n,m} = [q^m] F_n(f) = n h_{m,n} of the Faber series of f.
 
-    ``a`` holds a[p] = a_p with a[0] = 0 and is row 1 itself, shared with the
-    caller, so row 1 grows whenever the caller appends a coefficient.  Row n
-    follows from F_n = f F_{n-1} - n a_{n-1} - sum_{i=1}^{n-2} a_i F_{n-1-i}:
+    ``a`` holds a[p] = a_p with a[0] = 0, read from [a_1, ..., a_top] through
+    ``_coeff_list``, and is row 1 itself, so row 1 grows whenever a caller
+    appends a coefficient to ``a``.  Row n follows from
+    F_n = f F_{n-1} - n a_{n-1} - sum_{i=1}^{n-2} a_i F_{n-1-i}:
 
         b_{n,m} = a_{m+n-1} + b_{n-1,m+1} + sum_{p<m} a_p b_{n-1,m-p}
                   - sum_{i=1}^{n-2} a_i b_{n-1-i,m}      (m >= 1; b_{n,0} = 0),
@@ -87,14 +79,9 @@ class _FaberRows:
     otherwise.
     """
 
-    def __init__(self, a: list):
-        self.a = a
-        self.rows = [None, a]
-
-    @classmethod
-    def from_coeffs(cls, coeffs: Sequence) -> _FaberRows:
-        """Rows over [a_1, ..., a_top], in ints when every a_k is integral."""
-        return cls([0, *map(_exact, coeffs)])
+    def __init__(self, coeffs: Sequence):
+        self.a = _coeff_list(coeffs)
+        self.rows = [None, self.a]
 
     def _sums(self, j: int):
         """e -> S_j(e) = sum_{p<e} a_p b_{j-1,e-p} - sum_{i=1}^{j-2} a_i b_{j-1-i,e},
@@ -142,41 +129,28 @@ class _FaberRows:
         return Fraction(sum(self._sums(j)(g - j) for j in range(2, r + 1)), r)
 
 
-# polynomial helpers: dense ascending lists of ints, of Fractions, or of both
-# where the recursion mixes integral and non-integral a_k
-
-def _padd(p, q):
-    n = max(len(p), len(q))
-    return [(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)]
-
-
-def _pscale(p, c):
-    return [x * c for x in p]
-
-
-def _pmulz(p):
-    return [0] + list(p)
-
-
 def _to_poly(ascending) -> FaberPolynomial:
     asc = list(ascending)
     n = len(asc) - 1
     return FaberPolynomial(n, tuple(_as_fraction(c) for c in reversed(asc)))
 
 
-def faber_by_recursion(a: Sequence, n: int) -> FaberPolynomial:
+def faber_by_recursion(coeffs: Sequence, n: int) -> FaberPolynomial:
     """F_n = z F_{n-1} - n a_{n-1} - sum_{i=1}^{n-2} a_i F_{n-1-i}  (a_0 = 0),
-    in ints for integral a; the coefficients come back as Fractions."""
+    on dense ascending lists, in ints for integral a; the coefficients come
+    back as Fractions."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    ak = _coeff_accessor(a)
+    a = _coeff_list(coeffs, n - 1)
     polys = [[1]]
     for m in range(1, n + 1):
-        cur = _pmulz(polys[m - 1])
+        cur = [0, *polys[m - 1]]
         if m >= 2:
-            cur[0] -= m * ak(m - 1)
+            cur[0] -= m * a[m - 1]
             for i in range(1, m - 1):
-                cur = _padd(cur, _pscale(polys[m - 1 - i], -ak(i)))
+                ai = a[i]
+                for d, c in enumerate(polys[m - 1 - i]):
+                    cur[d] -= ai * c
         polys.append(cur)
     return _to_poly(polys[n])
 
@@ -202,17 +176,16 @@ def faber_by_elimination(f: QSeries, n: int) -> FaberPolynomial:
     return _to_poly(poly)
 
 
-def faber_by_determinant(a: Sequence, n: int) -> FaberPolynomial:
+def faber_by_determinant(coeffs: Sequence, n: int) -> FaberPolynomial:
     """det(z I - A_n) for the shifted Hessenberg matrix with b_1 = 0, b_k = a_{k-1}.
 
     Evaluated by Berkowitz's division-free algorithm on the scalar matrix, so
-    this path shares no code with the recursion.  With no division, integral
-    input stays in ints and any other input stays exact by promotion.
+    this path shares no arithmetic with the recursion.  With no division,
+    integral input stays in ints and any other input stays exact by promotion.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    ak = _coeff_accessor(a)
-    b = [0, 0] + [ak(k - 1) for k in range(2, n + 1)]  # b[k] = b_k
+    b = [0, *_coeff_list(coeffs, n - 1)[:n]]  # b[k] = b_k = a_{k-1}, a_0 = 0
     # 1-based: A[i][1] = i b_i, A[i][j] = b_{i-j+1} for 1 < j <= i, A[i][i+1] = 1
     A = [[(i * b[i] if j == 1 else b[i - j + 1]) if j <= i else int(j == i + 1)
           for j in range(1, n + 1)] for i in range(1, n + 1)]

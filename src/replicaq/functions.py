@@ -174,4 +174,4 @@ def replication_family(function: Union[FunctionSpec, str], trunc: Rat) -> Replic
         if function == spec:
             return _power_map_family(order, trunc)
     raise SpecError(f"no replication family known for spec {function}; "
-                    "methods beyond 'oracle' need one")
+                    "the 'recurrence' method needs one")

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
-from typing import Dict, Tuple, Union
+from math import gcd, lcm
+from typing import Dict, Sequence, Tuple, Union
 
 from .qseries import QSeries, TruncationError, _as_fraction
-from .faber import CoeffSource, _FaberRows, _coeff_accessor, _ordered
+from .faber import _FaberRows, _coeff_list, _ordered
 
 
 @dataclass
@@ -46,7 +46,7 @@ def _table(h, grade: int) -> GrunskyTable:
 
 
 class GrunskyCalculator:
-    """Memoized h_{r,s} by Norton's recursion over a coefficient source.
+    """Memoized h_{r,s} by Norton's recursion over [a_1, ..., a_top].
 
     h_{r,s} = a_{r+s-1}
             + 1/(r+s) * sum_{m<r, n<s} a_{m+n-1} (r+s-m-n) h_{r-m, s-n},
@@ -58,14 +58,14 @@ class GrunskyCalculator:
     r h_{r,s} is an integer, so every H is an int and the double sum divides
     exactly by r + s; a remainder raises ArithmeticError.  Non-integral a_k
     enter as Fractions and keep the sums exact by promotion.  When R grows,
-    the memo is rescaled by D_new / D_old before the next sum starts.  Each
-    a_k is read from the source once, on first use.  ``h`` and ``correction``
-    are the contract that ``faber._FaberRows`` answers too.
+    the memo is rescaled by D_new / D_old before the next sum starts.  ``a``
+    holds a[k] = a_k with a[0] = 0, read through ``faber._coeff_list`` as
+    ``faber._FaberRows`` reads it, and a caller may append to it.  ``h`` and
+    ``correction`` are the contract that ``faber._FaberRows`` answers too.
     """
 
-    def __init__(self, a: CoeffSource):
-        self._source = _coeff_accessor(a)
-        self._a: list = [0]  # _a[k] = a_k
+    def __init__(self, coeffs: Sequence):
+        self.a = _coeff_list(coeffs)
         self._memo: Dict[Tuple[int, int], Union[int, Fraction]] = {}
         self._R = 1
         self._D = 1
@@ -97,10 +97,11 @@ class GrunskyCalculator:
         self._R, self._D = R, D
 
     def _coeffs(self, top: int) -> list:
-        """[0, a_1, ..., a_top] and beyond, read from the source as needed."""
-        a = self._a
-        while len(a) <= top:
-            a.append(self._source(len(a)))
+        """``a``, which must hold a_top; raises TruncationError naming the
+        first a_k it lacks."""
+        a = self.a
+        if len(a) <= top:
+            raise TruncationError(f"needs a_{len(a)}, the list ends at a_{len(a) - 1}")
         return a
 
     def _scaled(self, r: int, s: int):
@@ -139,8 +140,8 @@ class GrunskyCalculator:
         return q
 
 
-def grunsky_by_recursion(a: CoeffSource, grade: int) -> GrunskyTable:
-    return GrunskyCalculator(a).table(grade)
+def grunsky_by_recursion(coeffs: Sequence, grade: int) -> GrunskyTable:
+    return GrunskyCalculator(coeffs).table(grade)
 
 
 def grunsky_from_faber(f: QSeries, grade: int) -> GrunskyTable:
@@ -150,7 +151,7 @@ def grunsky_from_faber(f: QSeries, grade: int) -> GrunskyTable:
         raise ValueError("Grunsky extraction needs a normalized series")
     if f.trunc < grade:
         raise TruncationError(f"need trunc >= {grade}, have {f.trunc}")
-    return _table(_FaberRows.from_coeffs(f.coeff_range(1, grade - 1)).h, grade)
+    return _table(_FaberRows(f.coeff_range(1, grade - 1)).h, grade)
 
 
 # -- bivariate generating function ---------------------------------------
@@ -162,26 +163,24 @@ def _bi_trunc_mul(x: dict, y: dict, grade: int) -> dict:
             i, j = i1 + i2, j1 + j2
             if i + j <= grade:
                 key = (i, j)
-                out[key] = out.get(key, Fraction(0)) + a * b
+                out[key] = out.get(key, 0) + a * b
     return {k: v for k, v in out.items() if v}
 
 
 def bivariate_log_coefficients(f: QSeries, grade: int) -> dict:
     """Coefficients of -ln((f(p) - f(q)) / (1/p - 1/q)) as {(n_p, m_q): value}.
 
-    (f(p) - f(q)) / (1/p - 1/q) = 1 - sum_k a_k sum_{s+t=k-1} p^(s+1) q^(t+1),
-    which is the rearranged single-sum form of the generating function.
+    (f(p) - f(q)) / (1/p - 1/q) = 1 + u, u = -sum_k a_k sum_{s+t=k-1} p^(s+1) q^(t+1),
+    which is the rearranged single-sum form of the generating function.  The
+    powers of u stay in ints on integral a_k; the values come back as Fractions.
     """
     if f.trunc < grade:
         raise TruncationError(f"need trunc >= {grade}, have {f.trunc}")
     u: dict = {}
-    for k in range(1, grade):
-        ak = f.coeff(k)
+    for k, ak in enumerate(f.coeff_range(1, grade - 1), 1):
         if ak:
-            for s in range(k):
-                t = k - 1 - s
-                if s + t + 2 <= grade:
-                    u[(s + 1, t + 1)] = u.get((s + 1, t + 1), Fraction(0)) - ak
+            for s in range(1, k + 1):
+                u[(s, k + 1 - s)] = -ak
     # -ln(1 + u) = sum_{j>=1} (-1)^j u^j / j
     result: dict = {}
     power = dict(u)
@@ -189,7 +188,7 @@ def bivariate_log_coefficients(f: QSeries, grade: int) -> dict:
     while power:
         sign = Fraction((-1) ** j, j)
         for key, v in power.items():
-            result[key] = result.get(key, Fraction(0)) + sign * v
+            result[key] = result.get(key, 0) + sign * v
         j += 1
         power = _bi_trunc_mul(power, u, grade)
     return {k: v for k, v in result.items() if v}
@@ -210,7 +209,6 @@ def grunsky_bivariate_check(f: QSeries, grade: int, table: GrunskyTable) -> bool
 
 def denominator_bound_violations(t: GrunskyTable) -> list:
     """Pairs where gcd(m,n) * h_{m,n} is not an integer (expected empty)."""
-    from math import gcd
     bad = []
     for (m, n), h in t.entries.items():
         if (h * gcd(m, n)).denominator != 1:

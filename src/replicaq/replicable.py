@@ -79,7 +79,7 @@ def is_replicable(t: GrunskyTable) -> ReplicabilityReport:
     for m in range(1, t.grade_bound):
         for n in range(m, t.grade_bound - m + 1):
             l, g = lcm(m, n), gcd(m, n)
-            if l + g > t.grade_bound or (l, g) == (n, m) or (g, l) == (m, n):
+            if l + g > t.grade_bound or (g, l) == (m, n):
                 continue
             checked += 1
             if t.get(m, n) != t.get(l, g):
@@ -126,7 +126,7 @@ def replicate(f: QSeries, k: int, trunc: int) -> QSeries:
     ints when f's coefficients are integral; ``replicate_by_grunsky`` is the
     independent check route.
     """
-    return _replicate(f, k, trunc, _FaberRows.from_coeffs)
+    return _replicate(f, k, trunc, _FaberRows)
 
 
 def replicate_by_grunsky(f: QSeries, k: int, trunc: int) -> QSeries:
@@ -221,17 +221,17 @@ def _descend(values: Mapping[int, Fraction], trunc: int, engine) -> Tuple[list, 
 
     At grade N, a_{N-1} is taken from ``values`` when given, else solved from
     the reducing pair (r, s) -> (r', s') as h_{r',s'} - (h_{r,s} - a_{N-1}),
-    both read from ``engine(a)`` over the list a as it grows: the correction
-    h_{r,s} - a_{N-1} needs a_1..a_{N-2} only.  Returns (a, None) with
-    a[p] = a_p, or (a, N) for the first grade N that is neither given nor
-    reducible.  Each coefficient is an int when integral, a Fraction
+    both read from ``calc = engine([])`` while its list a = ``calc.a`` grows:
+    the correction h_{r,s} - a_{N-1} needs a_1..a_{N-2} only.  Returns
+    (a, None) with a[p] = a_p, or (a, N) for the first grade N that is neither
+    given nor reducible.  Each coefficient is an int when integral, a Fraction
     otherwise; when every given value is integral, a non-integral solution
     raises ValueError.
     """
     given = {k: _exact(v) for k, v in values.items()}
     integral = all(isinstance(v, int) for v in given.values())
-    a: list = [0]
-    calc = engine(a)
+    calc = engine([])
+    a = calc.a
     for N in range(2, trunc + 1):
         k = N - 1
         if k in given:
@@ -272,5 +272,5 @@ def reconstruct_from_basis(basis_values: Mapping[int, Fraction], trunc: int) -> 
 
 def reconstruct_by_grunsky(basis_values: Mapping[int, Fraction], trunc: int) -> QSeries:
     """Check route for ``reconstruct_from_basis``: solve Norton's recursion."""
-    return _reconstruct(basis_values, trunc, lambda a: GrunskyCalculator(a.__getitem__))
+    return _reconstruct(basis_values, trunc, GrunskyCalculator)
 

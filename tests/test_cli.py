@@ -91,10 +91,13 @@ class TestCoeffs:
         ("eta:1^8/4^8+7", "-1", "eta:1^8/4^8+8"), ("eta:1^24/2^24+25", "1", "eta:1^24/2^24+24"),
         ("eta:3^8/6^8-1/2", "-1/2", "eta:3^8/6^8+0")])
     def test_unnormalized_eta_spec_exits_2(self, capsys, spec, constant, normalized):
-        code, payload, err = run(capsys, "coeffs", spec, "--terms", "5")
-        assert code == 2 and payload["status"] == "error"
-        assert payload["error"] == (f"{spec} has constant term {constant}, not 0; "
-                                    f"the normalized function is {normalized}")
+        # every method refuses it alike: the recurrence checks the spec before
+        # it looks up a replication family, which eta:3^8/6^8 does not have
+        for method in cli.METHODS:
+            code, payload, err = run(capsys, "coeffs", spec, "--terms", "5", "--method", method)
+            assert code == 2 and payload["status"] == "error", method
+            assert payload["error"] == (f"{spec} has constant term {constant}, not 0; "
+                                        f"the normalized function is {normalized}"), method
         code, payload, _ = run(capsys, "coeffs", normalized, "--terms", "5")
         assert code == 0 and payload["status"] == "computed"
 
@@ -130,7 +133,11 @@ class TestCoeffs:
                                "--method", "recurrence")
         assert code == 2 and payload["error"] == (
             "no replication family known for spec eta:3^8/6^8+0; "
-            "methods beyond 'oracle' need one")
+            "the 'recurrence' method needs one")
+        # the basis method needs no family
+        code, payload, _ = run(capsys, "coeffs", "eta:3^8/6^8", "--terms", "10",
+                               "--method", "basis")
+        assert code == 0 and payload["status"] == "computed"
         assert set(HAUPTMODULN) == set(HAUPTMODULN_SPECS)
         for name, text in (*HAUPTMODULN_SPECS.items(), ("c=-1", "fiction:c=-1")):
             by_name = replication_family(name, 12)

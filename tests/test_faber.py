@@ -10,7 +10,7 @@ from replicaq import faber
 from replicaq.qseries import QSeries, TruncationError, j_oracle
 from replicaq.faber import (FaberPolynomial, faber_by_recursion,
                             faber_by_elimination, faber_by_determinant, _FaberRows)
-from replicaq.grunsky import grunsky_by_recursion
+from replicaq.grunsky import GrunskyCalculator, grunsky_by_recursion
 from replicaq.checks import symmetric_function_comparisons
 
 
@@ -82,7 +82,7 @@ class TestRouteIndependence:
     def test_determinant_runs_without_the_recursion(self, monkeypatch):
         J = j_oracle(12)
         a = [J.coeff(k) for k in range(1, 12)]
-        for name in ("faber_by_recursion", "_FaberRows", "_padd", "_pscale", "_pmulz"):
+        for name in ("faber_by_recursion", "_FaberRows"):
             monkeypatch.setattr(faber, name, self.refuse)
         dets = [faber_by_determinant(a, n) for n in range(13)]
         monkeypatch.undo()
@@ -94,8 +94,10 @@ class TestShortCoefficientList:
         (lambda a: faber_by_recursion(a, 6), [1, 2], 3),
         (lambda a: faber_by_determinant(a, 6), [1, 2], 3),
         (lambda a: grunsky_by_recursion(a, 10), [1, 2, 3], 4),
-        (lambda a: _FaberRows.from_coeffs(a).h(2, 3), [1, 2, 3], 4),
-    ], ids=["faber_recursion", "faber_determinant", "grunsky_recursion", "faber_rows"])
+        (lambda a: _FaberRows(a).h(2, 3), [1, 2, 3], 4),
+        (lambda a: GrunskyCalculator(a).h(2, 3), [1, 2, 3], 4),
+    ], ids=["faber_recursion", "faber_determinant", "grunsky_recursion", "faber_rows",
+            "grunsky_calculator"])
     def test_raises_truncation_error_naming_the_coefficient(self, engine, a, need):
         with pytest.raises(TruncationError, match=f"a_{need}"):
             engine(a)
@@ -138,7 +140,7 @@ class TestFaberRows:
                                min_size=2, max_size=14))
         n = data.draw(st.integers(1, len(a) - 1))
         top = len(a) - n  # row n reads a_1..a_(top + n - 1)
-        rows = _FaberRows.from_coeffs(a)
+        rows = _FaberRows(a)
         row = rows.extend(n, top)
         integral = all(Fraction(v).denominator == 1 for v in a)
         entries = [v for r in rows.rows[1:n + 1] for v in r[1:]]

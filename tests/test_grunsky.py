@@ -91,13 +91,12 @@ class TestCommonDenominator:
         rational = st.fractions(-9, 9, max_denominator=6)
         coeff = data.draw(st.sampled_from([integral, rational, st.one_of(integral, rational)]))
         a = data.draw(st.lists(coeff, min_size=grade - 1, max_size=grade - 1))
-        source = (lambda k: a[k - 1]) if data.draw(st.booleans()) else a
         raw = Raw(a)
-        table = grunsky_by_recursion(source, grade)
+        table = grunsky_by_recursion(a, grade)
         assert table.entries == {(m, n): raw.h(m, n)
                                  for m in range(1, grade) for n in range(m, grade - m + 1)}
         assert all(type(v) is Fraction for v in table.entries.values())
-        calc = GrunskyCalculator(source)
+        calc = GrunskyCalculator(a)
         for r in range(1, grade):
             for s in range(1, grade - r + 1):
                 assert calc.correction(r, s) == raw.h(r, s) - raw.a[r + s - 2], (r, s)
@@ -168,7 +167,46 @@ class TestFaberRoute:
             grunsky_from_faber(j_oracle(11), 12)
 
 
+def bivariate_fraction_oracle(a, grade):
+    """-ln((f(p) - f(q)) / (1/p - 1/q)) for f = 1/q + sum a_k q^k, with every
+    sum started at Fraction(0): the oracle of the route's int sums."""
+    u = {}
+    for k in range(1, grade):
+        ak = Fraction(a[k - 1])
+        if ak:
+            for s in range(k):
+                t = k - 1 - s
+                if s + t + 2 <= grade:
+                    u[(s + 1, t + 1)] = u.get((s + 1, t + 1), Fraction(0)) - ak
+    result, power, j = {}, dict(u), 1
+    while power:
+        sign = Fraction((-1) ** j, j)
+        for key, v in power.items():
+            result[key] = result.get(key, Fraction(0)) + sign * v
+        j += 1
+        product = {}
+        for (i1, j1), x in power.items():
+            for (i2, j2), y in u.items():
+                if i1 + i2 + j1 + j2 <= grade:
+                    key = (i1 + i2, j1 + j2)
+                    product[key] = product.get(key, Fraction(0)) + x * y
+        power = {k: v for k, v in product.items() if v}
+    return {k: v for k, v in result.items() if v}
+
+
 class TestBivariate:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_matches_the_fraction_oracle(self, data):
+        grade = data.draw(st.integers(2, 10))
+        entries = (st.integers(-9, 9), st.integers(-2 ** 80, 2 ** 80),
+                   st.fractions(-9, 9, max_denominator=6))
+        coeff = data.draw(st.sampled_from([*entries, st.one_of(*entries)]))
+        a = data.draw(st.lists(coeff, min_size=grade - 1, max_size=grade - 1))
+        got = bivariate_log_coefficients(QSeries(-1, 1, [1, 0] + a, grade), grade)
+        assert got == bivariate_fraction_oracle(a, grade)
+        assert all(type(v) is Fraction for v in got.values())
+
     def test_detects_tampering(self):
         J = j_oracle(10)
         t = grunsky_from_faber(J, 8)
