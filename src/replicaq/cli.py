@@ -3,6 +3,8 @@
 Exit codes: 0 for verified/computed, 1 for a falsified check, 2 for usage or
 input errors.  Every payload carries {"schema": 1} and renders big integers as
 decimal strings.  Commands only compute; ``main`` writes every outcome once.
+The check registry (``replicaq.checks``) is imported only by the commands
+that run it, ``verify`` and ``numerology``.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import json
 import sys
 from fractions import Fraction
 
-from . import checks
 from .frames import classify_degree24
 from .replicable import NORTON_BASIS, reconstruct_from_basis
 from .hecke import mahler_compute
@@ -115,6 +116,8 @@ def cmd_classify24(args) -> tuple:
 
 
 def cmd_numerology(args) -> tuple:
+    from . import checks
+
     values, reports = checks.numerology()
     payload = {
         "checks": {
@@ -140,18 +143,20 @@ def cmd_numerology(args) -> tuple:
 
 # -- verify suites -------------------------------------------------------
 
-# suite name -> (trunc, grade) -> {payload key: CheckReport, or a dict of them}
+# suite name -> (the checks module, trunc, grade) -> {payload key: CheckReport,
+# or a dict of them}
 SUITES = {
-    "faber": lambda t, g: checks.faber(t, min(8, t - 2), 4),
-    "grunsky": lambda t, g: checks.grunsky(min(g, t - 1)),
+    "faber": lambda checks, t, g: checks.faber(t, min(8, t - 2), 4),
+    "grunsky": lambda checks, t, g: checks.grunsky(min(g, t - 1)),
     # is_replicable compares no pair of J's table below grade 7
-    "replicable": lambda t, g: {
+    "replicable": lambda checks, t, g: {
         **checks.replicable(max(7, min(g, 16)), 0, 9, (2, 3), (2, 3)),
         "mod_2_congruence_ok": checks.mod2_congruence(min(t - 1, 20))},
-    "basis": lambda t, g: {**checks.basis(g, 30), "grade_bound": g},
-    "hecke": lambda t, g: checks.hecke(max(t, 31), 10, tuple(HAUPTMODULN), t),
-    "mahler": lambda t, g: checks.mahler(max(t, 31), max(t - 2, 10), max(t, 31) // 2),
-    "degree24": lambda t, g: checks.degree24(max(100, g)),
+    "basis": lambda checks, t, g: {**checks.basis(g, 30), "grade_bound": g},
+    "hecke": lambda checks, t, g: checks.hecke(max(t, 31), 10, tuple(HAUPTMODULN), t),
+    "mahler": lambda checks, t, g: checks.mahler(max(t, 31), max(t - 2, 10),
+                                                 max(t, 31) // 2),
+    "degree24": lambda checks, t, g: checks.degree24(max(100, g)),
 }
 
 
@@ -164,26 +169,30 @@ def _plain(x):
     return x
 
 
-def _reports_json(tree: dict):
-    """(JSON form, every report ok) of a dict of CheckReports and plain values."""
+def _reports_json(tree: dict, report_type: type):
+    """(JSON form, every report ok) of a dict of ``report_type`` reports
+    (checks.CheckReport) and plain values."""
     out, ok = {}, True
     for key, value in tree.items():
-        if isinstance(value, checks.CheckReport):
+        if isinstance(value, report_type):
             ok = ok and value.ok
             value = {"ok": value.ok, "compared": value.compared,
                      "first_mismatch": _plain(value.first_mismatch)}
         elif isinstance(value, dict):
-            value, sub_ok = _reports_json(value)
+            value, sub_ok = _reports_json(value, report_type)
             ok = ok and sub_ok
         out[key] = value
     return out, ok
 
 
 def cmd_verify(args) -> tuple:
+    from . import checks
+
     names = list(SUITES) if args.suite == "all" else [args.suite]
     results = {}
     for name in names:
-        results[name], suite_ok = _reports_json(SUITES[name](args.trunc, args.grade))
+        tree = SUITES[name](checks, args.trunc, args.grade)
+        results[name], suite_ok = _reports_json(tree, checks.CheckReport)
         results[name]["ok"] = suite_ok
     failed = [n for n, r in results.items() if not r["ok"]]
     payload = {"suites": results, "trunc": args.trunc, "grade": args.grade}

@@ -112,18 +112,22 @@ def _product_int_coeffs(exponents: dict, n_terms: int) -> list:
     The factor route: on the q^g grid, g the gcd of the parts, each factor
     phi(q^m), m = k/g, is the pentagonal series raised to c_k on its own q^m
     grid (by repeated squaring when c_k > 0, by Miller's recurrence when
-    c_k < 0), spread onto the q^g grid and multiplied in.
+    c_k < 0).  A series in q^m maps each residue class r mod m of the
+    product onto itself, so each class prod[r::m] is multiplied by the
+    factor on its own grid, and none of the factor's (m - 1)/m zero slots
+    is ever multiplied.
     """
     g = gcd(*exponents)
     n = n_terms // g + 1  # coefficients on the q^g grid
-    prod = [1]
+    prod = [1] + [0] * (n - 1)
     for k, c in exponents.items():
         m = k // g
         size = (n - 1) // m + 1  # coefficients on the q^k grid
         phi = euler_phi_int_coeffs(size)
-        factor = [0] * n
-        factor[::m] = _miller_power(phi, c, size) if c < 0 else _int_power(phi, c, size)
-        prod = _int_conv(prod, factor, n)
+        power = _miller_power(phi, c, size) if c < 0 else _int_power(phi, c, size)
+        for r in range(min(m, n)):
+            cls = prod[r::m]
+            prod[r::m] = _int_conv(cls, power, len(cls))
     out = [0] * (n_terms + 1)
     out[::g] = prod
     return out

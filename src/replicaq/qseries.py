@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import sys
 from array import array
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from math import ceil, gcd
 from typing import Iterable, Union
@@ -415,14 +416,19 @@ def _int_conv(a: list, b: list, n_out: int) -> list:
     lists whose shorter operand has at least _KRONECKER_MIN_LEN terms, and
     whose nonzero terms make the loop cost more than _KRONECKER_MIN_DENSITY
     products per term of the shorter operand, go through Kronecker
-    substitution; everything else runs the schoolbook loop.
+    substitution; everything else runs the schoolbook loop.  A square (a is b)
+    scans its operand once.
     """
-    a, b = a[:n_out], b[:n_out]
+    square = a is b
+    a = a[:n_out]
+    b = a if square else b[:n_out]
     short = min(len(a), len(b))
-    if (short >= _KRONECKER_MIN_LEN
-            and (len(a) - a.count(0)) * (len(b) - b.count(0)) > _KRONECKER_MIN_DENSITY * short
-            and set(map(type, a)) | set(map(type, b)) == {int}):
-        return _kronecker_conv(a, b, n_out)
+    if short >= _KRONECKER_MIN_LEN:
+        nonzero_a = len(a) - a.count(0)
+        nonzero_b = nonzero_a if square else len(b) - b.count(0)
+        if (nonzero_a * nonzero_b > _KRONECKER_MIN_DENSITY * short
+                and set(map(type, a)) == {int} and (square or set(map(type, b)) == {int})):
+            return _kronecker_conv(a, b, n_out)
     return _schoolbook_conv(a, b, n_out)
 
 
@@ -440,22 +446,54 @@ def _schoolbook_conv(a: list, b: list, n_out: int) -> list:
     return out
 
 
+# Bits per packed operand (slot bits times the shorter length) from which
+# the product goes through decimal, whose number-theoretic transform beats
+# CPython's Karatsuba int product: the two break even near 1.8e5 bits.
+_DECIMAL_MIN_BITS = 200_000
+
+
 def _kronecker_conv(a: list, b: list, n_out: int) -> list:
     """The truncated product of two nonempty int lists by one big-int product.
 
-    Each list is packed into an int with one byte-aligned slot per coefficient,
-    A = sum a_i 2^(8wi).  Every product coefficient is bounded by
-    max|a| max|b| min(len), which fixes the slot width w so that it fits in
-    (-2^(8w-1), 2^(8w-1)).  Slots of at most 8 bytes go through machine words
-    (_word_slot_product), wider ones one slot at a time (_byte_slot_product).
+    Each list is packed into a number with one slot per coefficient,
+    A = sum a_i R^i.  Every product coefficient is bounded by
+    max|a| max|b| min(len), which fixes the slot: w bytes such that it fits
+    in (-2^(8w-1), 2^(8w-1)), or W decimal digits.  Slots of at most 8 bytes
+    go through machine words (_word_slot_product).  Wider slots go through
+    decimal (_decimal_slot_product) when the shorter operand packs to at
+    least _DECIMAL_MIN_BITS bits and a slot has fewer digits than the int/str
+    conversion limit allows, else one slot at a time (_byte_slot_product).
     """
-    top = max(map(abs, a)) * max(map(abs, b))
+    top_a = max(map(abs, a))
+    top = top_a * (top_a if b is a else max(map(abs, b)))
     if not top:
         return [0] * n_out
-    width = (top * min(len(a), len(b))).bit_length() // 8 + 1
+    short = min(len(a), len(b))
+    bound = top * short
+    width = bound.bit_length() // 8 + 1
     k = min(len(a) + len(b) - 1, n_out)
-    slots = _word_slot_product if width <= 8 else _byte_slot_product
-    return slots(a, b, width, k) + [0] * (n_out - k)
+    if width <= 8:
+        out = _word_slot_product(a, b, width, k)
+    elif 8 * width * short >= _DECIMAL_MIN_BITS and (digits := _decimal_digits(bound)):
+        out = _decimal_slot_product(a, b, digits, k)
+    else:
+        out = _byte_slot_product(a, b, width, k)
+    return out + [0] * (n_out - k)
+
+
+def _decimal_digits(bound: int) -> int:
+    """The digit count W of 2 bound, so that 10^W / 2 > bound, or 0 when a
+    slot of W digits is not below the int/str conversion limit (0 is none).
+
+    W is read off the bit length (30103/100000 > log10 2, so it never
+    undercounts) and then corrected; no int is converted to a string.
+    """
+    twice = 2 * bound
+    digits = twice.bit_length() * 30103 // 100000 + 1
+    while digits > 1 and 10 ** (digits - 1) > twice:
+        digits -= 1
+    limit = sys.get_int_max_str_digits()
+    return digits if not limit or digits < limit else 0
 
 
 # byte -> 0xFF if its top bit is set, else 0: the sign fill of a slot's top byte
@@ -515,6 +553,33 @@ def _byte_slot_product(a: list, b: list, width: int, k: int) -> list:
     raw = prod.to_bytes(width * m, "little")
     return [int.from_bytes(raw[i:i + width], "little") - half
             for i in range(0, width * k, width)]
+
+
+def _decimal_slot_product(a: list, b: list, digits: int, k: int) -> list:
+    """The first k coefficients of a*b, packed in decimal slots of ``digits``
+    digits, A = sum a_i 10^(digits i), as _byte_slot_product packs bytes.
+
+    Adding H = 10^digits / 2 to every slot makes it a nonnegative number of
+    at most ``digits`` digits, so each operand is its zero-padded entries
+    x + H joined (the last entry first) less the joined offsets.  The product
+    runs in a local context at the largest precision, where integer sums and
+    products are exact; the global context and the int/str digit limit are
+    never touched.  The slots read back by slicing the product's digits.
+    """
+    half = 5 * 10 ** (digits - 1)
+    halves = "5" + "0" * (digits - 1)
+    ctx = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+    def packed(xs: list) -> Decimal:
+        text = "".join([str(x + half).zfill(digits) for x in reversed(xs)])
+        return ctx.subtract(Decimal(text), Decimal(halves * len(xs)))
+
+    m = len(a) + len(b) - 1
+    prod = ctx.add(ctx.multiply(packed(a), packed(b)), Decimal(halves * m))
+    text = str(prod).zfill(digits * m)
+    del prod
+    return [int(text[i - digits:i]) - half
+            for i in range(digits * m, digits * (m - k), -digits)]
 
 
 def _int_power(a: list, e: int, n_out: int) -> list:

@@ -185,6 +185,16 @@ class TestFactorRoute:
         for n_terms in (0, 1, 1000):
             assert _product_int_coeffs(exps, n_terms) == _log_derivative_coeffs(exps, n_terms)
 
+    # the six eta quotients 1^k/N^k, N = 24/k + 1, that the expand workload
+    # realizes, and shapes on several grids with exponents of both signs
+    @pytest.mark.parametrize("exps", [
+        *({1: k, 24 // k + 1: -k} for k in (24, 12, 8, 6, 4, 2)),
+        {2: 5, 3: -7, 6: 2}, {1: -3, 4: 9, 12: -6}], ids=str)
+    def test_residue_classes_to_1000(self, exps):
+        # each factor phi(q^m)^c multiplies the classes mod m one at a time
+        for n_terms in (0, 1, 1000):
+            assert _product_int_coeffs(exps, n_terms) == _log_derivative_coeffs(exps, n_terms)
+
     def test_recurrence_on_the_gcd_grid_is_the_full_recurrence(self):
         # the list runs on the q^g grid, g the gcd of the parts; the screen's
         # generator runs on the q grid

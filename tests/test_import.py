@@ -5,7 +5,9 @@ and building the jobs, so every module the package pulls in at import time
 adds to every workload.  This pins the import graph in a fresh interpreter,
 started without ``site`` so that nothing is preloaded: the library modules
 load, and the CLI, the check registry and the stdlib modules only they use
-do not.
+do not.  ``import replicaq.cli`` does not load the check registry either:
+only ``verify`` and ``numerology`` run it, so ``coeffs`` and ``classify24``
+do not compile it.
 """
 
 import subprocess
@@ -22,15 +24,26 @@ SCRIPT = """
 import sys
 sys.path.insert(0, sys.argv[1])
 before = set(sys.modules)
-import replicaq
+import {module}
 print("\\n".join(sorted(set(sys.modules) - before)))
 """
 
 
-def test_import_loads_the_library_modules_only():
-    proc = subprocess.run([sys.executable, "-S", "-c", SCRIPT, str(SRC)],
+def loaded_by(module: str) -> set:
+    """The modules a fresh interpreter loads for ``import module``."""
+    proc = subprocess.run([sys.executable, "-S", "-c", SCRIPT.format(module=module), str(SRC)],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stdout.split())
+    return set(proc.stdout.split())
+
+
+def test_import_loads_the_library_modules_only():
+    loaded = loaded_by("replicaq")
     assert {m for m in loaded if m.split(".")[0] == "replicaq"} == LIBRARY
     assert not loaded & NOT_AT_IMPORT, loaded & NOT_AT_IMPORT
+
+
+def test_cli_import_leaves_the_check_registry_out():
+    loaded = loaded_by("replicaq.cli")
+    assert "replicaq.cli" in loaded and LIBRARY <= loaded
+    assert "replicaq.checks" not in loaded

@@ -1,5 +1,6 @@
 """Core series arithmetic, truncation bookkeeping and the three oracles."""
 
+import decimal
 import math
 import operator
 import random
@@ -581,16 +582,9 @@ class TestSlotWidths:
     def test_product_bound_at_the_slot_limit(self, width, monkeypatch):
         # max|a| max|b| min(len) = 2^(8 width - 1) - 1 exactly, and every
         # product coefficient is that bound or its negative; slots of at most
-        # 8 bytes take the word path, wider ones the byte path
-        taken = []
-        for name in ("_word_slot_product", "_byte_slot_product"):
-            real = getattr(qseries, name)
-
-            def spy(a, b, w, k, real=real, name=name):
-                taken.append((name, w))
-                return real(a, b, w, k)
-
-            monkeypatch.setattr(qseries, name, spy)
+        # 8 bytes take the word path, wider ones the byte path (one packed
+        # term is far below the decimal threshold)
+        taken = spy_slot_paths(monkeypatch)
         top = 2 ** (8 * width - 1) - 1
         b = [top, -top, 0, 0, top, -top, -top]
         for a in ([1], [-1]):
@@ -598,6 +592,112 @@ class TestSlotWidths:
                 assert _kronecker_conv(a, b, n_out) == _schoolbook_conv(a, b, n_out)
         path = "_word_slot_product" if width <= 8 else "_byte_slot_product"
         assert taken == [(path, width)] * 6
+
+    @pytest.mark.parametrize("digits", [20, 21, 40, 155, 600])
+    def test_product_bound_at_the_decimal_slot_limit(self, digits, monkeypatch):
+        # max|a| max|b| min(len) = H - 1 with H = 10^digits / 2: the product's
+        # slots hold H - 1 + H = 10^digits - 1 and -(H - 1) + H = 1, the
+        # largest and smallest values of a slot of that many digits; one more
+        # takes a digit more
+        monkeypatch.setattr(qseries, "_DECIMAL_MIN_BITS", 0)
+        taken = spy_slot_paths(monkeypatch)
+        half = 5 * 10 ** (digits - 1)
+        for top, want in ((half - 1, digits), (half, digits + 1)):
+            b = [top, -top, 0, 0, top, -top, -top]
+            taken.clear()
+            for a in ([1], [-1]):
+                for n_out in (0, 1, len(b) - 1, len(b), len(b) + 3):
+                    out = _kronecker_conv(a, b, n_out)
+                    assert out == _schoolbook_conv(a, b, n_out)
+                    assert all(type(v) is int for v in out)
+            assert taken == [("_decimal_slot_product", want)] * 10
+
+
+def spy_slot_paths(monkeypatch) -> list:
+    """Wrap the three slot products; the list records (name, slot size) per call."""
+    taken = []
+    for name in ("_word_slot_product", "_byte_slot_product", "_decimal_slot_product"):
+        real = getattr(qseries, name)
+
+        def spy(a, b, size, k, real=real, name=name):
+            taken.append((name, size))
+            return real(a, b, size, k)
+
+        monkeypatch.setattr(qseries, name, spy)
+    return taken
+
+
+def global_number_state():
+    """What a product must leave as it found it: the thread's decimal context
+    (the object, its settings and its flags) and the int/str digit limit."""
+    ctx = decimal.getcontext()
+    return ctx, repr(ctx), sys.get_int_max_str_digits()
+
+
+# entries of up to 900 bits, either sign, many zeros: slots past 8 bytes
+HUGE = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-2 ** 900, 2 ** 900))
+
+
+class TestDecimalSlots:
+    """The decimal-slot product, with its bit threshold patched low, against
+    the schoolbook loop."""
+
+    @PROPERTY
+    @given(st.lists(HUGE, min_size=LONG, max_size=LONG + 30),
+           st.lists(HUGE, min_size=LONG, max_size=LONG + 30), st.integers(2 ** 64, 2 ** 900))
+    def test_int_conv_matches_schoolbook(self, a, b, big):
+        a[0], b[-1] = big, -big  # slots past a machine word
+        full = len(a) + len(b) - 1
+        packed = ((len(a) - a.count(0)) * (len(b) - b.count(0))
+                  > qseries._KRONECKER_MIN_DENSITY * min(len(a), len(b)))
+        state = global_number_state()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qseries, "_DECIMAL_MIN_BITS", 64)
+            taken = spy_slot_paths(mp)
+            for n_out in (0, 1, full - 1, full, full + 3):
+                out = _int_conv(a, b, n_out)
+                assert out == _schoolbook_conv(a, b, n_out)
+                assert len(out) == n_out and all(type(v) is int for v in out)
+                assert global_number_state() == state
+        # n_out = 0 and 1 cut the operands below the packing threshold, and
+        # operands with few nonzero terms stay on the loop
+        assert [name for name, _ in taken] == ["_decimal_slot_product"] * (3 * packed)
+
+    def test_wide_j_product_takes_decimal_slots(self, monkeypatch):
+        # E4^3 (q / Delta) at 804 terms: 72-byte slots, 4.6e5 bits per operand
+        n = 804
+        e4 = _e4_int_coeffs(n)
+        e12 = _int_conv(_int_conv(e4, e4, n), e4, n)
+        inv = _miller_power(euler_phi_int_coeffs(n), -24, n)
+        taken = spy_slot_paths(monkeypatch)
+        state = global_number_state()
+        out = _int_conv(e12, inv, n)
+        assert global_number_state() == state
+        assert taken == [("_decimal_slot_product", 172)]
+        assert out == qseries._byte_slot_product(e12, inv, 72, n)
+        assert out[:4] == [1, 744, 196884, 21493760]  # q (J + 744)
+
+    @pytest.mark.parametrize("limit, value_digits, path", [
+        (640, 637, "_byte_slot_product"),     # slots of 640 digits: at the limit
+        (640, 700, "_byte_slot_product"),     # and past it
+        (640, 636, "_decimal_slot_product"),  # 639 digits: below it
+        (0, 637, "_decimal_slot_product"),    # 0 is no limit
+        (0, 700, "_decimal_slot_product")])
+    def test_slots_at_the_int_str_limit_take_bytes(self, limit, value_digits, path,
+                                                   monkeypatch):
+        # 100 x 100 terms of 10^value_digits: the bound 2 * 100 * 10^value_digits
+        # has value_digits + 3 digits, and the operands pack past 2e5 bits
+        a, b = [1] * 100, [10 ** value_digits, -(10 ** value_digits)] * 50
+        taken = spy_slot_paths(monkeypatch)
+        old = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(limit)
+            out = _int_conv(a, b, 199)
+            assert out == _schoolbook_conv(a, b, 199)
+            assert sys.get_int_max_str_digits() == limit
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert [name for name, _ in taken] == [path]
 
 
 class TestSparseInverse:
