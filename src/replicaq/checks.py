@@ -161,14 +161,15 @@ def symmetric_function_comparisons(xs: Sequence, order: int):
 
 def grunsky(grade: int) -> dict:
     """J's Grunsky table to ``grade`` by Norton's recursion and from the Faber
-    rows of J, with gcd(m, n) h_{m,n} integral on the recursion table; and the
-    bivariate log expansion against both tables to min(grade, 12).  Both
-    tables read a_1 .. a_(grade-1) of J."""
+    rows of J; gcd(m, n) h_{m,n} integral on the Faber table, which reads
+    h_{m,n} off row min(m, n) alone (the recursion raises on a violation as
+    it builds); and the bivariate log expansion against both tables to
+    min(grade, 12).  Both tables read a_1 .. a_(grade-1) of J."""
     J = j_oracle(grade)
     rec = grunsky_by_recursion(J.coeff_range(1, grade - 1), grade)
     fab = grunsky_from_faber(J, grade)
     bi = min(grade, 12)
-    bad = denominator_bound_violations(rec)
+    bad = denominator_bound_violations(fab)
     keys = sorted(rec.entries.keys() | fab.entries.keys())
     return {
         "routes_agree": _scan("grunsky_routes", (
@@ -177,7 +178,7 @@ def grunsky(grade: int) -> dict:
             ((route,) + pair, got, want)
             for route, table in (("recursion", rec), ("faber", fab))
             for pair, got, want in bivariate_comparisons(J, bi, table))),
-        "denominator_bound_ok": CheckReport("grunsky_denominators", len(rec.entries),
+        "denominator_bound_ok": CheckReport("grunsky_denominators", len(fab.entries),
                                             bad[0] if bad else None),
     }
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Dict, Sequence, Tuple, Union
 
 from .qseries import QSeries, TruncationError, _as_fraction
@@ -23,8 +23,7 @@ class GrunskyTable:
     grade_bound: int
     entries: Dict[Tuple[int, int], Fraction] = field(default_factory=dict)
 
-    def key(self, m: int, n: int) -> Tuple[int, int]:
-        return (m, n) if m <= n else (n, m)
+    key = staticmethod(_ordered)
 
     def get(self, m: int, n: int) -> Fraction:
         return self.entries[self.key(m, n)]
@@ -53,48 +52,34 @@ class GrunskyCalculator:
     so an entry of grade g touches only a_k with k <= g - 1 and entries of
     strictly lower grade.
 
-    The memo holds H_{r,s} = D h_{r,s} for r <= s on the common denominator
-    D = lcm(1..R), R the largest min(r, s) read so far.  For integral a,
-    r h_{r,s} is an integer, so every H is an int and the double sum divides
-    exactly by r + s; a remainder raises ArithmeticError.  Non-integral a_k
-    enter as Fractions and keep the sums exact by promotion.  When R grows,
-    the memo is rescaled by D_new / D_old before the next sum starts.  ``a``
-    holds a[k] = a_k with a[0] = 0, read through ``faber._coeff_list`` as
-    ``faber._FaberRows`` reads it, and a caller may append to it.  ``h`` and
-    ``correction`` are the contract that ``faber._FaberRows`` answers too.
+    The memo holds K_{r,s} = (r+s) h_{r,s} for r <= s.  With g = r + s,
+    i = r - m and j = s - n the recursion reads
+    K_{r,s} = g a_{g-1} + sum_{i<r, j<s} a_{g-1-i-j} K_{i,j},
+    which divides by nothing: integral a give int K, and non-integral a_k
+    enter as Fractions and keep the sums exact by promotion.  For integral a,
+    gcd(r, s) h_{r,s} is an integer, so an int sum that g / gcd(r, s) leaves
+    a remainder in raises ArithmeticError.  ``a`` holds a[k] = a_k with
+    a[0] = 0, read through ``faber._coeff_list`` as ``faber._FaberRows``
+    reads it, and a caller may append to it.  ``h`` and ``correction`` are
+    the contract that ``faber._FaberRows`` answers too.
     """
 
     def __init__(self, coeffs: Sequence):
         self.a = _coeff_list(coeffs)
         self._memo: Dict[Tuple[int, int], Union[int, Fraction]] = {}
-        self._R = 1
-        self._D = 1
 
     def h(self, r: int, s: int) -> Fraction:
         r, s = _ordered(r, s)
-        return Fraction(self._scaled(r, s), self._D)
+        return Fraction(self._scaled(r, s), r + s)
 
     def correction(self, r: int, s: int) -> Fraction:
         """h_{r,s} - a_{r+s-1}, the double sum of the recursion: it reads only
         a_k with k <= r + s - 2, so it is known before a_{r+s-1} is."""
         r, s = _ordered(r, s)
-        return Fraction(self._scaled_sum(r, s), self._D)
+        return Fraction(self._scaled_sum(r, s), r + s)
 
     def table(self, grade: int) -> GrunskyTable:
-        self._widen(grade // 2)
         return _table(self.h, grade)
-
-    def _widen(self, R: int) -> None:
-        """Grow D to lcm(1..R), rescaling the memo to the new denominator."""
-        if R <= self._R:
-            return
-        D = lcm(self._D, *range(self._R + 1, R + 1))
-        factor = D // self._D
-        if factor > 1:
-            memo = self._memo
-            for key in memo:
-                memo[key] *= factor
-        self._R, self._D = R, D
 
     def _coeffs(self, top: int) -> list:
         """``a``, which must hold a_top; raises TruncationError naming the
@@ -105,39 +90,33 @@ class GrunskyCalculator:
         return a
 
     def _scaled(self, r: int, s: int):
-        """H_{r,s} = D h_{r,s} for r <= s, memoized."""
+        """K_{r,s} = (r+s) h_{r,s} for r <= s, memoized."""
         got = self._memo.get((r, s))
         if got is None:
-            got = self._scaled_sum(r, s)
-            got += self._D * self._coeffs(r + s - 1)[r + s - 1]
+            g = r + s
+            got = self._scaled_sum(r, s) + g * self._coeffs(g - 1)[g - 1]
             self._memo[(r, s)] = got
         return got
 
     def _scaled_sum(self, r: int, s: int):
-        """D (h_{r,s} - a_{r+s-1}) for r <= s.  D first grows to cover
-        min(r, s) = r, so no rescale happens inside the sum: every entry
-        it reads has min < r."""
-        self._widen(r)
+        """K_{r,s} - (r+s) a_{r+s-1} for r <= s."""
         g = r + s
         a = self._coeffs(g - 3)
-        # with i = r - m, j = s - n the term is a_{g-1-i-j} (i + j) H_{i,j}
-        w = [0, 0] + [k * a[g - 1 - k] for k in range(2, g - 1)]
         memo, scaled = self._memo, self._scaled
         acc = 0
         for i in range(1, r):
             for j in range(1, s):
                 key = (i, j) if i <= j else (j, i)
-                H = memo.get(key)
-                if H is None:
-                    H = scaled(*key)
-                acc += w[i + j] * H
-        if not isinstance(acc, int):
-            return acc / g
-        q, rem = divmod(acc, g)
-        if rem:
-            raise ArithmeticError(
-                f"Norton's recursion left remainder {rem} at h_{{{r},{s}}}")
-        return q
+                K = memo.get(key)
+                if K is None:
+                    K = scaled(*key)
+                acc += a[g - 1 - i - j] * K
+        if type(acc) is int:
+            rem = acc % (g // gcd(r, s))
+            if rem:
+                raise ArithmeticError(
+                    f"Norton's recursion left remainder {rem} at h_{{{r},{s}}}")
+        return acc
 
 
 def grunsky_by_recursion(coeffs: Sequence, grade: int) -> GrunskyTable:

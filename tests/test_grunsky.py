@@ -7,6 +7,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from replicaq import checks
 from replicaq.qseries import QSeries, TruncationError, j_oracle
 from replicaq.faber import faber_by_recursion
 from replicaq.grunsky import (GrunskyTable, GrunskyCalculator,
@@ -18,7 +19,7 @@ from replicaq.grunsky import (GrunskyTable, GrunskyCalculator,
 
 class Raw:
     """Norton recursion in Fractions, with ordered arguments and no
-    symmetrization: the oracle of the calculator's common-denominator ints."""
+    symmetrization: (r + s) h(r, s) is the oracle of the calculator's memo."""
 
     def __init__(self, a):
         self.a = [Fraction(v) for v in a]
@@ -79,9 +80,10 @@ class TestRoutes:
             assert grunsky_bivariate_check(f, 8, t_rec)
 
 
-class TestCommonDenominator:
-    """The calculator keeps H = lcm(1..R) h in ints for integral input and
-    must agree with the Fraction oracle on every kind of input."""
+class TestScaledMemo:
+    """The calculator memoizes K_{r,s} = (r + s) h_{r,s}, in ints for
+    integral input, and must agree with the Fraction oracle on every kind of
+    input."""
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(st.data())
@@ -100,8 +102,11 @@ class TestCommonDenominator:
         for r in range(1, grade):
             for s in range(1, grade - r + 1):
                 assert calc.correction(r, s) == raw.h(r, s) - raw.a[r + s - 2], (r, s)
+        assert all(K == (r + s) * raw.h(r, s) for (r, s), K in calc._memo.items())
+        if all(v.denominator == 1 for v in raw.a):
+            assert all(type(K) is int for K in calc._memo.values())
 
-    def test_memo_rescales_as_R_grows(self):
+    def test_memo_is_independent_of_read_order(self):
         J = j_oracle(30)
         a = [J.coeff(k) for k in range(1, 30)]
         raw = Raw(a)
@@ -115,9 +120,10 @@ class TestCommonDenominator:
         walk += [(6, 7), (5, 9)]
         for r, s in walk[3:]:
             assert calc.h(r, s) == GrunskyCalculator(a).h(r, s) == raw.h(r, s)
-        # entries memoized under a smaller denominator were rescaled with it
+        # every entry, whichever read reached it first, is (r + s) h_{r,s}
         assert all(calc.h(r, s) == raw.h(r, s) for r, s in walk)
-        assert all(type(v) is int for v in calc._memo.values())
+        assert all(type(K) is int and K == (r + s) * raw.h(r, s)
+                   for (r, s), K in calc._memo.items())
 
     def test_a_remainder_raises(self):
         J = j_oracle(8)
@@ -230,6 +236,19 @@ class TestDenominatorBound:
         assert any(h.denominator > 1 for (m, n), h in t.entries.items()
                    if gcd(m, n) > 1)
 
+    def test_the_check_runs_the_bound_on_the_faber_table(self, monkeypatch):
+        # the recursion raises before it could store such an entry, so only
+        # the Faber table's rows can carry one to the check
+        def tampered(f, grade):
+            t = grunsky_from_faber(f, grade)
+            t.set(2, 3, t.get(2, 3) + Fraction(1, 2))
+            return t
+
+        monkeypatch.setattr(checks, "grunsky_from_faber", tampered)
+        report = checks.grunsky(8)["denominator_bound_ok"]
+        assert not report.ok and report.first_mismatch[:2] == (2, 3)
+        assert report.compared == len(grunsky_from_faber(j_oracle(8), 8).entries)
+
     def test_denominator_divides_gcd(self):
         J = j_oracle(30)
         a = [J.coeff(k) for k in range(1, 30)]
@@ -243,3 +262,12 @@ class TestTable:
         t = GrunskyTable(6)
         t.set(3, 1, 7)
         assert t.get(1, 3) == 7 and t.get(3, 1) == 7 and t.pairs() == [(1, 3)]
+
+    @pytest.mark.parametrize("m, n", [(0, 3), (3, 0), (-1, 4)])
+    def test_indices_start_at_1(self, m, n):
+        t = GrunskyTable(6)
+        with pytest.raises(ValueError, match="indices start at 1"):
+            t.set(m, n, 7)
+        with pytest.raises(ValueError, match="indices start at 1"):
+            t.get(m, n)
+        assert t.entries == {}
