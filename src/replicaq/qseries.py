@@ -21,6 +21,7 @@ from array import array
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from math import ceil, gcd
+from operator import mul
 from typing import Iterable, Union
 
 Rat = Union[int, Fraction]
@@ -417,7 +418,8 @@ def _int_conv(a: list, b: list, n_out: int) -> list:
     whose nonzero terms make the loop cost more than _KRONECKER_MIN_DENSITY
     products per term of the shorter operand, go through Kronecker
     substitution; everything else runs the schoolbook loop.  A square (a is b)
-    scans its operand once.
+    scans its operand once, stays one object when cut to n_out, and is
+    packed once.
     """
     square = a is b
     a = a[:n_out]
@@ -458,11 +460,11 @@ def _kronecker_conv(a: list, b: list, n_out: int) -> list:
     Each list is packed into a number with one slot per coefficient,
     A = sum a_i R^i.  Every product coefficient is bounded by
     max|a| max|b| min(len), which fixes the slot: w bytes such that it fits
-    in (-2^(8w-1), 2^(8w-1)), or W decimal digits.  Slots of at most 8 bytes
-    go through machine words (_word_slot_product).  Wider slots go through
-    decimal (_decimal_slot_product) when the shorter operand packs to at
-    least _DECIMAL_MIN_BITS bits and a slot has fewer digits than the int/str
-    conversion limit allows, else one slot at a time (_byte_slot_product).
+    in (-2^(8w-1), 2^(8w-1)), or W decimal digits.  Slots wider than 8 bytes
+    go through decimal (_decimal_slot_product) when the shorter operand packs
+    to at least _DECIMAL_MIN_BITS bits and a slot has fewer digits than the
+    int/str conversion limit allows; every other slot is two's complement
+    bytes (_binary_slot_product).  Either packer packs a square (b is a) once.
     """
     top_a = max(map(abs, a))
     top = top_a * (top_a if b is a else max(map(abs, b)))
@@ -472,12 +474,11 @@ def _kronecker_conv(a: list, b: list, n_out: int) -> list:
     bound = top * short
     width = bound.bit_length() // 8 + 1
     k = min(len(a) + len(b) - 1, n_out)
-    if width <= 8:
-        out = _word_slot_product(a, b, width, k)
-    elif 8 * width * short >= _DECIMAL_MIN_BITS and (digits := _decimal_digits(bound)):
+    if width > 8 and 8 * width * short >= _DECIMAL_MIN_BITS and (
+            digits := _decimal_digits(bound)):
         out = _decimal_slot_product(a, b, digits, k)
     else:
-        out = _byte_slot_product(a, b, width, k)
+        out = _binary_slot_product(a, b, width, k)
     return out + [0] * (n_out - k)
 
 
@@ -496,35 +497,50 @@ def _decimal_digits(bound: int) -> int:
     return digits if not limit or digits < limit else 0
 
 
+def _packed_product(pack, multiply, a: list, b: list):
+    """multiply(pack(a), pack(b)), where a square (b is a) is packed once and
+    multiplied by itself, so the number type's squaring can run."""
+    pa = pack(a)
+    return multiply(pa, pa if b is a else pack(b))
+
+
 # byte -> 0xFF if its top bit is set, else 0: the sign fill of a slot's top byte
 _SIGN_FILL = bytes(0xFF if i & 0x80 else 0 for i in range(256))
 
 
-def _word_slot_product(a: list, b: list, width: int, k: int) -> list:
-    """The first k coefficients of a*b, packed in slots of width <= 8 bytes.
+def _binary_slot_product(a: list, b: list, width: int, k: int) -> list:
+    """The first k coefficients of a*b, packed in two's complement slots of
+    ``width`` bytes.
 
-    Both lists go through array('q'): the low ``width`` bytes of each 64-bit
-    word, copied by strided slices, are its two's complement slot.  With S
-    the top bit of every slot and U the unsigned read of the slots, the signed
-    packing is A = U - ((U & S) << 1).  Adding S to the product A*B makes
-    every slot nonnegative, and XOR with S turns each back into its two's
-    complement, whose top byte, translated to 0x00 or 0xFF, fills the word.
+    A slot of at most 8 bytes is the low ``width`` bytes of a 64-bit word of
+    array('q'), copied by strided slices; a wider one is x.to_bytes(width,
+    signed=True).  With S the top bit of every slot and U the unsigned read
+    of the slots, the signed packing is A = U - ((U & S) << 1).  Adding S to
+    the product A*B makes every slot nonnegative, and XOR with S turns each
+    back into its two's complement.  A narrow slot's top byte, translated to
+    0x00 or 0xFF, fills its word; a wide one reads back by int.from_bytes.
     """
     m = len(a) + len(b) - 1
     sign = int.from_bytes((bytes(width - 1) + b"\x80") * m, "little")
 
     def packed(xs: list) -> int:
-        words = array("q", xs)
-        if _BIG_ENDIAN:
-            words.byteswap()
-        raw = words.tobytes()
-        slots = bytearray(width * len(xs))
-        for j in range(width):
-            slots[j::width] = raw[j::8]
+        if width > 8:
+            slots = b"".join([x.to_bytes(width, "little", signed=True) for x in xs])
+        else:
+            words = array("q", xs)
+            if _BIG_ENDIAN:
+                words.byteswap()
+            raw = words.tobytes()
+            slots = bytearray(width * len(xs))
+            for j in range(width):
+                slots[j::width] = raw[j::8]
         u = int.from_bytes(slots, "little")
         return u - ((u & sign) << 1)
 
-    raw = ((packed(a) * packed(b) + sign) ^ sign).to_bytes(width * m, "little")
+    raw = ((_packed_product(packed, mul, a, b) + sign) ^ sign).to_bytes(width * m, "little")
+    if width > 8:
+        return [int.from_bytes(raw[i:i + width], "little", signed=True)
+                for i in range(0, width * k, width)]
     words = bytearray(8 * k)
     for j in range(width):
         words[j::8] = raw[j:width * k:width]
@@ -537,27 +553,9 @@ def _word_slot_product(a: list, b: list, width: int, k: int) -> list:
     return out.tolist()
 
 
-def _byte_slot_product(a: list, b: list, width: int, k: int) -> list:
-    """The first k coefficients of a*b, packed one slot at a time: adding half
-    the slot range to every slot makes all slots nonnegative, so A*B reads
-    off slot by slot as unsigned bytes."""
-    half = 1 << (8 * width - 1)
-    halves = half.to_bytes(width, "little")
-
-    def packed(xs: list) -> int:
-        raw = b"".join([(x + half).to_bytes(width, "little") for x in xs])
-        return int.from_bytes(raw, "little") - int.from_bytes(halves * len(xs), "little")
-
-    m = len(a) + len(b) - 1
-    prod = packed(a) * packed(b) + int.from_bytes(halves * m, "little")
-    raw = prod.to_bytes(width * m, "little")
-    return [int.from_bytes(raw[i:i + width], "little") - half
-            for i in range(0, width * k, width)]
-
-
 def _decimal_slot_product(a: list, b: list, digits: int, k: int) -> list:
     """The first k coefficients of a*b, packed in decimal slots of ``digits``
-    digits, A = sum a_i 10^(digits i), as _byte_slot_product packs bytes.
+    digits, A = sum a_i 10^(digits i).
 
     Adding H = 10^digits / 2 to every slot makes it a nonnegative number of
     at most ``digits`` digits, so each operand is its zero-padded entries
@@ -575,7 +573,7 @@ def _decimal_slot_product(a: list, b: list, digits: int, k: int) -> list:
         return ctx.subtract(Decimal(text), Decimal(halves * len(xs)))
 
     m = len(a) + len(b) - 1
-    prod = ctx.add(ctx.multiply(packed(a), packed(b)), Decimal(halves * m))
+    prod = ctx.add(_packed_product(packed, ctx.multiply, a, b), Decimal(halves * m))
     text = str(prod).zfill(digits * m)
     del prod
     return [int(text[i - digits:i]) - half

@@ -19,7 +19,7 @@ from replicaq.qseries import (QSeries, GridError, TruncationError, agree, eta,
                               _e4_int_coeffs, _int_conv, _int_series_inverse, _int_power,
                               _kronecker_conv, _miller_power, _schoolbook_conv,
                               _KRONECKER_MIN_LEN)
-from replicaq import qseries
+from replicaq import frames, qseries
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -497,19 +497,15 @@ class TestKronecker:
     @pytest.mark.parametrize("n", [LONG, 300, 3000])
     def test_sparse_operands_stay_on_the_loop(self, n, monkeypatch):
         phi = euler_phi_int_coeffs(n)
-        packed = []
-
-        def spy(a, b, n_out):
-            packed.append((a, b))
-            return _kronecker_conv(a, b, n_out)
-
-        monkeypatch.setattr(qseries, "_kronecker_conv", spy)
+        taken = spy_slot_paths(monkeypatch)
         assert _int_conv(phi, phi, n) == _schoolbook_conv(phi, phi, n)
-        assert packed == []
+        assert taken == []
         dense = _int_power(phi, 24, n)
-        packed.clear()
+        taken.clear()
         _int_conv(dense, dense, n)
-        assert len(packed) == 1
+        # cutting the operands to n_out keeps a square one list object, so
+        # the packer packs it once
+        assert [square for _, _, square in taken] == [True]
 
     @PROPERTY
     @given(st.lists(WIDE, min_size=1, max_size=12), st.lists(WIDE, min_size=1, max_size=12),
@@ -560,17 +556,24 @@ class TestSlotWidths:
     word, against the schoolbook loop."""
 
     @PROPERTY
-    @given(st.integers(1, 9), st.integers(1, 14), st.integers(1, 14), st.data())
-    def test_every_width_matches_schoolbook(self, width, len_a, len_b, data):
+    @given(st.integers(1, 9), st.integers(1, 14), st.integers(1, 14), st.booleans(),
+           st.data())
+    def test_every_width_matches_schoolbook(self, width, len_a, len_b, square, data):
         # entries up to v in size, v^2 min(len) as close under the width's
-        # product bound 2^(8 width - 1) - 1 as a square allows
+        # product bound 2^(8 width - 1) - 1 as a square allows; a square
+        # passes one list object as both operands
+        if square:
+            len_b = len_a
         v = math.isqrt((2 ** (8 * width - 1) - 1) // min(len_a, len_b))
         entry = st.one_of(st.just(0), st.just(0), st.sampled_from([v, -v]),
                           st.integers(-v, v))
         a = data.draw(st.lists(entry, min_size=len_a, max_size=len_a))
-        b = data.draw(st.lists(entry, min_size=len_b, max_size=len_b))
         a[data.draw(st.integers(0, len_a - 1))] = data.draw(st.sampled_from([v, -v]))
-        b[data.draw(st.integers(0, len_b - 1))] = data.draw(st.sampled_from([v, -v]))
+        if square:
+            b = a
+        else:
+            b = data.draw(st.lists(entry, min_size=len_b, max_size=len_b))
+            b[data.draw(st.integers(0, len_b - 1))] = data.draw(st.sampled_from([v, -v]))
         assert (v * v * min(len_a, len_b)).bit_length() // 8 + 1 == width
         full = len_a + len_b - 1
         for n_out in (0, 1, full - 1, full, full + 3, data.draw(st.integers(0, 30))):
@@ -581,17 +584,28 @@ class TestSlotWidths:
     @pytest.mark.parametrize("width", range(1, 10))
     def test_product_bound_at_the_slot_limit(self, width, monkeypatch):
         # max|a| max|b| min(len) = 2^(8 width - 1) - 1 exactly, and every
-        # product coefficient is that bound or its negative; slots of at most
-        # 8 bytes take the word path, wider ones the byte path (one packed
-        # term is far below the decimal threshold)
+        # product coefficient is that bound or its negative; every width
+        # takes the binary slots (one packed term is far below the decimal
+        # threshold)
         taken = spy_slot_paths(monkeypatch)
         top = 2 ** (8 * width - 1) - 1
         b = [top, -top, 0, 0, top, -top, -top]
         for a in ([1], [-1]):
             for n_out in (3, len(b), len(b) + 4):
                 assert _kronecker_conv(a, b, n_out) == _schoolbook_conv(a, b, n_out)
-        path = "_word_slot_product" if width <= 8 else "_byte_slot_product"
-        assert taken == [(path, width)] * 6
+        assert taken == [("_binary_slot_product", width, False)] * 6
+        # a square of 7 terms +-v, whose middle coefficient 7 v^2 is as close
+        # under the bound as a square allows, and with v + 1 a byte wider
+        v = math.isqrt(top // 7)
+        for entry, want in ((v, width), (v + 1, width + 1)):
+            a = [entry, -entry] * 3 + [entry]
+            taken.clear()
+            for n_out in (3, len(a), 2 * len(a) - 1, 2 * len(a) + 2):
+                out = _kronecker_conv(a, a, n_out)
+                assert out == _schoolbook_conv(a, a, n_out)
+                assert all(type(x) is int for x in out)
+            assert out[6] == 7 * entry * entry
+            assert taken == [("_binary_slot_product", want, True)] * 4
 
     @pytest.mark.parametrize("digits", [20, 21, 40, 155, 600])
     def test_product_bound_at_the_decimal_slot_limit(self, digits, monkeypatch):
@@ -610,17 +624,30 @@ class TestSlotWidths:
                     out = _kronecker_conv(a, b, n_out)
                     assert out == _schoolbook_conv(a, b, n_out)
                     assert all(type(v) is int for v in out)
-            assert taken == [("_decimal_slot_product", want)] * 10
+            assert taken == [("_decimal_slot_product", want, False)] * 10
+        # a square of 7 terms +-v, whose middle coefficient 7 v^2 is as close
+        # under H - 1 as a square allows, and with v + 1 a digit wider
+        v = math.isqrt((half - 1) // 7)
+        for entry, want in ((v, digits), (v + 1, digits + 1)):
+            a = [entry, -entry] * 3 + [entry]
+            taken.clear()
+            for n_out in (1, len(a), 2 * len(a) - 1, 2 * len(a) + 2):
+                out = _kronecker_conv(a, a, n_out)
+                assert out == _schoolbook_conv(a, a, n_out)
+                assert all(type(x) is int for x in out)
+            assert out[6] == 7 * entry * entry
+            assert taken == [("_decimal_slot_product", want, True)] * 4
 
 
 def spy_slot_paths(monkeypatch) -> list:
-    """Wrap the three slot products; the list records (name, slot size) per call."""
+    """Wrap the two slot products; the list records (name, slot size, whether
+    both operands are one object) per call."""
     taken = []
-    for name in ("_word_slot_product", "_byte_slot_product", "_decimal_slot_product"):
+    for name in ("_binary_slot_product", "_decimal_slot_product"):
         real = getattr(qseries, name)
 
         def spy(a, b, size, k, real=real, name=name):
-            taken.append((name, size))
+            taken.append((name, size, b is a))
             return real(a, b, size, k)
 
         monkeypatch.setattr(qseries, name, spy)
@@ -661,7 +688,7 @@ class TestDecimalSlots:
                 assert global_number_state() == state
         # n_out = 0 and 1 cut the operands below the packing threshold, and
         # operands with few nonzero terms stay on the loop
-        assert [name for name, _ in taken] == ["_decimal_slot_product"] * (3 * packed)
+        assert [name for name, _, _ in taken] == ["_decimal_slot_product"] * (3 * packed)
 
     def test_wide_j_product_takes_decimal_slots(self, monkeypatch):
         # E4^3 (q / Delta) at 804 terms: 72-byte slots, 4.6e5 bits per operand
@@ -673,18 +700,18 @@ class TestDecimalSlots:
         state = global_number_state()
         out = _int_conv(e12, inv, n)
         assert global_number_state() == state
-        assert taken == [("_decimal_slot_product", 172)]
-        assert out == qseries._byte_slot_product(e12, inv, 72, n)
+        assert taken == [("_decimal_slot_product", 172, False)]
+        assert out == qseries._binary_slot_product(e12, inv, 72, n)
         assert out[:4] == [1, 744, 196884, 21493760]  # q (J + 744)
 
     @pytest.mark.parametrize("limit, value_digits, path", [
-        (640, 637, "_byte_slot_product"),     # slots of 640 digits: at the limit
-        (640, 700, "_byte_slot_product"),     # and past it
+        (640, 637, "_binary_slot_product"),   # slots of 640 digits: at the limit
+        (640, 700, "_binary_slot_product"),   # and past it
         (640, 636, "_decimal_slot_product"),  # 639 digits: below it
         (0, 637, "_decimal_slot_product"),    # 0 is no limit
         (0, 700, "_decimal_slot_product")])
-    def test_slots_at_the_int_str_limit_take_bytes(self, limit, value_digits, path,
-                                                   monkeypatch):
+    def test_slots_at_the_int_str_limit_take_binary_slots(self, limit, value_digits, path,
+                                                          monkeypatch):
         # 100 x 100 terms of 10^value_digits: the bound 2 * 100 * 10^value_digits
         # has value_digits + 3 digits, and the operands pack past 2e5 bits
         a, b = [1] * 100, [10 ** value_digits, -(10 ** value_digits)] * 50
@@ -697,7 +724,7 @@ class TestDecimalSlots:
             assert sys.get_int_max_str_digits() == limit
         finally:
             sys.set_int_max_str_digits(old)
-        assert [name for name, _ in taken] == [path]
+        assert [name for name, _, _ in taken] == [path]
 
 
 class TestSparseInverse:
@@ -791,9 +818,11 @@ class TestOracles:
         assert tau[:6] == [1, -24, 252, -1472, 4830, -6048]
 
     def test_delta_is_eta_24(self):
-        d = delta(12)
-        e = eta(Fraction(12) + Fraction(1, 24)) ** 24
-        assert agree(d, e, 12) is None
+        # against the log-derivative recurrence of eta^24, which runs no
+        # product; at 120 terms delta's power runs the packed kernel
+        n = 120
+        d = delta(n + 1)
+        assert d.coeff_range(1, n) == frames._log_derivative_coeffs({1: 24}, n - 1)
 
     def test_e4_leading(self):
         e4 = eisenstein_e4(4)
