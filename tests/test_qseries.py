@@ -710,8 +710,8 @@ class TestDecimalSlots:
         (640, 636, "_decimal_slot_product"),  # 639 digits: below it
         (0, 637, "_decimal_slot_product"),    # 0 is no limit
         (0, 700, "_decimal_slot_product")])
-    def test_slots_at_the_int_str_limit_take_binary_slots(self, limit, value_digits, path,
-                                                          monkeypatch):
+    def test_slots_at_the_int_str_limit_take_bytes(self, limit, value_digits, path,
+                                                   monkeypatch):
         # 100 x 100 terms of 10^value_digits: the bound 2 * 100 * 10^value_digits
         # has value_digits + 3 digits, and the operands pack past 2e5 bits
         a, b = [1] * 100, [10 ** value_digits, -(10 ** value_digits)] * 50
