@@ -10,11 +10,10 @@ compare past what either side knows.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from math import factorial, gcd
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .qseries import (QSeries, TruncationError, agree, j_oracle, _exponents_below,
                       _int_conv)
@@ -34,8 +33,7 @@ from .hecke import (hecke_Tn, hecke_Tn_via_uv, hecke_faber_verify, p2_identities
 from .functions import HAUPTMODULN, realize, replication_family
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     name: str
     compared: int
     first_mismatch: Optional[tuple] = None

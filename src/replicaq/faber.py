@@ -12,27 +12,31 @@ the Grunsky table, ``replicate`` and the basis descent take it as their engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .qseries import QSeries, TruncationError, _as_fraction, _exact, _int_conv
 
 
-@dataclass(frozen=True)
-class FaberPolynomial:
-    """Monic polynomial of degree n; coeffs descending, length n + 1."""
-
+class _FaberPolynomialFields(NamedTuple):
     n: int
     coeffs: tuple
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.n + 1:
-            raise ValueError(f"degree {self.n} needs {self.n + 1} coefficients, "
-                             f"got {len(self.coeffs)}")
-        if self.coeffs[0] != 1:
-            raise ValueError(f"Faber polynomial must be monic, leads with {self.coeffs[0]}")
+
+class FaberPolynomial(_FaberPolynomialFields):
+    """Monic polynomial of degree n; coeffs descending, length n + 1."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, coeffs: tuple):
+        if len(coeffs) != n + 1:
+            raise ValueError(f"degree {n} needs {n + 1} coefficients, got {len(coeffs)}")
+        if coeffs[0] != 1:
+            raise ValueError(f"Faber polynomial must be monic, leads with {coeffs[0]}")
+        return super().__new__(cls, n, coeffs)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
     def __call__(self, f):
         """Evaluate at a rational or a QSeries, by Horner."""

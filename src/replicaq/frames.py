@@ -9,12 +9,11 @@ products live here.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
-from math import gcd
+from math import ceil, gcd
 from operator import mul
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .qseries import (QSeries, Rat, _grid_points, _int_conv, _int_power, _miller_power,
                       euler_phi_int_coeffs)
@@ -24,26 +23,25 @@ class FrameShapeError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class FrameShape:
+class _FrameShapeFields(NamedTuple):
+    net: tuple
+
+
+class FrameShape(_FrameShapeFields):
     """Formal eta quotient prod_k eta(q^k)^(c_k), stored as its net exponents:
     the pairs (k, c_k) with c_k != 0, ascending in k."""
 
-    net: tuple
+    __slots__ = ()
 
-    def __init__(self, numerator, denominator=()):
+    def __new__(cls, numerator, denominator=()):
         """The net count of each part over the two sequences of parts."""
-        self._count(chain(zip(numerator, repeat(1)), zip(denominator, repeat(-1))))
+        return cls._of_multiplicities(chain(zip(numerator, repeat(1)),
+                                            zip(denominator, repeat(-1))))
 
     @classmethod
     def _of_multiplicities(cls, weighted) -> "FrameShape":
         """The shape of (part, signed multiplicity) pairs; no part is repeated
         out into a list, so a multiplicity costs nothing for its size."""
-        shape = cls.__new__(cls)
-        shape._count(weighted)
-        return shape
-
-    def _count(self, weighted) -> None:
         count: dict = {}
         for p, m in weighted:
             if type(p) is not int or p < 1:
@@ -52,7 +50,13 @@ class FrameShape:
         net = tuple(sorted((p, c) for p, c in count.items() if c))
         if not any(c > 0 for _, c in net):
             raise FrameShapeError("numerator cancels away entirely")
-        object.__setattr__(self, "net", net)
+        return super().__new__(cls, net)
+
+    _make = classmethod(lambda cls, fields: cls._of_multiplicities(*fields))  # _replace too
+
+    def __reduce__(self):
+        """Copies and pickles rebuild the shape from its net exponents."""
+        return self._of_multiplicities, (self.net,)
 
     def exponents(self) -> dict:
         """part -> net eta exponent."""
@@ -192,8 +196,7 @@ def eta_product(shape: FrameShape, trunc: Rat) -> QSeries:
 
 # -- multiplicativity ----------------------------------------------------
 
-@dataclass(frozen=True)
-class MultiplicativityReport:
+class MultiplicativityReport(NamedTuple):
     verdict: bool
     bound: int
     first_failure: Optional[tuple] = None  # (m, n, c(m), c(n), c(mn))
@@ -330,7 +333,7 @@ def euler_factor_check(f: QSeries, p: int, weight: int) -> bool:
     avail = f.trunc
     if avail <= p * p:
         raise ValueError(f"truncation {avail} too small to see p^2 = {p * p}")
-    bound = int(avail) - 1
+    bound = ceil(avail) - 1
     c = _normalized_int_coeffs(f, bound)
     a_p = c[p - 1]
     b_p = a_p * a_p - c[p * p - 1]

@@ -7,10 +7,9 @@ The string grammar used by the command line lives here too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .qseries import QSeries, Rat, _as_fraction, j_oracle
 from .frames import FrameShape, FrameShapeError, eta_product, parse_frame_shape
@@ -21,23 +20,30 @@ class SpecError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class FunctionSpec:
+class _FunctionSpecFields(NamedTuple):
+    variant: str
+    shape: Optional[FrameShape]
+    shift: Fraction
+    c: int
+    coefficients: tuple
+
+
+class FunctionSpec(_FunctionSpecFields):
     """variant is one of 'j', 'eta', 'fiction', 'explicit'."""
 
-    variant: str
-    shape: Optional[FrameShape] = None
-    shift: Fraction = Fraction(0)
-    c: int = 0
-    coefficients: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.variant not in ("j", "eta", "fiction", "explicit"):
-            raise SpecError(f"unknown variant {self.variant!r}")
-        if self.variant == "eta" and self.shape is None:
+    def __new__(cls, variant: str, shape: Optional[FrameShape] = None,
+                shift: Fraction = Fraction(0), c: int = 0, coefficients: tuple = ()):
+        if variant not in ("j", "eta", "fiction", "explicit"):
+            raise SpecError(f"unknown variant {variant!r}")
+        if variant == "eta" and shape is None:
             raise SpecError("eta variant needs a frame shape")
-        if self.variant == "fiction" and self.c not in (-1, 0, 1):
+        if variant == "fiction" and c not in (-1, 0, 1):
             raise SpecError("fiction parameter c must be -1, 0 or 1")
+        return super().__new__(cls, variant, shape, shift, c, coefficients)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
     def __str__(self) -> str:
         if self.variant == "j":

@@ -9,21 +9,32 @@ purpose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Dict, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 from .qseries import QSeries, TruncationError, _as_fraction
 from .faber import _FaberRows, _coeff_list, _ordered
 
 
-@dataclass
 class GrunskyTable:
-    grade_bound: int
-    entries: Dict[Tuple[int, int], Fraction] = field(default_factory=dict)
+    """h_{m,n} below a grade bound, keyed by the ordered pair (min, max).
+    Mutable, so it compares by value and has no hash."""
 
     key = staticmethod(_ordered)
+
+    def __init__(self, grade_bound: int,
+                 entries: Optional[Dict[Tuple[int, int], Fraction]] = None):
+        self.grade_bound = grade_bound
+        self.entries = {} if entries is None else entries
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.grade_bound, self.entries) == (other.grade_bound, other.entries)
+
+    def __repr__(self) -> str:
+        return f"GrunskyTable(grade_bound={self.grade_bound!r}, entries={self.entries!r})"
 
     def get(self, m: int, n: int) -> Fraction:
         return self.entries[self.key(m, n)]

@@ -9,11 +9,10 @@ every coefficient a_N (N >= 6) through a_1..a_5 and the duplicate f^(2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 from operator import mul
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, List, NamedTuple, Optional, Sequence, Union
 
 from .qseries import QSeries, _exact, agree
 from .faber import faber_by_recursion
@@ -86,8 +85,7 @@ def twisted_Tn(fam: ReplicationFamily, n: int) -> QSeries:
     return _uv_sum(fam.power, n)
 
 
-@dataclass(frozen=True)
-class HeckeFaberReport:
+class HeckeFaberReport(NamedTuple):
     n: int
     ok: bool
     compared_exponents: int

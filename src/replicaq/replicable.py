@@ -8,10 +8,9 @@ lets 12 coefficients determine all the rest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Mapping, Optional, Tuple
+from typing import Mapping, NamedTuple, Optional, Tuple
 
 from .qseries import QSeries, TruncationError, _exact
 from .faber import _FaberRows
@@ -25,19 +24,26 @@ class DescentError(RuntimeError):
     """No reducing pair where the basis theorem requires one; an implementation bug."""
 
 
-@dataclass(frozen=True)
-class ReplicationFamily:
+class _ReplicationFamilyFields(NamedTuple):
+    base: QSeries
+    powers: Mapping[int, QSeries]
+
+
+class ReplicationFamily(_ReplicationFamilyFields):
     """f together with its replication powers f^(a)."""
 
-    base: QSeries
-    powers: Mapping[int, QSeries] = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.base.is_normalized():
+    def __new__(cls, base: QSeries, powers: Optional[Mapping[int, QSeries]] = None):
+        powers = {} if powers is None else powers
+        if not base.is_normalized():
             raise ValueError("family base must be normalized")
-        for a, g in self.powers.items():
+        for a, g in powers.items():
             if a != 1 and not g.is_normalized():
                 raise ValueError(f"replicate f^({a}) must be normalized")
+        return super().__new__(cls, base, powers)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
     def power(self, a: int) -> QSeries:
         if a == 1:
@@ -48,8 +54,7 @@ class ReplicationFamily:
             raise KeyError(f"replicate f^({a}) missing from family") from None
 
 
-@dataclass(frozen=True)
-class ReducingPair:
+class ReducingPair(NamedTuple):
     grade: int
     from_pair: Tuple[int, int]
     to_pair: Tuple[int, int]
@@ -63,8 +68,7 @@ class ReducingPair:
                 and gcd(r, s) == gcd(rp, sp) and lcm(r, s) == lcm(rp, sp))
 
 
-@dataclass(frozen=True)
-class ReplicabilityReport:
+class ReplicabilityReport(NamedTuple):
     ok: bool
     grade_bound: int
     checked_pairs: int

@@ -1,6 +1,5 @@
 """Command-line interface: JSON payloads, exit codes, mutation control."""
 
-import dataclasses
 import json
 import os
 import pathlib
@@ -264,7 +263,7 @@ def test_family_too_short_for_the_hecke_faber_order_is_a_mismatch():
 def test_invalid_reducing_pair_is_a_mismatch(monkeypatch):
     real = checks.exhaustive_reducing_pair
     monkeypatch.setattr(checks, "find_reducing_pair",
-                        lambda N: real(N) and dataclasses.replace(real(N), to_pair=(1, 1)))
+                        lambda N: real(N) and real(N)._replace(to_pair=(1, 1)))
     report = checks.basis(7, 30)["reducing_pairs_ok"]
     assert report.first_mismatch[1:] == ((7, False), (7, True))
 

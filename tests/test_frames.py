@@ -355,3 +355,10 @@ class TestEulerFactor:
     def test_wrong_weight_fails(self):
         f = eta_product(parse_frame_shape("1^24"), 200)
         assert not euler_factor_check(f, 2, 10)
+
+    @pytest.mark.parametrize("weight", [12, 10])
+    def test_a_fractional_order_reads_the_last_integer_exponent(self, weight):
+        # below q^(51/2), as below q^26, Delta knows c(25) = c(5^2)
+        f = eta_product(parse_frame_shape("1^24"), 26)
+        assert (euler_factor_check(f.truncate(Fraction(51, 2)), 5, weight)
+                == euler_factor_check(f, 5, weight) == (weight == 12))

@@ -7,18 +7,23 @@ started without ``site`` so that nothing is preloaded: the library modules
 load, and the CLI, the check registry and the stdlib modules only they use
 do not.  ``import replicaq.cli`` does not load the check registry either:
 only ``verify`` and ``numerology`` run it, so ``coeffs`` and ``classify24``
-do not compile it.
+do not compile it.  Neither import loads ``dataclasses``, which would pull in
+``inspect``, ``ast``, ``dis`` and ``tokenize``: the records are
+``NamedTuple``s and ``GrunskyTable`` is a plain class.
 """
 
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 LIBRARY = {"replicaq", *(f"replicaq.{name}" for name in (
     "qseries", "frames", "faber", "grunsky", "replicable", "hecke", "functions"))}
 NOT_AT_IMPORT = {"replicaq.cli", "replicaq.checks", "argparse", "json", "random"}
+INTROSPECTION = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 
 SCRIPT = """
 import sys
@@ -47,3 +52,9 @@ def test_cli_import_leaves_the_check_registry_out():
     loaded = loaded_by("replicaq.cli")
     assert "replicaq.cli" in loaded and LIBRARY <= loaded
     assert "replicaq.checks" not in loaded
+
+
+@pytest.mark.parametrize("module", ["replicaq", "replicaq.cli"])
+def test_import_leaves_dataclasses_and_its_imports_out(module):
+    loaded = loaded_by(module)
+    assert not loaded & INTROSPECTION, loaded & INTROSPECTION
