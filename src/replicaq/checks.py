@@ -235,8 +235,10 @@ def basis(grade: int, trunc: int) -> dict:
     """For 2 <= N <= grade the case analysis finds a reducing pair exactly
     when the exhaustive search does, and each pair found is valid; the
     grades 2..24 without a pair against the published list and the Norton
-    basis; and J rebuilt from its 12 basis values, by Faber rows and by
-    Norton's recursion, against J below q^trunc."""
+    basis; J rebuilt from its 12 basis values, by Faber rows and by Norton's
+    recursion, against J below q^trunc; and, as a negative control, five
+    seeded random tuples of basis values, |v| <= 50, each rebuilt to q^25
+    and not replicable on its Faber-route table at grade 24."""
     def pairs():
         for N in range(2, grade + 1):
             mine = find_reducing_pair(N)
@@ -248,6 +250,8 @@ def basis(grade: int, trunc: int) -> dict:
     J = j_oracle(max(trunc, NORTON_BASIS[-1] + 1))
     values = {k: J.coeff(k) for k in NORTON_BASIS}
     rebuilt = reconstruct_from_basis(values, trunc)
+    rng = random.Random(12)
+    randoms = [{k: rng.randint(-50, 50) for k in NORTON_BASIS} for _ in range(5)]
     return {
         "reducing_pairs_ok": _scan("reducing_pairs", pairs()),
         "irreducible_grades_ok": _scan("irreducible_grades", [
@@ -258,15 +262,17 @@ def basis(grade: int, trunc: int) -> dict:
                                      exact=True),
         "reconstruction_routes_agree": _series("reconstruction_routes", [
             ("J", rebuilt, reconstruct_by_grunsky(values, trunc), trunc)], exact=True),
+        # (label, accepted, False): a random tuple that rebuilds replicable is a mismatch
+        "random_bases_rejected": _scan("random_bases_rejected", (
+            (f"random {i}", is_replicable(grunsky_from_faber(
+                reconstruct_from_basis(v, 25), 24)).ok, False) for i, v in enumerate(randoms))),
     }
 
 
-# The rows of ``HAUPTMODULN`` whose function, posing as every replicate of
-# itself, breaks n T_n f = F_n(f) for some n <= 6 below q^20: at 2, 4, 6 for
-# 2B and 4C, at 3, 6 for 3B and at 5 for 5B.  J is its own replicate, and for
-# 7B and 13B no n <= 6 reaches the class order, so those three pass at every
-# n <= 6 and would control nothing.
-WRONG_FAMILY_ROWS = ("2b", "3b", "4c", "5b")
+# The rows of ``HAUPTMODULN`` that n T_n f = F_n(f), n <= 6, can catch posing
+# as every replicate of themselves: those with g^d another class for some d <= 6.
+WRONG_FAMILY_ROWS = tuple(name for name, (powers, _) in HAUPTMODULN.items()
+                          if any(d <= 6 for d in powers))
 
 
 def _posing_as_own_replicates(name: str) -> list:

@@ -126,38 +126,29 @@ def parse_function_spec(text: str) -> FunctionSpec:
 
 # -- families ------------------------------------------------------------
 
-# The hauptmoduln of seven Monster classes, by payload short name: (class
-# order N, spec).  Norton's replication is the power map, T_g^(a) = T_(g^a),
-# and g^a has order N / gcd(a, N): that rule, in ``_power_map_family``, is
-# all this table knows of which replicate is which.
+# The hauptmoduln of seven Monster classes, by payload short name: (power
+# map, spec).  The map names the class of g^d for each divisor d > 1 of the
+# class order N, the largest key.  Norton's replication is the power map,
+# T_g^(a) = T_(g^a), and g^a is the class of g^gcd(a, N).
 HAUPTMODULN = {
-    "j": (1, FunctionSpec("j")),
-    "2b": (2, parse_function_spec("eta:1^24/2^24+24")),
-    "3b": (3, parse_function_spec("eta:1^12/3^12+12")),
-    "4c": (4, parse_function_spec("eta:1^8/4^8+8")),
-    "5b": (5, parse_function_spec("eta:1^6/5^6+6")),
-    "7b": (7, parse_function_spec("eta:1^4/7^4+4")),
-    "13b": (13, parse_function_spec("eta:1^2/13^2+2")),
+    "j": ({}, FunctionSpec("j")),
+    "2b": ({2: "j"}, parse_function_spec("eta:1^24/2^24+24")),
+    "3b": ({3: "j"}, parse_function_spec("eta:1^12/3^12+12")),
+    "4c": ({2: "2b", 4: "j"}, parse_function_spec("eta:1^8/4^8+8")),
+    "5b": ({5: "j"}, parse_function_spec("eta:1^6/5^6+6")),
+    "7b": ({7: "j"}, parse_function_spec("eta:1^4/7^4+4")),
+    "13b": ({13: "j"}, parse_function_spec("eta:1^2/13^2+2")),
 }
-
-
-def _power_map_family(order: int, trunc: Rat) -> ReplicationFamily:
-    """The family of the table's function of class order ``order``: f^(a) is
-    the function of order order / gcd(a, order), each realized once."""
-    specs = dict(HAUPTMODULN.values())
-    orders = {a: order // gcd(a, order) for a in range(1, 13)}
-    series = {n: realize(specs[n], trunc) for n in dict.fromkeys(orders.values())}
-    return ReplicationFamily(series[order], {a: series[orders[a]] for a in range(2, 13)})
 
 
 def j_family(trunc: Rat) -> ReplicationFamily:
     """J is its own replicate at every index."""
-    return _power_map_family(1, trunc)
+    return replication_family("j", trunc)
 
 
 def tb2_family(trunc: Rat) -> ReplicationFamily:
     """The 2B hauptmodul: even-index replicates are J, odd-index are itself."""
-    return _power_map_family(2, trunc)
+    return replication_family("2b", trunc)
 
 
 def fiction_family(c: int, trunc: Rat) -> ReplicationFamily:
@@ -170,14 +161,20 @@ def replication_family(function: Union[FunctionSpec, str], trunc: Rat) -> Replic
     """The replication family of a function of ``HAUPTMODULN`` or a fiction
     1/q + c q, known to q^trunc.  ``function`` is a FunctionSpec or a short
     name of the check payloads: a key of ``HAUPTMODULN`` or "c=C"; any other
-    function raises SpecError."""
-    if isinstance(function, str):
-        function = (HAUPTMODULN[function][1] if function in HAUPTMODULN
-                    else parse_function_spec("fiction:" + function))
-    if function.variant == "fiction":
-        return fiction_family(function.c, trunc)
-    for order, spec in HAUPTMODULN.values():
-        if function == spec:
-            return _power_map_family(order, trunc)
-    raise SpecError(f"no replication family known for spec {function}; "
-                    "the 'recurrence' method needs one")
+    function raises SpecError.  f^(a) is the row the power map names at
+    gcd(a, N), each row realized once."""
+    name = function
+    if isinstance(function, str) and function not in HAUPTMODULN:
+        function = parse_function_spec("fiction:" + function)
+    if isinstance(function, FunctionSpec):
+        if function.variant == "fiction":
+            return fiction_family(function.c, trunc)
+        name = next((n for n, (_, spec) in HAUPTMODULN.items() if spec == function), None)
+        if name is None:
+            raise SpecError(f"no replication family known for spec {function}; "
+                            "the 'recurrence' method needs one")
+    classes = {1: name, **HAUPTMODULN[name][0]}
+    order = max(classes)
+    rows = {a: classes[gcd(a, order)] for a in range(1, 13)}
+    series = {row: realize(HAUPTMODULN[row][1], trunc) for row in dict.fromkeys(rows.values())}
+    return ReplicationFamily(series[name], {a: series[rows[a]] for a in range(2, 13)})

@@ -105,7 +105,11 @@ def hecke_faber_verify(fam: ReplicationFamily, n_max: int, trunc: int) -> List[H
     Each side is built only to the order compared: F_n is evaluated on f cut
     to q^(trunc + n), which leaves F_n(f) known to q^trunc, and the a-slice of
     twisted T_n, V_a U_(n/a) f^(a), reads f^(a) only below q^(n trunc / a^2),
-    so twisted T_n runs on the family's f^(a), a | n, cut to q^(n trunc)."""
+    so twisted T_n runs on the family's f^(a), a | n, cut to q^(n trunc).
+    ``n_max`` and ``trunc`` below 1, which would compare nothing, raise ValueError."""
+    for arg, value in (("n_max", n_max), ("trunc", trunc)):
+        if value < 1:
+            raise ValueError(f"{arg} must be at least 1, got {value}")
     f = fam.base
     a_list = f.coeff_range(1, min(int(f.trunc) - 1, n_max))
     out = []

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Tuple
 
 from .qseries import QSeries, TruncationError, _exact
@@ -30,12 +31,12 @@ class _ReplicationFamilyFields(NamedTuple):
 
 
 class ReplicationFamily(_ReplicationFamilyFields):
-    """f together with its replication powers f^(a)."""
+    """f together with its replication powers f^(a), kept in a read-only copy."""
 
     __slots__ = ()
 
     def __new__(cls, base: QSeries, powers: Optional[Mapping[int, QSeries]] = None):
-        powers = {} if powers is None else powers
+        powers = MappingProxyType({} if powers is None else dict(powers))
         if not base.is_normalized():
             raise ValueError("family base must be normalized")
         for a, g in powers.items():
@@ -44,6 +45,10 @@ class ReplicationFamily(_ReplicationFamilyFields):
         return super().__new__(cls, base, powers)
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
+
+    def __reduce__(self):
+        """Copies and pickles rebuild the family through the constructor."""
+        return type(self), (self.base, dict(self.powers))
 
     def power(self, a: int) -> QSeries:
         if a == 1:

@@ -156,6 +156,15 @@ class TestHeckeFaber:
         with pytest.raises(TruncationError):
             hecke_faber_verify(j_family(179), 6, 30)
 
+    @pytest.mark.parametrize("n_max, trunc, arg", [(0, 30, "n_max"), (-1, 30, "n_max"),
+                                                   (6, 0, "trunc"), (6, -5, "trunc")])
+    def test_arguments_that_compare_nothing_raise(self, n_max, trunc, arg):
+        with pytest.raises(ValueError, match=f"^{arg} must be at least 1, got {min(n_max, trunc)}$"):
+            hecke_faber_verify(j_family(180), n_max, trunc)
+
+    def test_smallest_arguments_compare_something(self):
+        assert hecke_faber_verify(j_family(10), 1, 1) == [hecke.HeckeFaberReport(1, True, 2)]
+
     @pytest.mark.parametrize("make, n_max, trunc", [(j_family, 6, 24), (tb2_family, 6, 24),
                                                     (j_family, 4, 30)])
     def test_family_to_n_max_trunc_is_enough(self, make, n_max, trunc):

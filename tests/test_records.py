@@ -1,6 +1,6 @@
 """The library's records: immutable NamedTuples that compare by value.
 
-Every record but ``ReplicationFamily`` (which holds series and a dict) also
+Every record but ``ReplicationFamily`` (which holds series and a mapping) also
 hashes by value.  ``GrunskyTable``, the one mutable record, compares by value
 and has no hash.  The validating records check their fields on every path
 that builds one: the constructor, ``_replace``, copies and pickles.
@@ -122,6 +122,17 @@ def test_family_powers_default_to_a_new_dict():
     first, second = ReplicationFamily(J), ReplicationFamily(J)
     assert first.powers == {} and first.powers is not second.powers
     assert ReplicationFamily(J, None) == first
+
+
+def test_family_powers_are_a_read_only_copy():
+    given = {2: J}
+    fam = ReplicationFamily(J, given)
+    given[3] = J * J
+    assert 3 not in fam.powers and fam.powers == {2: J}
+    for twin in (fam, copy.deepcopy(fam), pickle.loads(pickle.dumps(fam))):
+        with pytest.raises(TypeError):
+            twin.powers[5] = J + 1
+        assert twin.powers == {2: J}
 
 
 def test_reducing_pair_repr_is_what_a_descent_error_prints(monkeypatch):

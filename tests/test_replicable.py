@@ -11,9 +11,9 @@ from replicaq import checks
 import replicaq.replicable as replicable
 from replicaq.qseries import (QSeries, TruncationError, coefficients, j_oracle,
                               j_int_coeffs)
-from replicaq.grunsky import GrunskyCalculator, grunsky_by_recursion
+from replicaq.grunsky import GrunskyCalculator, grunsky_by_recursion, grunsky_from_faber
 from replicaq.replicable import (NORTON_BASIS, IRREDUCIBLE_GRADES,
-                                 DescentError, ReducingPair,
+                                 DescentError, ReducingPair, ReplicabilityReport,
                                  ReplicationFamily, is_replicable, replicate,
                                  replicate_by_grunsky, inverse_identity_sum,
                                  mod_p_residues, find_reducing_pair,
@@ -124,7 +124,40 @@ class TestReplicateRoutes:
 
 
 class TestPowerMapTable:
-    """f^(a) of the class of order N is the hauptmodul of order N / gcd(a, N)."""
+    """f^(a) of a class g of order N is the row that g's power map names at
+    gcd(a, N), or g's own row when that gcd is 1.  The rule the maps replaced,
+    f^(a) is the row of order N / gcd(a, N), is kept here as the oracle."""
+
+    ORDERS = {"j": 1, "2b": 2, "3b": 3, "4c": 4, "5b": 5, "7b": 7, "13b": 13}
+
+    def test_power_maps_are_consistent(self):
+        assert list(HAUPTMODULN) == list(self.ORDERS)
+        for name, (powers, _) in HAUPTMODULN.items():
+            N = self.ORDERS[name]
+            assert set(powers) == {d for d in range(2, N + 1) if N % d == 0}, name
+            # g^d is a row of the table, of order N / d, and g^N is the identity class
+            assert all(self.ORDERS[row] == N // d for d, row in powers.items()), name
+            assert N == 1 or powers[N] == "j"
+
+    def test_families_match_the_order_rule(self):
+        by_order = {self.ORDERS[name]: realize(spec, 30) for name, (_, spec) in HAUPTMODULN.items()}
+        for name, N in self.ORDERS.items():
+            fam = replication_family(name, 30)
+            assert fam.base == by_order[N]
+            for a in range(2, 13):
+                assert fam.power(a) == by_order[N // gcd(a, N)], (name, a)
+
+    def test_two_classes_of_one_order_get_their_own_families(self, monkeypatch):
+        # 2A's McKay-Thompson series, cut after q^3: a second class of order 2
+        spec = parse_function_spec("explicit:4372,96256,1240002")
+        tb2 = replication_family("2b", 4)
+        monkeypatch.setitem(functions.HAUPTMODULN, "2a", ({2: "j"}, spec))
+        fam = replication_family("2a", 4)
+        assert replication_family(spec, 4) == fam and fam.base == realize(spec, 4)
+        assert all(fam.power(a) == (j_oracle(4) if a % 2 == 0 else fam.base)
+                   for a in range(2, 13))
+        assert replication_family("2b", 4) == tb2
+        assert replication_family(HAUPTMODULN["2b"][1], 4) == tb2
 
     def test_replicates_are_the_powers_classes(self):
         fam = replication_family("4c", 20)
@@ -351,6 +384,21 @@ class TestRouteIndependence:
 
 
 class TestReconstruction:
+    def test_random_basis_values_are_rejected(self, monkeypatch):
+        report = checks.basis(2, 20)["random_bases_rejected"]
+        assert report.ok and report.compared == 5
+        # J's values pass at grade 24, and so does J with a_23 + 1: a_23 first
+        # enters h_{1,23}, which no pair at that grade compares
+        J = j_to(30)
+        for bump in (0, 1):
+            values = {k: J.coeff(k) + (bump if k == 23 else 0) for k in NORTON_BASIS}
+            assert is_replicable(grunsky_from_faber(reconstruct_from_basis(values, 25), 24)).ok
+        # mutation: a replicability test that accepts every table
+        monkeypatch.setattr(checks, "is_replicable",
+                            lambda t: ReplicabilityReport(True, t.grade_bound, 0))
+        report = checks.basis(2, 20)["random_bases_rejected"]
+        assert report.first_mismatch == ("random 0", True, False)
+
     def test_j_from_basis_50_terms(self):
         J = j_to(60)
         basis = {k: J.coeff(k) for k in NORTON_BASIS}
