@@ -148,7 +148,7 @@ def cmd_numerology(args) -> tuple:
 SUITES = {
     "faber": lambda checks, t, g: checks.faber(t, min(8, t - 2), 4),
     "grunsky": lambda checks, t, g: checks.grunsky(min(g, t - 1)),
-    # is_replicable compares no pair of J's table below grade 7
+    # is_replicable refuses a table below grade 7, where it would compare no pair
     "replicable": lambda checks, t, g: {
         **checks.replicable(max(7, min(g, 16)), 0, 9, (2, 3), (2, 3)),
         "mod_2_congruence_ok": checks.mod2_congruence(min(t - 1, 20))},

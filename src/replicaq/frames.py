@@ -116,22 +116,26 @@ def _product_int_coeffs(exponents: dict, n_terms: int) -> list:
     The factor route: on the q^g grid, g the gcd of the parts, each factor
     phi(q^m), m = k/g, is the pentagonal series raised to c_k on its own q^m
     grid (by repeated squaring when c_k > 0, by Miller's recurrence when
-    c_k < 0).  A series in q^m maps each residue class r mod m of the
-    product onto itself, so each class prod[r::m] is multiplied by the
-    factor on its own grid, and none of the factor's (m - 1)/m zero slots
-    is ever multiplied.
+    c_k < 0).  The first factor is placed on its grid (prod[::m] = power).
+    A later factor, a series in q^m, maps each residue class r mod m of the
+    product onto itself, so each class prod[r::m] is multiplied by it on its
+    own grid, and none of its (m - 1)/m zero slots is ever multiplied.
     """
     g = gcd(*exponents)
     n = n_terms // g + 1  # coefficients on the q^g grid
-    prod = [1] + [0] * (n - 1)
+    prod = None
     for k, c in exponents.items():
         m = k // g
         size = (n - 1) // m + 1  # coefficients on the q^k grid
         phi = euler_phi_int_coeffs(size)
         power = _miller_power(phi, c, size) if c < 0 else _int_power(phi, c, size)
-        for r in range(min(m, n)):
-            cls = prod[r::m]
-            prod[r::m] = _int_conv(cls, power, len(cls))
+        if prod is None:
+            prod = [0] * n
+            prod[::m] = power
+        else:
+            for r in range(min(m, n)):
+                cls = prod[r::m]
+                prod[r::m] = _int_conv(cls, power, len(cls))
     out = [0] * (n_terms + 1)
     out[::g] = prod
     return out
@@ -213,7 +217,10 @@ def _normalized_int_coeffs(f: QSeries, bound: int) -> list:
 
 
 def weak_multiplicativity(f: QSeries, bound: int) -> MultiplicativityReport:
-    """Check c(mn) = c(m) c(n) for all coprime pairs with m*n <= bound."""
+    """Check c(mn) = c(m) c(n) for all coprime pairs with m*n <= bound; a
+    bound below 6, short of the first pair (2, 3), raises ValueError."""
+    if bound < 6:
+        raise ValueError("multiplicativity bound must be at least 6")
     c = _normalized_int_coeffs(f, bound)
     fail = _first_mult_failure(c, bound)
     return MultiplicativityReport(fail is None, bound, fail)

@@ -398,15 +398,11 @@ def delta_int_coeffs(n_terms: int) -> list:
     return _int_power(euler_phi_int_coeffs(n_terms), 24, n_terms)
 
 
-# Shorter operand length from which one packed big-int product may replace
-# the loop on int lists.  The loop is faster below 20 to 30 terms on dense
-# operands.
+# Shorter operand length from which one packed big-int product replaces the
+# loop on int lists.  The loop is faster below 20 to 30 terms on dense
+# operands.  Sparse ones pack too: phi(q) times itself is as fast packed as
+# on the loop at 40 terms, faster up to 1000, and 20 % slower at 3000.
 _KRONECKER_MIN_LEN = 40
-# The loop costs about nnz(a)*nnz(b) products and the packed product about
-# the packing of both operands, so the loop stays while nnz(a)*nnz(b) is at
-# most this many times the shorter length: phi(q) times itself (about
-# 2*sqrt(2n/3) nonzero terms each) stays on the loop at every length.
-_KRONECKER_MIN_DENSITY = 4
 
 
 def _int_conv(a: list, b: list, n_out: int) -> list:
@@ -414,23 +410,17 @@ def _int_conv(a: list, b: list, n_out: int) -> list:
 
     The one truncated product of the package.  Entries keep the operands'
     type: ints stay ints and Fractions stay Fractions (never floats).  Int
-    lists whose shorter operand has at least _KRONECKER_MIN_LEN terms, and
-    whose nonzero terms make the loop cost more than _KRONECKER_MIN_DENSITY
-    products per term of the shorter operand, go through Kronecker
-    substitution; everything else runs the schoolbook loop.  A square (a is b)
-    scans its operand once, stays one object when cut to n_out, and is
-    packed once.
+    lists whose shorter operand has at least _KRONECKER_MIN_LEN terms go
+    through Kronecker substitution; everything else runs the schoolbook loop.
+    A square (a is b) scans its operand once, stays one object when cut to
+    n_out, and is packed once.
     """
     square = a is b
     a = a[:n_out]
     b = a if square else b[:n_out]
-    short = min(len(a), len(b))
-    if short >= _KRONECKER_MIN_LEN:
-        nonzero_a = len(a) - a.count(0)
-        nonzero_b = nonzero_a if square else len(b) - b.count(0)
-        if (nonzero_a * nonzero_b > _KRONECKER_MIN_DENSITY * short
-                and set(map(type, a)) == {int} and (square or set(map(type, b)) == {int})):
-            return _kronecker_conv(a, b, n_out)
+    if (min(len(a), len(b)) >= _KRONECKER_MIN_LEN and set(map(type, a)) == {int}
+            and (square or set(map(type, b)) == {int})):
+        return _kronecker_conv(a, b, n_out)
     return _schoolbook_conv(a, b, n_out)
 
 

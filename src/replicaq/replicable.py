@@ -81,9 +81,10 @@ class ReplicabilityReport(NamedTuple):
 
 
 def is_replicable(t: GrunskyTable) -> ReplicabilityReport:
-    """Check h_{m,n} = h_{lcm,gcd} on every pair both of whose entries fit."""
-    if t.grade_bound < 4:
-        raise ValueError("table grade must be at least 4")
+    """Check h_{m,n} = h_{lcm,gcd} on every pair both of whose entries fit; a
+    grade below 7, short of the first pair (2, 3) against (6, 1), raises ValueError."""
+    if t.grade_bound < 7:
+        raise ValueError("table grade must be at least 7")
     checked = 0
     for m in range(1, t.grade_bound):
         for n in range(m, t.grade_bound - m + 1):
@@ -115,6 +116,8 @@ def _replicate(f: QSeries, k: int, trunc: int, engine) -> QSeries:
     a = [a_1, ..., a_top], the coefficients of f that the sum reads."""
     if k < 1:
         raise ValueError("replicate index must be positive")
+    if not f.is_normalized():
+        raise ValueError("replication needs a normalized series q^-1 + O(q)")
     terms = [(mu, k // d, d * k) for d in range(1, k + 1)
              if k % d == 0 and (mu := _mobius(d))]
     top = max(r + step * (trunc - 1) - 1 for _, r, step in terms)

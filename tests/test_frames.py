@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from replicaq import checks
+from replicaq import checks, qseries
 from replicaq.qseries import QSeries
 from replicaq.frames import (FrameShape, FrameShapeError,
                              parse_frame_shape, is_balanced, eta_product,
@@ -198,6 +198,22 @@ class TestFactorRoute:
         for n_terms in (0, 1, 1000):
             assert _product_int_coeffs(exps, n_terms) == _log_derivative_coeffs(exps, n_terms)
 
+    @pytest.mark.parametrize("exps", [{1: 24}, {2: 12}, {12: 2}, {1: 8, 2: 8},
+                                      {2: 5, 3: -7, 6: 2}], ids=str)
+    def test_no_product_by_the_unit_series(self, exps, monkeypatch):
+        # the first factor is placed on its grid, so neither the classes nor
+        # the powers ever multiply [1, 0, 0, ...]
+        operands = []
+        for module in (frames, qseries):
+            def spy(a, b, n_out, real=module._int_conv):
+                operands.extend((a, b))
+                return real(a, b, n_out)
+
+            monkeypatch.setattr(module, "_int_conv", spy)
+        assert _product_int_coeffs(exps, 300) == _log_derivative_coeffs(exps, 300)
+        assert operands
+        assert not [x for x in operands if x[:1] == [1] and not any(x[1:])]
+
     def test_recurrence_on_the_gcd_grid_is_the_full_recurrence(self):
         # the list runs on the q^g grid, g the gcd of the parts; the screen's
         # generator runs on the q grid
@@ -240,6 +256,14 @@ class TestMultiplicativity:
         f = QSeries(1, 1, [1, 1, 1, 1, 1, 7], 10)
         rep = weak_multiplicativity(f, 8)
         assert not rep.verdict and rep.first_failure[:2] == (2, 3)
+
+    def test_bound_below_the_first_pair_raises(self):
+        # (2, 3) is the first coprime pair: below bound 6 nothing is compared
+        with pytest.raises(ValueError, match="at least 6"):
+            weak_multiplicativity(QSeries(1, 1, [1, 5, 7, 0, 9], 6), 5)
+        assert weak_multiplicativity(QSeries(1, 1, [1, 5, 7, 0, 9, 35], 7), 6).verdict
+        rep = weak_multiplicativity(QSeries(1, 1, [1, 5, 7, 0, 9, 36], 7), 6)
+        assert rep.first_failure == (2, 3, 5, 7, 36)
 
     def test_normalizes_by_a_unit_and_rejects_non_integral(self):
         tau = eta_product(parse_frame_shape("1^24"), 40)

@@ -495,17 +495,14 @@ class TestKronecker:
                 assert len(out) == n_out and all(type(v) is int for v in out)
 
     @pytest.mark.parametrize("n", [LONG, 300, 3000])
-    def test_sparse_operands_stay_on_the_loop(self, n, monkeypatch):
+    def test_sparse_squares_pack_once(self, n, monkeypatch):
+        # phi(q) has about 2 sqrt(2n/3) nonzero terms and packs like a dense
+        # operand; cutting the operands to n_out keeps a square one list
+        # object, so the packer packs it once
         phi = euler_phi_int_coeffs(n)
         taken = spy_slot_paths(monkeypatch)
         assert _int_conv(phi, phi, n) == _schoolbook_conv(phi, phi, n)
-        assert taken == []
-        dense = _int_power(phi, 24, n)
-        taken.clear()
-        _int_conv(dense, dense, n)
-        # cutting the operands to n_out keeps a square one list object, so
-        # the packer packs it once
-        assert [square for _, _, square in taken] == [True]
+        assert [(name, square) for name, _, square in taken] == [("_binary_slot_product", True)]
 
     @PROPERTY
     @given(st.lists(WIDE, min_size=1, max_size=12), st.lists(WIDE, min_size=1, max_size=12),
@@ -675,8 +672,6 @@ class TestDecimalSlots:
     def test_int_conv_matches_schoolbook(self, a, b, big):
         a[0], b[-1] = big, -big  # slots past a machine word
         full = len(a) + len(b) - 1
-        packed = ((len(a) - a.count(0)) * (len(b) - b.count(0))
-                  > qseries._KRONECKER_MIN_DENSITY * min(len(a), len(b)))
         state = global_number_state()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(qseries, "_DECIMAL_MIN_BITS", 64)
@@ -686,9 +681,9 @@ class TestDecimalSlots:
                 assert out == _schoolbook_conv(a, b, n_out)
                 assert len(out) == n_out and all(type(v) is int for v in out)
                 assert global_number_state() == state
-        # n_out = 0 and 1 cut the operands below the packing threshold, and
-        # operands with few nonzero terms stay on the loop
-        assert [name for name, _, _ in taken] == ["_decimal_slot_product"] * (3 * packed)
+        # n_out = 0 and 1 cut the operands below the packing threshold; every
+        # int pair at LONG terms or more packs, however few its nonzero terms
+        assert [name for name, _, _ in taken] == ["_decimal_slot_product"] * 3
 
     def test_wide_j_product_takes_decimal_slots(self, monkeypatch):
         # E4^3 (q / Delta) at 804 terms: 72-byte slots, 4.6e5 bits per operand

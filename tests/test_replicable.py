@@ -56,6 +56,14 @@ class TestIsReplicable:
             assert not rep.ok, f"perturbing a_{i + 1} went undetected"
             assert rep.counterexample is not None
 
+    def test_grade_below_the_first_pair_raises(self):
+        # (2, 3) against (6, 1) is the first pair and needs grade 7
+        a = j_to(10).coeff_range(1, 9)
+        with pytest.raises(ValueError, match="at least 7"):
+            is_replicable(grunsky_by_recursion(a, 6))
+        rep = is_replicable(grunsky_by_recursion(a, 7))
+        assert rep.ok and rep.checked_pairs == 1
+
     def test_fiction_replicable(self):
         f = fiction_series(1, 40)
         a = [f.coeff(k) for k in range(1, 40)]
@@ -79,6 +87,14 @@ class TestReplicate:
         f2 = replicate(J, 2, 4)
         for n in (1, 2, 3):
             assert f2.coeff(n) == 2 * calc.h(2 * n, 2) - 2 * J.coeff(4 * n)
+
+    @pytest.mark.parametrize("route", [replicate, replicate_by_grunsky])
+    def test_refuses_a_series_that_is_not_normalized(self, route):
+        J = j_to(40)
+        q2 = QSeries(-2, 1, [1, 0, 0] + J.coeff_range(1, 39), 40)
+        for f in (J * 2, q2, J + 1):
+            with pytest.raises(ValueError, match="normalized"):
+                route(f, 2, 5)
 
     def test_insufficient_truncation(self):
         with pytest.raises(TruncationError):
