@@ -3,8 +3,8 @@
 Exit codes: 0 for verified/computed, 1 for a falsified check, 2 for usage or
 input errors.  Every payload carries {"schema": 1} and renders big integers as
 decimal strings.  Commands only compute; ``main`` writes every outcome once.
-The check registry (``replicaq.checks``) is imported only by the commands
-that run it, ``verify`` and ``numerology``.
+The check registry (``replicaq.checks``) is imported only by ``verify``, the
+command that runs it.
 """
 
 from __future__ import annotations
@@ -13,9 +13,12 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import partial
+from math import gcd, lcm
 
 from .frames import classify_degree24
-from .replicable import NORTON_BASIS, reconstruct_from_basis
+from .grunsky import grunsky_from_faber
+from .replicable import NORTON_BASIS, is_replicable, reconstruct_from_basis
 from .hecke import mahler_compute
 from .functions import (HAUPTMODULN, FunctionSpec, SpecError, parse_function_spec,
                         realize, replication_family)
@@ -27,6 +30,10 @@ METHODS = ("oracle", "recurrence", "basis")
 
 class UsageError(ValueError):
     pass
+
+
+class Falsified(Exception):
+    """A method's input fails a check: (payload key, its value, summary)."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -73,23 +80,37 @@ def _coeffs_by_method(spec: FunctionSpec, method: str, terms: int) -> list:
         g = mahler_compute(fam.base.coeff_range(1, 5), fam.power(2).coeff, top)
         return g.coeff_range(1, terms)
     if method == "basis":
+        # the descent reads the 12 basis values alone, so first ask whether
+        # they are a replicable function's: h_{m,n} = h_{lcm,gcd} to grade 24
         f = realize(spec, NORTON_BASIS[-1] + 1)
-        basis = {k: f.coeff(k) for k in NORTON_BASIS}
-        g = reconstruct_from_basis(basis, max(trunc, 3))
+        rep = is_replicable(grunsky_from_faber(f, NORTON_BASIS[-1] + 1))
+        if not rep.ok:
+            m, n, h, h_lg = rep.counterexample
+            names = f"h_{m},{n}", f"h_{lcm(m, n)},{gcd(m, n)}"
+            raise Falsified("not_replicable", {"pair": [m, n], "values": dict(
+                zip(names, (str(h), str(h_lg))))}, f"not replicable: {names[0]} != {names[1]}")
+        given = spec.coefficients  # an explicit spec's; the descent must give them back
+        g = reconstruct_from_basis({k: f.coeff(k) for k in NORTON_BASIS},
+                                   max(trunc, len(given) + 1, 3))
+        k = next((k for k, c in enumerate(given, 1) if g.coeff(k) != c), None)
+        if k is not None:
+            raise Falsified("first_disagreement", {"index": k, "values": {
+                "basis": str(g.coeff(k)), "explicit": str(given[k - 1])}},
+                f"the basis descent disagrees with the given a_{k}")
         return g.coeff_range(1, terms)
 
 
 def cmd_coeffs(args) -> tuple:
     spec = parse_function_spec(args.spec)
     methods = _methods(args.method)
-    results = {m: _coeffs_by_method(spec, m, args.terms) for m in methods}
+    payload = {"spec": str(spec), "terms": args.terms, "methods": methods}
+    try:
+        results = {m: _coeffs_by_method(spec, m, args.terms) for m in methods}
+    except Falsified as exc:
+        key, value, summary = exc.args
+        return "falsified", {**payload, key: value}, summary
     first = results[methods[0]]
-    payload = {
-        "spec": str(spec),
-        "terms": args.terms,
-        "methods": methods,
-        "coefficients": list(map(str, first)),
-    }
+    payload["coefficients"] = list(map(str, first))
     if len(methods) == 1:
         return "computed", payload, f"{args.terms} coefficients of {spec}"
     if all(results[m] == first for m in methods):
@@ -106,57 +127,47 @@ def cmd_coeffs(args) -> tuple:
 
 def cmd_classify24(args) -> tuple:
     shapes = classify_degree24(args.bound)
-    payload = {
-        "bound": args.bound,
-        "count": len(shapes),
-        "shapes": [str(s) for s in shapes],
-    }
+    payload = {"bound": args.bound, "count": len(shapes), "shapes": [str(s) for s in shapes]}
     return ("computed", payload,
             f"{len(shapes)} multiplicative eta products of degree 24 (bound {args.bound})")
 
 
-def cmd_numerology(args) -> tuple:
-    from . import checks
-
-    values, reports = checks.numerology()
-    payload = {
-        "checks": {
-            "sum_squares_1_to_24": {
-                "value": str(values["sum_squares_1_to_24"]),
-                "equals_70_squared": reports["sum_squares_1_to_24"].ok,
-            },
-            "j_coefficient_squares_mod_70": {
-                "value_mod_70": str(values["j_coefficient_squares_mod_70"]),
-                "equals_42": reports["j_coefficient_squares_mod_70"].ok,
-            },
-            "census_sums": {
-                "360+256": values["360+256"],
-                "120+2*248": values["120+2*248"],
-                "both_616": reports["census_sums"].ok,
-            },
-        },
-        "replicable_function_census": {"count": 616, "provenance": "quoted"},
-    }
-    status = "verified" if all(r.ok for r in reports.values()) else "falsified"
-    return status, payload, f"numerology {status}"
-
-
 # -- verify suites -------------------------------------------------------
 
+def _sized(check, **sizes) -> dict:
+    """A check's reports and, under "sizes", the arguments it ran with."""
+    return {**check(**sizes), "sizes": sizes}
+
+
+def _replicable(checks, mod2_bound: int, **sizes) -> dict:
+    """``checks.replicable`` and, beside it, 2B's mod-2 congruence to mod2_bound."""
+    return {**checks.replicable(**sizes),
+            "mod_2_congruence_ok": checks.mod2_congruence(mod2_bound)}
+
+
+def _numerology(checks) -> dict:
+    """The numerology reports beside the numbers they compared, as decimal
+    strings, and the census count, which is quoted, not computed."""
+    values, reports = checks.numerology()
+    return {**reports, "values": {key: str(v) for key, v in values.items()},
+            "replicable_function_census": {"count": 616, "provenance": "quoted"}}
+
+
 # suite name -> (the checks module, trunc, grade) -> {payload key: CheckReport,
-# or a dict of them}
+# a dict of them, or a plain value}
 SUITES = {
-    "faber": lambda checks, t, g: checks.faber(t, min(8, t - 2), 4),
-    "grunsky": lambda checks, t, g: checks.grunsky(min(g, t - 1)),
+    "faber": lambda checks, t, g: _sized(checks.faber, trunc=t, n_max=min(8, t - 2), randoms=4),
+    "grunsky": lambda checks, t, g: _sized(checks.grunsky, grade=min(g, t - 1)),
     # is_replicable refuses a table below grade 7, where it would compare no pair
-    "replicable": lambda checks, t, g: {
-        **checks.replicable(max(7, min(g, 16)), 0, 9, (2, 3), (2, 3)),
-        "mod_2_congruence_ok": checks.mod2_congruence(min(t - 1, 20))},
-    "basis": lambda checks, t, g: {**checks.basis(g, 30), "grade_bound": g},
-    "hecke": lambda checks, t, g: checks.hecke(max(t, 31), 10, tuple(HAUPTMODULN), t),
-    "mahler": lambda checks, t, g: checks.mahler(max(t, 31), max(t - 2, 10),
-                                                 max(t, 31) // 2),
-    "degree24": lambda checks, t, g: checks.degree24(max(100, g)),
+    "replicable": lambda checks, t, g: _sized(
+        partial(_replicable, checks), grade=max(7, min(g, 16)), perturbations=0, trunc=9,
+        ks=(2, 3), route_ks=(2, 3), mod2_bound=min(t - 1, 20)),
+    "basis": lambda checks, t, g: _sized(checks.basis, grade=g, trunc=30),
+    "hecke": lambda checks, t, g: _sized(checks.hecke, trunc=max(t, 31), randoms=10,
+                                         families=tuple(HAUPTMODULN), faber_trunc=t),
+    "mahler": lambda checks, t, g: _sized(checks.mahler, trunc=max(t, 31), order=max(t - 1, 15)),
+    "degree24": lambda checks, t, g: _sized(checks.degree24, bound=max(100, g)),
+    "numerology": lambda checks, t, g: _sized(partial(_numerology, checks)),
 }
 
 
@@ -217,9 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify24", help="multiplicative eta products of degree 24")
     p.add_argument("--bound", type=_at_least(100), default=200)
     p.set_defaults(func=cmd_classify24)
-
-    p = sub.add_parser("numerology", help="the identities behind the numbers")
-    p.set_defaults(func=cmd_numerology)
 
     # below these sizes a suite compares next to nothing and would pass vacuously
     p = sub.add_parser("verify", help="run a verification suite")

@@ -11,7 +11,8 @@ import pytest
 import replicaq.checks as checks
 import replicaq.cli as cli
 from replicaq.cli import SUITES, main
-from replicaq.qseries import TruncationError, j_oracle
+from replicaq.qseries import QSeries, TruncationError, j_oracle
+from replicaq.grunsky import GrunskyTable
 from replicaq.functions import HAUPTMODULN, parse_function_spec, replication_family
 
 # the class hauptmoduln by payload short name, written out independently of the table
@@ -70,6 +71,41 @@ class TestCoeffs:
         code, payload, _ = run(capsys, "coeffs", "j", "--terms", "30",
                                "--method", "basis,oracle")
         assert code == 0 and payload["status"] == "verified"
+
+    def test_basis_method_refuses_values_that_are_not_replicable(self, capsys, monkeypatch):
+        def no_descent(*args):
+            raise AssertionError("the descent ran on values that are not replicable")
+
+        monkeypatch.setattr(cli, "reconstruct_from_basis", no_descent)
+        code, payload, err = run(capsys, "coeffs", "explicit:1,2,3", "--terms", "10",
+                                 "--method", "basis")
+        assert code == 1 and payload["status"] == "falsified" and "coefficients" not in payload
+        assert payload["not_replicable"] == {"pair": [2, 3],
+                                             "values": {"h_2,3": "2", "h_6,1": "0"}}
+        assert err == "not replicable: h_2,3 != h_6,1\n"
+
+    @pytest.mark.parametrize("spec", ["fiction:c=-1", "fiction:c=0", "fiction:c=1",
+                                      "explicit:1", "explicit:"])
+    def test_basis_method_takes_the_fictions(self, capsys, spec):
+        code, payload, _ = run(capsys, "coeffs", spec, "--terms", "30", "--method", "basis,oracle")
+        assert code == 0 and payload["status"] == "verified"
+
+    @pytest.mark.parametrize("bumped", [None, 24, 40])
+    def test_basis_method_gives_back_every_given_coefficient(self, capsys, bumped):
+        # a_24 .. a_40 lie past the grade-24 table, so only the descent sees them
+        given = j_oracle(41).coeff_range(1, 40)
+        if bumped:
+            given[bumped - 1] += 1
+        code, payload, err = run(capsys, "coeffs", "explicit:" + ",".join(map(str, given)),
+                                 "--terms", "5", "--method", "basis")
+        if not bumped:
+            assert code == 0 and payload["coefficients"] == list(map(str, given[:5]))
+            return
+        want = given[bumped - 1] - 1
+        assert code == 1 and payload["status"] == "falsified"
+        assert payload["first_disagreement"] == {
+            "index": bumped, "values": {"basis": str(want), "explicit": str(want + 1)}}
+        assert err == f"the basis descent disagrees with the given a_{bumped}\n"
 
     def test_eta_spec(self, capsys):
         code, payload, _ = run(capsys, "coeffs", "eta:1^24/2^24+24", "--terms", "3")
@@ -159,13 +195,15 @@ class TestClassify24:
 
 class TestNumerology:
     def test_verified(self, capsys):
-        code, payload, _ = run(capsys, "numerology")
+        code, payload, _ = run(capsys, "verify", "numerology")
         assert code == 0 and payload["status"] == "verified"
-        checks = payload["checks"]
-        assert checks["sum_squares_1_to_24"]["value"] == "4900"
-        assert checks["j_coefficient_squares_mod_70"]["value_mod_70"] == "42"
-        assert checks["census_sums"]["both_616"]
-        assert payload["replicable_function_census"] == {
+        suite = payload["suites"]["numerology"]
+        assert suite["values"] == {"sum_squares_1_to_24": "4900",
+                                   "j_coefficient_squares_mod_70": "42",
+                                   "360+256": "616", "120+2*248": "616"}
+        assert [suite[key]["compared"] for key in ("sum_squares_1_to_24",
+                "j_coefficient_squares_mod_70", "census_sums")] == [1, 1, 2]
+        assert suite["ok"] and suite["replicable_function_census"] == {
             "count": 616, "provenance": "quoted"}
 
 
@@ -179,7 +217,30 @@ class TestVerify:
 
     def test_all(self, capsys):
         code, payload, _ = run(capsys, "verify", "all")
-        assert code == 0 and len(payload["suites"]) == 7
+        assert code == 0 and len(payload["suites"]) == 8
+
+    def test_sizes_at_the_defaults(self, capsys):
+        code, payload, _ = run(capsys, "verify", "all")
+        sizes = {name: suite["sizes"] for name, suite in payload["suites"].items()}
+        assert code == 0 and sizes == {
+            "faber": {"trunc": 24, "n_max": 8, "randoms": 4},
+            "grunsky": {"grade": 23},
+            "replicable": {"grade": 16, "perturbations": 0, "trunc": 9, "ks": [2, 3],
+                           "route_ks": [2, 3], "mod2_bound": 20},
+            "basis": {"grade": 60, "trunc": 30},
+            "hecke": {"trunc": 31, "randoms": 10, "families": list(HAUPTMODULN),
+                      "faber_trunc": 24},
+            "mahler": {"trunc": 31, "order": 23},
+            "degree24": {"bound": 100},
+            "numerology": {},
+        }
+
+    @pytest.mark.parametrize("argv, key, size", [
+        (("grunsky",), "grade", 23), (("replicable", "--grade", "2"), "grade", 7),
+        (("degree24", "--grade", "2"), "bound", 100), (("mahler", "--trunc", "10"), "order", 15)])
+    def test_sizes_show_the_clamps(self, capsys, argv, key, size):
+        code, payload, _ = run(capsys, "verify", *argv)
+        assert code == 0 and payload["suites"][argv[0]]["sizes"][key] == size
 
     @pytest.mark.parametrize("argv", [("faber", "--trunc", "2"), ("hecke", "--trunc", "0"),
                                       ("all", "--trunc", "9"), ("basis", "--grade", "1")])
@@ -246,10 +307,62 @@ def test_result_known_past_the_requested_order_is_a_mismatch(monkeypatch):
     # agree alone would pass: each stand-in is J itself, known to q^40
     monkeypatch.setattr(checks, "replicate", lambda f, k, trunc: checks.j_oracle(40))
     out = checks.replicable(7, 0, 9, (2,), (2,))
-    assert not out["replicate_fixes_j"].ok and not out["replicate_routes_agree"].ok
+    assert not out["replicate_fixes_j"].ok
     monkeypatch.setattr(checks, "reconstruct_by_grunsky", lambda v, trunc: checks.j_oracle(40))
     out = checks.basis(2, 30)
     assert out["reconstruction_ok"].ok and not out["reconstruction_routes_agree"].ok
+
+
+def test_series_counts_the_exponents_up_to_the_mismatch():
+    J = j_oracle(50)
+    bent = J + QSeries(7, 1, [1], 50)
+    a_7 = J.coeff(7)
+    assert checks._series("x", [("f", J, J, 50)]) == checks.CheckReport("x", 51)
+    # q^-1 .. q^7: nine exponents, the mismatch among them
+    assert checks._series("x", [("f", J, bent, 50)]) == checks.CheckReport(
+        "x", 9, ("f", 7, a_7, a_7 + 1))
+    assert checks._series("x", [("e", J, J, 50), ("f", J, bent, 50)]).compared == 60
+
+
+# one fault per comparison that a check no longer repeats: the sub-check that
+# makes the comparison still catches it (for mahler's bent J, see
+# test_hecke.py's TestMahler::test_check_reports_the_first_rule_failure)
+@pytest.mark.parametrize("n", [2, 5])
+def test_uv_route_fault_fails_tn_routes(monkeypatch, n):
+    real = checks.hecke_Tn_via_uv
+
+    def off_by_q(f, k):
+        g = real(f, k)
+        return g + QSeries(1, 1, [1], g.trunc) if k == n else g
+
+    monkeypatch.setattr(checks, "hecke_Tn_via_uv", off_by_q)
+    c = checks.hecke_Tn(j_oracle(31), n).coeff(1)
+    report = checks.hecke(31, 0, (), 10)["tn_routes_ok"]
+    assert report.first_mismatch == (("J", n), 1, c, c + 1)
+
+
+def test_grunsky_route_fault_fails_power_map_classes(monkeypatch):
+    real = checks.replicate_by_grunsky
+    monkeypatch.setattr(checks, "replicate_by_grunsky",
+                        lambda f, k, trunc: real(f, k, trunc) + QSeries(3, 1, [1], trunc))
+    out = checks.replicable(7, 0, 9, (2, 3), (2, 3))
+    assert out["replicate_fixes_j"].ok
+    report = out["replicates_are_power_map_classes"]
+    assert report.first_mismatch[:2] == (("j", "k=2", "replicate_by_grunsky"), 3)
+
+
+def test_faber_table_fault_fails_routes_agree(monkeypatch):
+    real = checks.grunsky_from_faber
+
+    def bumped(f, grade):
+        t = real(f, grade)
+        return GrunskyTable(t.grade_bound, {**t.entries, (2, 5): t.entries[(2, 5)] + 1})
+
+    monkeypatch.setattr(checks, "grunsky_from_faber", bumped)
+    out = checks.grunsky(12)
+    h = real(j_oracle(12), 12).get(2, 5)
+    assert out["routes_agree"].first_mismatch == ((2, 5), h, h + 1)
+    assert out["bivariate_ok"].ok and out["denominator_bound_ok"].ok
 
 
 def test_family_too_short_for_the_hecke_faber_order_is_a_mismatch():
@@ -270,7 +383,7 @@ def test_invalid_reducing_pair_is_a_mismatch(monkeypatch):
 
 class TestOutputContract:
     def test_json_on_stdout_summary_on_stderr(self, capsys):
-        code = main(["numerology"])
+        code = main(["verify", "numerology"])
         out = capsys.readouterr()
         json.loads(out.out)
         assert out.err.strip() != ""

@@ -6,8 +6,8 @@ adds to every workload.  This pins the import graph in a fresh interpreter,
 started without ``site`` so that nothing is preloaded: the library modules
 load, and the CLI, the check registry and the stdlib modules only they use
 do not.  ``import replicaq.cli`` does not load the check registry either:
-only ``verify`` and ``numerology`` run it, so ``coeffs`` and ``classify24``
-do not compile it.  Neither import loads ``dataclasses``, which would pull in
+only ``verify`` runs it, so ``coeffs`` and ``classify24`` do not compile
+it.  Neither import loads ``dataclasses``, which would pull in
 ``inspect``, ``ast``, ``dis`` and ``tokenize``: the records are
 ``NamedTuple``s and ``GrunskyTable`` is a plain class.
 """
