@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import chain, repeat
-from math import ceil, gcd
+from math import ceil, gcd, isqrt
 from operator import mul
 from typing import NamedTuple, Optional
 
@@ -21,6 +21,13 @@ from .qseries import (QSeries, Rat, _grid_points, _int_conv, _int_power, _miller
 
 class FrameShapeError(ValueError):
     pass
+
+
+def _part(p) -> int:
+    """p, when it may be a part of a frame or cycle shape: an int >= 1."""
+    if type(p) is not int or p < 1:
+        raise FrameShapeError(f"a part must be an int >= 1, not {p!r}")
+    return p
 
 
 class _FrameShapeFields(NamedTuple):
@@ -44,8 +51,7 @@ class FrameShape(_FrameShapeFields):
         out into a list, so a multiplicity costs nothing for its size."""
         count: dict = {}
         for p, m in weighted:
-            if type(p) is not int or p < 1:
-                raise FrameShapeError(f"a part must be an int >= 1, not {p!r}")
+            p = _part(p)
             count[p] = count.get(p, 0) + m
         net = tuple(sorted((p, c) for p, c in count.items() if c))
         if not any(c > 0 for _, c in net):
@@ -97,7 +103,7 @@ def parse_frame_shape(text: str) -> FrameShape:
 def is_balanced(parts) -> Optional[int]:
     """Balance number N if the outside-in pairwise products of the sorted
     parts (a cycle shape) are constant, else None."""
-    parts = sorted(parts)
+    parts = sorted(map(_part, parts))
     if not parts:
         raise FrameShapeError("a cycle shape needs at least one part")
     t = len(parts)
@@ -336,7 +342,9 @@ def euler_factor_check(f: QSeries, p: int, weight: int) -> bool:
     """Whether f's normalized coefficients satisfy the Euler factor at p of
     a weight ``weight`` Hecke eigenform: b_p = a_p^2 - a_{p^2} = p^(weight-1),
     and c(p^(r+1)) = a_p c(p^r) - b_p c(p^(r-1)) for every power of p below
-    f's truncation order."""
+    f's truncation order.  Raises ValueError unless p is a prime."""
+    if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        raise ValueError(f"p must be a prime, not {p}")
     avail = f.trunc
     if avail <= p * p:
         raise ValueError(f"truncation {avail} too small to see p^2 = {p * p}")

@@ -32,7 +32,7 @@ _BIG_ENDIAN = sys.byteorder == "big"  # array('q') holds native-order words
 
 
 class GridError(ValueError):
-    """Exponent grids of the operands cannot be merged within the 1/24 grid."""
+    """A series' exponent grid leaves the 1/24 grid."""
 
 
 class TruncationError(ValueError):
@@ -174,30 +174,14 @@ class QSeries:
 
     # -- grid handling ---------------------------------------------------
 
-    def _common_grid(self, other: "QSeries"):
-        s = _frgcd(self.step, other.step)
-        if not (self.is_zero or other.is_zero):
-            diff = self.lead_exp - other.lead_exp
-            if diff != 0 and (diff / s).denominator != 1:
-                s = _frgcd(s, diff)
-        if GRID_DENOMINATOR % s.denominator:
-            raise GridError(f"common grid step {s} exceeds the 1/{GRID_DENOMINATOR} bound")
-        return s
-
-    def _on_grid(self, step: Fraction):
-        """(lead exponent in units of ``step``, coeff list on the grid of that step)."""
-        if self.is_zero:
-            return 0, []
-        ratio = self.step / step
-        if ratio.denominator != 1:
-            raise GridError(f"step {self.step} is not a multiple of the grid step {step}")
-        r = ratio.numerator
-        if r == 1:
-            return self.lead_exp / step, self.coeffs
+    def _on_grid(self, step: Fraction) -> list:
+        """The coeff list on the grid of ``step``, which divides this series' step."""
+        r = (self.step / step).numerator
+        if r == 1 or not self.coeffs:
+            return self.coeffs
         out = [0] * ((len(self.coeffs) - 1) * r + 1)
-        for i, c in enumerate(self.coeffs):
-            out[i * r] = c
-        return self.lead_exp / step, out
+        out[::r] = self.coeffs
+        return out
 
     # -- arithmetic ------------------------------------------------------
 
@@ -209,13 +193,12 @@ class QSeries:
             other = QSeries(0, 1, [other], self.trunc)
         if not isinstance(other, QSeries):
             return NotImplemented
-        step = self._common_grid(other)
         trunc = min(self.trunc, other.trunc)
         if self.is_zero:
             return QSeries(other.lead_exp, other.step, other.coeffs, trunc)
         if other.is_zero:
             return QSeries(self.lead_exp, self.step, self.coeffs, trunc)
-        lead, (ia, ca), (ib, cb) = _aligned(self, other, step)
+        lead, step, (ia, ca), (ib, cb) = _aligned(self, other)
         # the longer list is the start, and the shorter one is added into it
         if len(ca) < len(cb):
             (ia, ca), (ib, cb) = (ib, cb), (ia, ca)
@@ -247,8 +230,8 @@ class QSeries:
         # the steps' gcd; unlike a sum, it needs no grid through both leads
         step = _frgcd(self.step, other.step)
         trunc = min(self.trunc + other.lead_exp, other.trunc + self.lead_exp)
-        ca = self._on_grid(step)[1]
-        cb = other._on_grid(step)[1]
+        ca = self._on_grid(step)
+        cb = other._on_grid(step)
         lead = self.lead_exp + other.lead_exp
         # number of product coefficients actually known
         n_out = min(_grid_points(lead, step, trunc), len(ca) + len(cb) - 1)
@@ -294,19 +277,20 @@ class QSeries:
         return QSeries(self.lead_exp * k, self.step * k, self.coeffs, self.trunc * k)
 
 
-def _aligned(a: QSeries, b: QSeries, step: Fraction):
-    """a and b on the grid of ``step``: (the lower lead exponent, and for each
-    series its (index offset from that lead, coeff list)); a zero series sits
-    at offset 0 with an empty list."""
-    placed = [s._on_grid(step) for s in (a, b)]
-    lo = min((i for i, cs in placed if cs), default=0)
-    out = []
-    for i, cs in placed:
-        offset = i - lo if cs else 0
-        if offset.denominator != 1:
-            raise GridError(f"lead exponent {i * step} is off the grid {lo * step} + k*{step}")
-        out.append((offset.numerator, cs))
-    return lo * step, out[0], out[1]
+def _aligned(a: QSeries, b: QSeries):
+    """a and b on one grid: (the lower lead exponent, the grid step, and for
+    each series its (index offset from that lead, coeff list)).  The step is
+    the gcd of both steps and, when neither series is zero, of the gap between
+    the leads, so both offsets are integral; a zero series sits at offset 0
+    with an empty list."""
+    step = _frgcd(a.step, b.step)
+    leads = [s.lead_exp for s in (a, b) if s.coeffs]
+    if len(leads) == 2:
+        step = _frgcd(step, leads[0] - leads[1])
+    lead = min(leads, default=Fraction(0))
+    placed = [(((s.lead_exp - lead) / step).numerator if s.coeffs else 0, s._on_grid(step))
+              for s in (a, b)]
+    return lead, step, placed[0], placed[1]
 
 
 def _exponents_below(a: QSeries, b: QSeries, order: Fraction) -> list:
@@ -325,8 +309,7 @@ def agree(a: QSeries, b: QSeries, order: Rat):
     for s in (a, b):
         if s.trunc < order:
             raise TruncationError(f"series known below q^{s.trunc} compared to q^{order}")
-    step = a._common_grid(b)
-    lead, (ia, ca), (ib, cb) = _aligned(a, b, step)
+    lead, step, (ia, ca), (ib, cb) = _aligned(a, b)
     top = min(_grid_points(lead, step, order), max(ia + len(ca), ib + len(cb)))
     for k in range(top):
         x = ca[k - ia] if 0 <= k - ia < len(ca) else 0

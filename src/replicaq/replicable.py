@@ -165,9 +165,16 @@ def mod_p_residues(f: QSeries, fp: QSeries, p: int, bound: int):
 
 # -- reducing pairs ------------------------------------------------------
 
+def _require_grade(N: int) -> None:
+    """Reducing pairs are defined from grade 2 on."""
+    if N < 2:
+        raise ValueError("grade must be at least 2")
+
+
 def exhaustive_reducing_pair(N: int) -> Optional[ReducingPair]:
     """Search every (r, s) with r + s = N for a gcd/lcm-matching pair of
     smaller sum; ties broken by smallest r' + s', then smallest r'."""
+    _require_grade(N)
     best = None
     for r in range(1, N // 2 + 1):
         s = N - r
@@ -218,8 +225,7 @@ def find_reducing_pair(N: int) -> Optional[ReducingPair]:
     """The reducing pair the case analysis gives at grade N; None only for
     the irreducible grades.  ``exhaustive_reducing_pair`` is the oracle that
     ``checks.basis`` compares it with."""
-    if N < 2:
-        raise ValueError("grade must be at least 2")
+    _require_grade(N)
     pair = _case_reducing_pair(N)
     if pair is not None and not pair.valid:
         raise DescentError(f"case analysis gave an invalid pair {pair}")

@@ -15,12 +15,14 @@ import pytest
 
 from replicaq import qseries
 from replicaq.faber import faber_by_elimination
-from replicaq.frames import classify_degree24, eta_product, euler_factor_check, parse_frame_shape
+from replicaq.frames import (FrameShapeError, classify_degree24, eta_product, euler_factor_check,
+                             is_balanced, parse_frame_shape)
 from replicaq.functions import SpecError, parse_function_spec
 from replicaq.grunsky import bivariate_log_coefficients, grunsky_from_faber
 from replicaq.hecke import up, _rule_for
 from replicaq.qseries import QSeries, GridError, TruncationError, eta, j_oracle
-from replicaq.replicable import ReplicationFamily, find_reducing_pair, replicate
+from replicaq.replicable import (ReplicationFamily, exhaustive_reducing_pair, find_reducing_pair,
+                                 replicate)
 
 
 def check(call, error, expected):
@@ -34,21 +36,15 @@ def check(call, error, expected):
 
 
 F = QSeries(-1, 1, [1, 0, 5], 3)
-# a grid step off the 1/24 grid, which the constructor refuses to build
-OFF_THE_GRID = type("Stub", (), {"step": Fraction(1, 7), "lead_exp": Fraction(0),
-                                 "is_zero": False})()
 
 
 @pytest.mark.parametrize("call, error, expected", [
     (lambda: QSeries(0, 0, [1], 5), ValueError, "step must be positive"),
     (lambda: QSeries(0, -1, [1], 5), ValueError, "step must be positive"),
     (lambda: F.truncate(4), TruncationError, "cannot extend"),
-    (lambda: QSeries._common_grid(OFF_THE_GRID, F), GridError, "exceeds the 1/24"),
-    (lambda: F._on_grid(Fraction(2)), GridError, "not a multiple of the grid step 2"),
-    (lambda: qseries._aligned(F, QSeries(Fraction(1, 2), 1, [1], 3), Fraction(1)),
-     GridError, "lead exponent 1/2 is off the grid"),
     (lambda: QSeries(0, 1, [], 5).invert(), ZeroDivisionError, "cannot invert"),
     (lambda: F.substitute(0), ValueError, "substitution exponent must be positive"),
+    (lambda: F.substitute(Fraction(1, 48)), GridError, "leaves the 1/24 grid"),
     (lambda: eta(Fraction(1, 24)), ValueError, "trunc must exceed 1/24"),
     (lambda: qseries.coefficients(F, 4), TruncationError, "known below q^3, not q^4"),
     (lambda: repr(F), None, "QSeries(1*q^(-1) + 5*q^(1) + O(q^3))"),
@@ -60,8 +56,8 @@ OFF_THE_GRID = type("Stub", (), {"step": Fraction(1, 7), "lead_exp": Fraction(0)
     (lambda: F.__add__("F"), None, NotImplemented),
     (lambda: F.__mul__("F"), None, NotImplemented),
     (lambda: F.__pow__(Fraction(1, 2)), None, NotImplemented),
-], ids=["step 0", "step -1", "truncate past trunc", "_common_grid", "_on_grid", "_aligned",
-        "invert zero", "substitute 0", "eta at 1/24", "coefficients at another order",
+], ids=["step 0", "step -1", "truncate past trunc", "invert zero", "substitute 0",
+        "substitute off the grid", "eta at 1/24", "coefficients at another order",
         "repr", "repr of many terms", "repr of zero", "rsub", "eq str", "add str", "mul str",
         "pow half"])
 def test_qseries(call, error, expected):
@@ -78,8 +74,16 @@ TAU = eta_product(parse_frame_shape("1^24"), 60)
      "truncation 4 too small to see p^2 = 4"),
     # b_2 = a_2^2 - a_4 still holds, but c(8) breaks c(p^3) = a_p c(p^2) - b_p c(p)
     (lambda: euler_factor_check(TAU + QSeries(8, 1, [1], 60), 2, 12), None, False),
+    (lambda: euler_factor_check(TAU, 0, 12), ValueError, "p must be a prime, not 0"),
+    (lambda: euler_factor_check(TAU, 1, 12), ValueError, "p must be a prime, not 1"),
+    (lambda: euler_factor_check(TAU, 4, 12), ValueError, "p must be a prime, not 4"),
+    (lambda: euler_factor_check(TAU, -2, 12), ValueError, "p must be a prime, not -2"),
+    (lambda: is_balanced((0, 5)), FrameShapeError, "a part must be an int >= 1, not 0"),
+    (lambda: is_balanced((2.5, 2)), FrameShapeError, "a part must be an int >= 1, not 2.5"),
 ], ids=["eta product with no term below trunc", "classify_degree24(99)",
-        "euler factor below p^2", "euler factor power recurrence"])
+        "euler factor below p^2", "euler factor power recurrence", "euler factor at 0",
+        "euler factor at 1", "euler factor at 4", "euler factor at -2", "is_balanced part 0",
+        "is_balanced part 2.5"])
 def test_frames(call, error, expected):
     check(call, error, expected)
 
@@ -132,6 +136,11 @@ def test_functions(call, error, expected):
      "replicate f^(3) missing from family"),
     (lambda: replicate(j_oracle(10), 0, 5), ValueError, "replicate index must be positive"),
     (lambda: find_reducing_pair(1), ValueError, "grade must be at least 2"),
-], ids=["missing power", "replicate(f, 0, n)", "find_reducing_pair(1)"])
+    (lambda: exhaustive_reducing_pair(1), ValueError, "grade must be at least 2"),
+    (lambda: exhaustive_reducing_pair(0), ValueError, "grade must be at least 2"),
+    (lambda: exhaustive_reducing_pair(-3), ValueError, "grade must be at least 2"),
+], ids=["missing power", "replicate(f, 0, n)", "find_reducing_pair(1)",
+        "exhaustive_reducing_pair(1)", "exhaustive_reducing_pair(0)",
+        "exhaustive_reducing_pair(-3)"])
 def test_replicable(call, error, expected):
     check(call, error, expected)
