@@ -2,9 +2,10 @@
 
 The acceptance tests call these checks at their fixed bounds and ``replicaq
 verify`` at sizes derived from its options, so the two callers cannot drift
-apart.  A check returns one ``CheckReport`` per sub-check, keyed as in the
-``verify`` payload.  Series comparisons go through ``agree``, which refuses to
-compare past what either side knows.
+apart.  Each check is one ``verify`` suite of the same name: it returns a
+dict keyed as in that suite's payload, with one ``CheckReport`` per sub-check.
+Series comparisons go through ``agree``, which refuses to compare past what
+either side knows.
 """
 
 from __future__ import annotations
@@ -14,10 +15,10 @@ from bisect import bisect_right
 from fractions import Fraction
 from itertools import zip_longest
 from math import factorial, gcd
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Sequence
 
-from .qseries import (QSeries, TruncationError, agree, j_oracle, _exponents_below,
-                      _int_conv)
+from .qseries import (CheckReport, QSeries, TruncationError, agree, j_oracle,
+                      _exponents_below, _int_conv)
 from .frames import (parse_frame_shape, is_balanced, eta_product,
                      weak_multiplicativity, classify_degree24, euler_factor_check,
                      partitions_of, _log_derivative_coeffs, _product_int_coeffs)
@@ -32,17 +33,6 @@ from .replicable import (NORTON_BASIS, IRREDUCIBLE_GRADES, ReplicationFamily,
 from .hecke import (hecke_Tn, hecke_Tn_via_uv, hecke_faber_verify, p2_identities,
                     mahler_compute)
 from .functions import HAUPTMODULN, realize, replication_family
-
-
-class CheckReport(NamedTuple):
-    name: str
-    compared: int
-    first_mismatch: Optional[tuple] = None
-
-    @property
-    def ok(self) -> bool:
-        """Something was compared and nothing differed."""
-        return self.compared > 0 and self.first_mismatch is None
 
 
 def _scan(name: str, items: Iterable[tuple]) -> CheckReport:
@@ -214,13 +204,13 @@ def replicable(grade: int, perturbations: int, trunc: int, ks: tuple,
     }
 
 
-def mod2_congruence(bound: int) -> CheckReport:
+def mod2_congruence(bound: int) -> dict:
     """a_i(2B) = a_i(J) mod 2 for 1 <= i <= bound, J being 2B's duplicate.  J
     comes from ``j_oracle``, not from 2B's family, so a wrong duplicate in the
     family cannot make the check compare 2B with itself."""
     f2b = replication_family("2b", bound + 1).base
-    return _scan("mod2_congruence", ((i, r, 0) for i, r in
-                                     mod_p_residues(f2b, j_oracle(bound + 1), 2, bound)))
+    return {"mod_2_congruence_ok": _scan("mod2_congruence", (
+        (i, r, 0) for i, r in mod_p_residues(f2b, j_oracle(bound + 1), 2, bound)))}
 
 
 def basis(grade: int, trunc: int) -> dict:
@@ -355,21 +345,23 @@ def degree24(bound: int) -> dict:
     }
 
 
-def numerology():
-    """(values, reports): the numbers behind the numerology, and one report
-    per identity: 1^2 + ... + 24^2 = 70^2; the squares of J's a_1 .. a_24 sum
-    to 42 mod 70; 360 + 256 = 120 + 2 * 248 = 616."""
+def numerology() -> dict:
+    """One report per identity: 1^2 + ... + 24^2 = 70^2; the squares of J's
+    a_1 .. a_24 sum to 42 mod 70; 360 + 256 = 120 + 2 * 248 = 616.  Beside
+    them, the numbers compared, as decimal strings, and the census count,
+    which is quoted, not computed."""
     J = j_oracle(26)
     values = {"sum_squares_1_to_24": sum(k * k for k in range(1, 25)),
               "j_coefficient_squares_mod_70": sum(J.coeff(k) ** 2 for k in range(1, 25)) % 70,
               "360+256": 360 + 256,
               "120+2*248": 120 + 2 * 248}
-    reports = {
+    return {
         "sum_squares_1_to_24": _scan("sum_squares_1_to_24", [
             ("sum", values["sum_squares_1_to_24"], 70 ** 2)]),
         "j_coefficient_squares_mod_70": _scan("j_coefficient_squares_mod_70", [
             ("mod 70", values["j_coefficient_squares_mod_70"], 42)]),
         "census_sums": _scan("census_sums", [
             (key, values[key], 616) for key in ("360+256", "120+2*248")]),
+        "values": {key: str(v) for key, v in values.items()},
+        "replicable_function_census": {"count": 616, "provenance": "quoted"},
     }
-    return values, reports

@@ -13,13 +13,13 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from functools import partial
 from math import gcd, lcm
 
 from .frames import classify_degree24
 from .grunsky import grunsky_from_faber
 from .replicable import NORTON_BASIS, is_replicable, reconstruct_from_basis
 from .hecke import mahler_compute
+from .qseries import CheckReport
 from .functions import (HAUPTMODULN, FunctionSpec, SpecError, parse_function_spec,
                         realize, replication_family)
 
@@ -134,40 +134,21 @@ def cmd_classify24(args) -> tuple:
 
 # -- verify suites -------------------------------------------------------
 
-def _sized(check, **sizes) -> dict:
-    """A check's reports and, under "sizes", the arguments it ran with."""
-    return {**check(**sizes), "sizes": sizes}
-
-
-def _replicable(checks, mod2_bound: int, **sizes) -> dict:
-    """``checks.replicable`` and, beside it, 2B's mod-2 congruence to mod2_bound."""
-    return {**checks.replicable(**sizes),
-            "mod_2_congruence_ok": checks.mod2_congruence(mod2_bound)}
-
-
-def _numerology(checks) -> dict:
-    """The numerology reports beside the numbers they compared, as decimal
-    strings, and the census count, which is quoted, not computed."""
-    values, reports = checks.numerology()
-    return {**reports, "values": {key: str(v) for key, v in values.items()},
-            "replicable_function_census": {"count": 616, "provenance": "quoted"}}
-
-
-# suite name -> (the checks module, trunc, grade) -> {payload key: CheckReport,
-# a dict of them, or a plain value}
+# suite -> (trunc, grade) -> the sizes, as keyword arguments, of the function
+# of ``replicaq.checks`` named after the suite; the payload echoes them
 SUITES = {
-    "faber": lambda checks, t, g: _sized(checks.faber, trunc=t, n_max=min(8, t - 2), randoms=4),
-    "grunsky": lambda checks, t, g: _sized(checks.grunsky, grade=min(g, t - 1)),
+    "faber": lambda t, g: {"trunc": t, "n_max": min(8, t - 2), "randoms": 4},
+    "grunsky": lambda t, g: {"grade": min(g, t - 1)},
     # is_replicable refuses a table below grade 7, where it would compare no pair
-    "replicable": lambda checks, t, g: _sized(
-        partial(_replicable, checks), grade=max(7, min(g, 16)), perturbations=0, trunc=9,
-        ks=(2, 3), route_ks=(2, 3), mod2_bound=min(t - 1, 20)),
-    "basis": lambda checks, t, g: _sized(checks.basis, grade=g, trunc=30),
-    "hecke": lambda checks, t, g: _sized(checks.hecke, trunc=max(t, 31), randoms=10,
-                                         families=tuple(HAUPTMODULN), faber_trunc=t),
-    "mahler": lambda checks, t, g: _sized(checks.mahler, trunc=max(t, 31), order=max(t - 1, 15)),
-    "degree24": lambda checks, t, g: _sized(checks.degree24, bound=max(100, g)),
-    "numerology": lambda checks, t, g: _sized(partial(_numerology, checks)),
+    "replicable": lambda t, g: {"grade": max(7, min(g, 16)), "perturbations": 0, "trunc": 9,
+                                "ks": (2, 3), "route_ks": (2, 3)},
+    "mod2_congruence": lambda t, g: {"bound": min(t - 1, 20)},
+    "basis": lambda t, g: {"grade": g, "trunc": 30},
+    "hecke": lambda t, g: {"trunc": max(t, 31), "randoms": 10, "families": tuple(HAUPTMODULN),
+                           "faber_trunc": t},
+    "mahler": lambda t, g: {"trunc": max(t, 31), "order": max(t - 1, 15)},
+    "degree24": lambda t, g: {"bound": max(100, g)},
+    "numerology": lambda t, g: {},
 }
 
 
@@ -180,17 +161,16 @@ def _plain(x):
     return x
 
 
-def _reports_json(tree: dict, report_type: type):
-    """(JSON form, every report ok) of a dict of ``report_type`` reports
-    (checks.CheckReport) and plain values."""
+def _reports_json(tree: dict):
+    """(JSON form, every report ok) of a dict of CheckReports and plain values."""
     out, ok = {}, True
     for key, value in tree.items():
-        if isinstance(value, report_type):
+        if isinstance(value, CheckReport):
             ok = ok and value.ok
             value = {"ok": value.ok, "compared": value.compared,
                      "first_mismatch": _plain(value.first_mismatch)}
         elif isinstance(value, dict):
-            value, sub_ok = _reports_json(value, report_type)
+            value, sub_ok = _reports_json(value)
             ok = ok and sub_ok
         out[key] = value
     return out, ok
@@ -202,8 +182,8 @@ def cmd_verify(args) -> tuple:
     names = list(SUITES) if args.suite == "all" else [args.suite]
     results = {}
     for name in names:
-        tree = SUITES[name](checks, args.trunc, args.grade)
-        results[name], suite_ok = _reports_json(tree, checks.CheckReport)
+        sizes = SUITES[name](args.trunc, args.grade)
+        results[name], suite_ok = _reports_json({**getattr(checks, name)(**sizes), "sizes": sizes})
         results[name]["ok"] = suite_ok
     failed = [n for n, r in results.items() if not r["ok"]]
     payload = {"suites": results, "trunc": args.trunc, "grade": args.grade}

@@ -22,7 +22,7 @@ from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from math import ceil, gcd
 from operator import mul
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 Rat = Union[int, Fraction]
 
@@ -319,12 +319,16 @@ def agree(a: QSeries, b: QSeries, order: Rat):
     return None
 
 
-def coefficients(series: QSeries, trunc: int) -> list:
-    """Coefficients at q^-1 .. q^(trunc-1) of a series known exactly to q^trunc;
-    raises TruncationError for any other truncation order."""
-    if series.trunc != trunc:
-        raise TruncationError(f"series known below q^{series.trunc}, not q^{trunc}")
-    return series.integer_coeffs(-1, trunc - 1)
+class CheckReport(NamedTuple):
+    """What a check compared: how many items, and the first that differed."""
+    name: str
+    compared: int
+    first_mismatch: Optional[tuple] = None
+
+    @property
+    def ok(self) -> bool:
+        """Something was compared and nothing differed."""
+        return self.compared > 0 and self.first_mismatch is None
 
 
 # -- classical oracles ---------------------------------------------------

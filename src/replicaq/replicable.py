@@ -40,7 +40,9 @@ class ReplicationFamily(_ReplicationFamilyFields):
         if not base.is_normalized():
             raise ValueError("family base must be normalized")
         for a, g in powers.items():
-            if a != 1 and not g.is_normalized():
+            if not isinstance(a, int) or a < 2:  # f^(1) is the base itself
+                raise ValueError(f"replicate index must be an int >= 2, not {a!r}")
+            if not g.is_normalized():
                 raise ValueError(f"replicate f^({a}) must be normalized")
         return super().__new__(cls, base, powers)
 
@@ -270,6 +272,9 @@ def _reconstruct(basis_values: Mapping[int, Fraction], trunc: int, engine) -> QS
     missing = [k for k in NORTON_BASIS if k not in basis_values]
     if missing:
         raise ValueError(f"basis values missing for k in {missing}")
+    extra = [k for k in basis_values if k not in NORTON_BASIS]
+    if extra:
+        raise ValueError(f"values given for k in {extra}, outside the Norton basis")
     a, blocked = _descend(basis_values, trunc, engine)
     if blocked is not None:
         raise DescentError(f"grade {blocked} should be reducible but no pair was found")
@@ -284,6 +289,8 @@ def reconstruct_from_basis(basis_values: Mapping[int, Fraction], trunc: int) -> 
     a_{N-1} enters h_{r,s} with coefficient 1 it is h_{r',s'} less the rest
     of h_{r,s}.  Both are read off Faber rows that grow with each new
     coefficient; ``reconstruct_by_grunsky`` is the independent check route.
+    ``basis_values`` must hold a value for each index of ``NORTON_BASIS`` and
+    for no other; anything else raises ValueError.
     """
     return _reconstruct(basis_values, trunc, _FaberRows)
 

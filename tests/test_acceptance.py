@@ -53,7 +53,9 @@ def test_acceptance_7_degree24_classification():
 
 
 def test_acceptance_8_numerology():
-    report(8, "numerology", checks.numerology()[1])
+    out = checks.numerology()  # its reports beside the values and the quoted census
+    report(8, "numerology", {key: out[key] for key in (
+        "sum_squares_1_to_24", "j_coefficient_squares_mod_70", "census_sums")})
 
 
 def test_acceptance_9_mod2_congruence():

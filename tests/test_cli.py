@@ -217,7 +217,7 @@ class TestVerify:
 
     def test_all(self, capsys):
         code, payload, _ = run(capsys, "verify", "all")
-        assert code == 0 and len(payload["suites"]) == 8
+        assert code == 0 and len(payload["suites"]) == 9
 
     def test_sizes_at_the_defaults(self, capsys):
         code, payload, _ = run(capsys, "verify", "all")
@@ -226,7 +226,8 @@ class TestVerify:
             "faber": {"trunc": 24, "n_max": 8, "randoms": 4},
             "grunsky": {"grade": 23},
             "replicable": {"grade": 16, "perturbations": 0, "trunc": 9, "ks": [2, 3],
-                           "route_ks": [2, 3], "mod2_bound": 20},
+                           "route_ks": [2, 3]},
+            "mod2_congruence": {"bound": 20},
             "basis": {"grade": 60, "trunc": 30},
             "hecke": {"trunc": 31, "randoms": 10, "families": list(HAUPTMODULN),
                       "faber_trunc": 24},
@@ -234,6 +235,13 @@ class TestVerify:
             "degree24": {"bound": 100},
             "numerology": {},
         }
+
+    def test_one_suite_per_registry_check(self):
+        # each suite runs the function of replicaq.checks named after it
+        assert set(SUITES) == {"mahler", "faber", "grunsky", "replicable", "mod2_congruence",
+                               "basis", "hecke", "degree24", "numerology"}
+        for name, sizes in SUITES.items():
+            assert isinstance(getattr(checks, name)(**sizes(10, 2)), dict), name
 
     @pytest.mark.parametrize("argv, key, size", [
         (("grunsky",), "grade", 23), (("replicable", "--grade", "2"), "grade", 7),

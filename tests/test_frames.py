@@ -215,8 +215,9 @@ class TestFactorRoute:
         assert not [x for x in operands if x[:1] == [1] and not any(x[1:])]
 
     def test_recurrence_on_the_gcd_grid_is_the_full_recurrence(self):
-        # the list runs on the q^g grid, g the gcd of the parts; the screen's
-        # generator runs on the q grid
+        # the list runs on the q^g grid, g the gcd of the parts; the generator
+        # alone is the full recurrence on the q grid (the screen runs its
+        # step, _log_derivative_step, in the pruned walk)
         def full(exps, n_terms):
             return list(frames._log_derivative_series(exps, n_terms))
 

@@ -13,7 +13,6 @@ from fractions import Fraction
 
 import pytest
 
-from replicaq import qseries
 from replicaq.faber import faber_by_elimination
 from replicaq.frames import (FrameShapeError, classify_degree24, eta_product, euler_factor_check,
                              is_balanced, parse_frame_shape)
@@ -21,8 +20,9 @@ from replicaq.functions import SpecError, parse_function_spec
 from replicaq.grunsky import bivariate_log_coefficients, grunsky_from_faber
 from replicaq.hecke import up, _rule_for
 from replicaq.qseries import QSeries, GridError, TruncationError, eta, j_oracle
-from replicaq.replicable import (ReplicationFamily, exhaustive_reducing_pair, find_reducing_pair,
-                                 replicate)
+from replicaq.replicable import (NORTON_BASIS, ReplicationFamily, exhaustive_reducing_pair,
+                                 find_reducing_pair, reconstruct_by_grunsky,
+                                 reconstruct_from_basis, replicate)
 
 
 def check(call, error, expected):
@@ -46,7 +46,7 @@ F = QSeries(-1, 1, [1, 0, 5], 3)
     (lambda: F.substitute(0), ValueError, "substitution exponent must be positive"),
     (lambda: F.substitute(Fraction(1, 48)), GridError, "leaves the 1/24 grid"),
     (lambda: eta(Fraction(1, 24)), ValueError, "trunc must exceed 1/24"),
-    (lambda: qseries.coefficients(F, 4), TruncationError, "known below q^3, not q^4"),
+    (lambda: F == QSeries(-1, 1, [1, 0, 5], 4), None, False),
     (lambda: repr(F), None, "QSeries(1*q^(-1) + 5*q^(1) + O(q^3))"),
     (lambda: repr(QSeries(-1, 1, range(1, 7), 9)), None,
      "QSeries(1*q^(-1) + 2*q^(0) + 3*q^(1) + 4*q^(2) + ... + O(q^9))"),
@@ -57,7 +57,7 @@ F = QSeries(-1, 1, [1, 0, 5], 3)
     (lambda: F.__mul__("F"), None, NotImplemented),
     (lambda: F.__pow__(Fraction(1, 2)), None, NotImplemented),
 ], ids=["step 0", "step -1", "truncate past trunc", "invert zero", "substitute 0",
-        "substitute off the grid", "eta at 1/24", "coefficients at another order",
+        "substitute off the grid", "eta at 1/24", "eq at another order",
         "repr", "repr of many terms", "repr of zero", "rsub", "eq str", "add str", "mul str",
         "pow half"])
 def test_qseries(call, error, expected):
@@ -131,16 +131,34 @@ def test_functions(call, error, expected):
     check(call, error, expected)
 
 
+J_BASIS = {k: j_oracle(24).coeff(k) for k in NORTON_BASIS}
+
+
 @pytest.mark.parametrize("call, error, expected", [
     (lambda: ReplicationFamily(j_oracle(10), {2: j_oracle(10)}).power(3), KeyError,
      "replicate f^(3) missing from family"),
+    # power(1) is the base, so a power held at 1 would contradict it
+    (lambda: ReplicationFamily(j_oracle(10), {1: j_oracle(10) * j_oracle(10)}), ValueError,
+     "replicate index must be an int >= 2, not 1"),
+    (lambda: ReplicationFamily(j_oracle(10), {0: j_oracle(10)}), ValueError,
+     "replicate index must be an int >= 2, not 0"),
+    (lambda: ReplicationFamily(j_oracle(10), {"2": j_oracle(10)}), ValueError,
+     "replicate index must be an int >= 2, not '2'"),
+    # a value off the basis was taken as an override (a_6 = 999) or ignored
+    (lambda: reconstruct_from_basis({**J_BASIS, 6: 999}, 10), ValueError,
+     "values given for k in [6], outside the Norton basis"),
+    (lambda: reconstruct_by_grunsky({**J_BASIS, 6: 999}, 10), ValueError,
+     "values given for k in [6], outside the Norton basis"),
+    (lambda: reconstruct_from_basis({**J_BASIS, 0: 1, 99: 1, "x": 1}, 10), ValueError,
+     "values given for k in [0, 99, 'x'], outside the Norton basis"),
     (lambda: replicate(j_oracle(10), 0, 5), ValueError, "replicate index must be positive"),
     (lambda: find_reducing_pair(1), ValueError, "grade must be at least 2"),
     (lambda: exhaustive_reducing_pair(1), ValueError, "grade must be at least 2"),
     (lambda: exhaustive_reducing_pair(0), ValueError, "grade must be at least 2"),
     (lambda: exhaustive_reducing_pair(-3), ValueError, "grade must be at least 2"),
-], ids=["missing power", "replicate(f, 0, n)", "find_reducing_pair(1)",
-        "exhaustive_reducing_pair(1)", "exhaustive_reducing_pair(0)",
+], ids=["missing power", "power at 1", "power at 0", "power at '2'", "basis value at 6",
+        "basis value at 6 by grunsky", "basis values at 0, 99, x", "replicate(f, 0, n)",
+        "find_reducing_pair(1)", "exhaustive_reducing_pair(1)", "exhaustive_reducing_pair(0)",
         "exhaustive_reducing_pair(-3)"])
 def test_replicable(call, error, expected):
     check(call, error, expected)

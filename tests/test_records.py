@@ -13,14 +13,13 @@ from fractions import Fraction
 import pytest
 
 import replicaq.replicable as replicable
-from replicaq.checks import CheckReport
 from replicaq.faber import FaberPolynomial, faber_by_recursion
 from replicaq.frames import (FrameShape, FrameShapeError, MultiplicativityReport,
                              parse_frame_shape)
 from replicaq.functions import FunctionSpec, SpecError, parse_function_spec
 from replicaq.grunsky import GrunskyTable
 from replicaq.hecke import HeckeFaberReport
-from replicaq.qseries import j_oracle
+from replicaq.qseries import CheckReport, j_oracle
 from replicaq.replicable import (DescentError, ReducingPair, ReplicabilityReport,
                                  ReplicationFamily, find_reducing_pair)
 
