@@ -12,11 +12,10 @@ import re
 from fractions import Fraction
 from itertools import chain, repeat
 from math import ceil, gcd, isqrt
-from operator import mul
+from operator import itemgetter, mul
 from typing import NamedTuple, Optional
 
-from .qseries import (QSeries, Rat, _grid_points, _int_conv, _int_power, _miller_power,
-                      euler_phi_int_coeffs)
+from .qseries import QSeries, Rat, _grid_points, _int_conv, _phi_power_table
 
 
 class FrameShapeError(ValueError):
@@ -116,25 +115,41 @@ def is_balanced(parts) -> Optional[int]:
 
 # -- eta products --------------------------------------------------------
 
-def _product_int_coeffs(exponents: dict, n_terms: int) -> list:
+def _phi_power_sizes(products: list, n_terms: int) -> dict:
+    """exponent c -> the length of phi^c that _product_int_coeffs(exponents,
+    n_terms) needs for every exponent map in ``products``: that of the least
+    part with exponent c, on its own grid."""
+    sizes: dict = {}
+    for exponents in products:
+        g = gcd(*exponents)
+        n = n_terms // g + 1  # coefficients on the q^g grid
+        for k, c in exponents.items():
+            sizes[c] = max(sizes.get(c, 0), (n - 1) // (k // g) + 1)
+    return sizes
+
+
+def _product_int_coeffs(exponents: dict, n_terms: int, table: Optional[dict] = None) -> list:
     """Coefficients b_0..b_n_terms of prod_k phi(q^k)^(c_k), phi = prod_n (1 - q^n).
 
     The factor route: on the q^g grid, g the gcd of the parts, each factor
     phi(q^m), m = k/g, is the pentagonal series raised to c_k on its own q^m
-    grid (by repeated squaring when c_k > 0, by Miller's recurrence when
-    c_k < 0).  The first factor is placed on its grid (prod[::m] = power).
-    A later factor, a series in q^m, maps each residue class r mod m of the
-    product onto itself, so each class prod[r::m] is multiplied by it on its
-    own grid, and none of its (m - 1)/m zero slots is ever multiplied.
+    grid.  The powers come from one table, which holds each distinct
+    exponent once, at the longest length a part needs, and a shorter part
+    slices it; ``table`` is one built by the caller for several products
+    (_phi_power_table), at least as long as these parts need.  The first
+    factor is placed on its grid (prod[::m] = power).  A later factor, a
+    series in q^m, maps each residue class r mod m of the product onto
+    itself, so each class prod[r::m] is multiplied by it on its own grid,
+    and none of its (m - 1)/m zero slots is ever multiplied.
     """
+    if table is None:
+        table = _phi_power_table(_phi_power_sizes([exponents], n_terms))
     g = gcd(*exponents)
     n = n_terms // g + 1  # coefficients on the q^g grid
     prod = None
     for k, c in exponents.items():
         m = k // g
-        size = (n - 1) // m + 1  # coefficients on the q^k grid
-        phi = euler_phi_int_coeffs(size)
-        power = _miller_power(phi, c, size) if c < 0 else _int_power(phi, c, size)
+        power = table[c][:(n - 1) // m + 1]  # coefficients on the q^k grid
         if prod is None:
             prod = [0] * n
             prod[::m] = power
@@ -147,13 +162,9 @@ def _product_int_coeffs(exponents: dict, n_terms: int) -> list:
     return out
 
 
-def _log_derivative_series(exponents: dict, n_terms: int):
-    """Yield b_0, b_1, .., b_n_terms of prod_k phi(q^k)^(c_k), via d/dq log.
-
-    n * b_n = -sum_{i=1..n} s_i b_{n-i} with s_i = sum_{k | i} k * c_k;
-    the division is exact because the product has integer coefficients.
-    A consumer that stops early pays only for the coefficients it took.
-    """
+def _log_derivative_weights(exponents: dict, n_terms: int) -> list:
+    """s_0..s_n_terms, s_0 = 0: q d/dq log prod_k phi(q^k)^(c_k) is
+    -sum_i s_i q^i, s_i = sum_{k | i} k sigma(i/k) c_k."""
     e = [0] * (n_terms + 1)  # e[t] = sum of c_k over parts k dividing t
     for k, c in exponents.items():
         for t in range(k, n_terms + 1, k):
@@ -164,6 +175,17 @@ def _log_derivative_series(exponents: dict, n_terms: int):
             te = t * e[t]
             for i in range(t, n_terms + 1, t):
                 s[i] += te
+    return s
+
+
+def _log_derivative_series(exponents: dict, n_terms: int):
+    """Yield b_0, b_1, .., b_n_terms of prod_k phi(q^k)^(c_k), via d/dq log.
+
+    n * b_n = -sum_{i=1..n} s_i b_{n-i} with s_i = sum_{k | i} k sigma(i/k) c_k;
+    the division is exact because the product has integer coefficients.
+    A consumer that stops early pays only for the coefficients it took.
+    """
+    s = _log_derivative_weights(exponents, n_terms)
     b = [1]
     yield 1
     for n in range(1, n_terms + 1):
@@ -180,17 +202,52 @@ def _log_derivative_step(s: list, b: list, n: int) -> int:
     return q
 
 
+# Terms up to which _log_derivative_coeffs sums the recurrence directly
+# rather than splitting the range in two.  On the 30 degree-24 shapes to
+# q^3000, leaves of 48 and 64 terms were the fastest of 16 to 128, and the
+# whole range lies within 15 % (CPython 3.11, 2 vCPU).
+_LOG_DERIVATIVE_LEAF = 48
+
+
 def _log_derivative_coeffs(exponents: dict, n_terms: int) -> list:
     """The same coefficients as _product_int_coeffs, by the log-derivative
-    recurrence.  Cheaper than the factor route for short series, and its oracle.
+    recurrence n b_n = -sum_{i=1..n} s_i b_(n-i): the route independent of
+    the factor route, and its oracle.
 
-    Like the factor route it runs on the q^g grid, g the gcd of the parts,
-    and spreads the result back, so the O(n^2) recurrence takes n / g terms.
+    The recurrence runs online by divide and conquer (van der Hoeven,
+    "Relax, but don't be too lazy", J. Symb. Comp. 2002).  A range [lo, hi)
+    of n is split at mid: once b_lo..b_(mid-1) are known, one product
+    b[lo:mid] * s[:hi - lo] adds their share of the sum to every n in
+    [mid, hi), and then the upper half runs.  A range of at most
+    _LOG_DERIVATIVE_LEAF terms sums the rest of the recurrence directly.  So
+    n terms cost O(M(n) log n), M(n) one product of length n, where the
+    generator _log_derivative_series takes O(n^2).  Like the factor route it
+    runs on the q^g grid, g the gcd of the parts, and spreads the result back.
     """
     g = gcd(*exponents)
-    reduced = {k // g: c for k, c in exponents.items()}
+    n = n_terms // g + 1  # coefficients on the q^g grid
+    s = _log_derivative_weights({k // g: c for k, c in exponents.items()}, n - 1)
+    b = [1] * n
+    part = [0] * n  # part[t] = sum of s_(t-j) b_j over the j folded in so far
+
+    def solve(lo, hi):
+        if hi - lo <= _LOG_DERIVATIVE_LEAF:
+            for t in range(max(lo, 1), hi):
+                b[t], r = divmod(-part[t] - sum(map(mul, s[1:t - lo + 1], reversed(b[lo:t]))), t)
+                if r:
+                    raise ArithmeticError(
+                        f"eta-product recurrence left remainder {r} at index {t}")
+            return
+        mid = (lo + hi) // 2
+        solve(lo, mid)
+        share = _int_conv(b[lo:mid], s[:hi - lo], hi - lo)
+        for t in range(mid, hi):
+            part[t] += share[t - lo]
+        solve(mid, hi)
+
+    solve(0, n)
     out = [0] * (n_terms + 1)
-    out[::g] = _log_derivative_series(reduced, n_terms // g)
+    out[::g] = b
     return out
 
 
@@ -278,43 +335,96 @@ def _screened_partitions(splits: list) -> list:
 
     One depth-first walk fixes the multiplicity c_k of the part k for
     k = 1, 2, ..; parts >= k + 1 leave b_0..b_k unchanged, so once c_1..c_k
-    are fixed those coefficients are final.  The walk adds b_k as it fixes
-    c_k and checks the pairs with mn = k + 1; a prefix that fails one is
-    dropped with all its completions.  A complete partition runs on to
+    are fixed those coefficients are final.  Adding c_k parts of size k adds
+    k c_k to s_k, so b_k = b_k(c_k = 0) - c_k: a prefix takes
+    one recurrence step for all its children.  Where k + 1 = mn for pairs in
+    ``splits``, they force c_k = b_k(0) - c(m) c(n), and the walk tries that
+    one value; where they disagree, none.  A complete partition runs on to
     b_(len(splits) - 2), stopping at its first failing pair.  Every prefix
-    shares one set of the recurrence's e, s and b lists.
+    shares one set of the recurrence's s and b lists.
     """
     top = len(splits) - 2
-    divisors = [[d for d in range(1, i + 1) if i % d == 0] for i in range(top + 1)]
+    sigma = [0] * (top + 1)  # sigma[n] = the sum of the divisors of n
+    for d in range(1, top + 1):
+        for n in range(d, top + 1, d):
+            sigma[n] += d
+    # s_i = sum_{t | i} t e_t with e_t = sum_{d | t} c_d is sum_{d | i} d sigma(i/d) c_d
+    divisors = [[d for d in range(1, i) if i % d == 0] for i in range(top + 1)]
+    weights = [[d * sigma[i // d] for d in ds] for i, ds in enumerate(divisors)]
     mult = [0] * (top + 1)  # mult[k] = c_k on the walk's current path
-    e = [0] * (top + 1)     # e, s and b as in _log_derivative_series
-    s = [0] * (top + 1)
+    s = [0] * (top + 1)     # s and b as in _log_derivative_series
     b = [1] * (top + 1)
     out = []
 
-    def holds(i):
-        """Set b_i from the fixed parts; whether every pair with mn = i + 1 holds."""
-        e[i] = sum([mult[d] for d in divisors[i]])
-        s[i] = sum([d * e[d] for d in divisors[i]])
+    def settle(i):
+        """s_i and b_i with c_i = 0, from the parts fixed below i; b_i."""
+        s[i] = sum(map(mul, weights[i], map(mult.__getitem__, divisors[i])))
         b[i] = bi = _log_derivative_step(s, b, i)
-        return all(b[m - 1] * b[n - 1] == bi for m, n in splits[i + 1])
+        return bi
+
+    def completes(k):
+        """Whether c_i = 0 for every i > k passes every pair to the end."""
+        for i in range(k + 1, top + 1):
+            bi = settle(i)
+            for m, n in splits[i + 1]:
+                if b[m - 1] * b[n - 1] != bi:
+                    return False
+        return True
 
     def walk(k, remaining):
-        for c in range(remaining // k, -1, -1):  # more k's first: partitions_of order
+        bk = settle(k)
+        wanted = {b[m - 1] * b[n - 1] for m, n in splits[k + 1]}
+        if len(wanted) > 1:
+            return
+        s0 = s[k]
+        counts = [bk - v for v in wanted] or range(remaining // k, -1, -1)  # more k's first
+        for c in counts:
             left = remaining - k * c
-            if 0 < left <= k:  # no parts above k sum to it
+            if c < 0 or left < 0 or 0 < left <= k:  # no parts above k sum to 0 < left <= k
                 continue
             mult[k] = c
-            if not holds(k):
-                continue
+            s[k], b[k] = s0 + k * c, bk - c
             if left:
                 walk(k + 1, left)
-            elif all(holds(i) for i in range(k + 1, top + 1)):
+            elif completes(k):
                 out.append(tuple(d for d in range(1, k + 1) for _ in range(mult[d])))
         mult[k] = 0
 
     walk(1, 24)
     return out
+
+
+def _multiplicativity_test(bound: int):
+    """The test of a list [c(1)..c(bound)] whether c(N) = c(q) c(N/q) for
+    every N <= bound that is not a prime power, q the full power of N's least
+    prime: a test over coprime pairs (q, N/q), one per N.  By induction on N it
+    passes exactly when c(mn) = c(m) c(n) for every coprime pair with
+    mn <= bound, the pairs _first_mult_failure scans; it says only whether
+    one fails, not which one first.  Needs bound >= 10, the second such N."""
+    if bound < 10:
+        raise ValueError("the multiplicativity test needs a bound of at least 10")
+    least = list(range(bound + 1))  # least[N] = the least prime factor of N
+    for p in range(2, isqrt(bound) + 1):
+        if least[p] == p:
+            for N in range(p * p, bound + 1, p):
+                if least[N] == N:
+                    least[N] = p
+    full = [1] * (bound + 1)  # full[N] = the full power of least[N] in N
+    whole, head, tail = [], [], []
+    for N in range(2, bound + 1):
+        p = least[N]
+        full[N] = q = p * full[N // p] if least[N // p] == p else p
+        if q < N:
+            whole.append(N - 1)
+            head.append(q - 1)
+            tail.append(N // q - 1)
+
+    whole, head, tail = (itemgetter(*xs) for xs in (whole, head, tail))  # two or more: tuples
+
+    def test(c: list) -> bool:
+        return whole(c) == tuple(map(mul, head(c), tail(c)))
+
+    return test
 
 
 def classify_degree24(bound: int) -> list:
@@ -323,17 +433,17 @@ def classify_degree24(bound: int) -> list:
     Screens every partition numerically up to ``bound`` coprime products;
     a cheap low-order screen to c(42), one pruned walk over the partitions
     on the log-derivative recurrence, rejects most candidates first, and
-    the survivors are rechecked on the factor route.
+    the survivors are rechecked to ``bound`` on the factor route, with one
+    table of the powers of phi for all of them, by _multiplicativity_test.
     """
     if bound < 100:
         raise ValueError("screening bound must be at least 100")
-    survivors = map(FrameShape, _screened_partitions(_coprime_splits(42)))
-    out = []
-    for shape in survivors:
-        c = _product_int_coeffs(shape.exponents(), bound - 1)
-        if _first_mult_failure(c, bound) is None:
-            out.append(shape)
-    return out
+    shapes = list(map(FrameShape, _screened_partitions(_coprime_splits(42))))
+    survivors = [shape.exponents() for shape in shapes]
+    table = _phi_power_table(_phi_power_sizes(survivors, bound - 1))
+    multiplicative = _multiplicativity_test(bound)
+    return [shape for shape, exps in zip(shapes, survivors)
+            if multiplicative(_product_int_coeffs(exps, bound - 1, table))]
 
 
 # -- Euler factors -------------------------------------------------------

@@ -21,7 +21,7 @@ from array import array
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from math import ceil, gcd
-from operator import mul
+from operator import index, mul
 from typing import Iterable, NamedTuple, Optional, Union
 
 Rat = Union[int, Fraction]
@@ -350,6 +350,17 @@ def euler_phi_int_coeffs(n_terms: int) -> list:
     return out
 
 
+def _phi_cube_int_coeffs(n_terms: int) -> list:
+    """prod_{n>=1} (1 - q^n)^3 via Jacobi's identity,
+    sum_{k>=0} (-1)^k (2k + 1) q^(k(k+1)/2); integer list."""
+    out = [0] * n_terms
+    k = 0
+    while (e := k * (k + 1) // 2) < n_terms:
+        out[e] = -2 * k - 1 if k % 2 else 2 * k + 1
+        k += 1
+    return out
+
+
 def eta(trunc: Rat) -> "QSeries":
     """Dedekind eta: q^(1/24) prod (1-q^n), expanded by the pentagonal theorem."""
     trunc = _as_fraction(trunc)
@@ -369,10 +380,21 @@ def _sigma_list(power: int, n_max: int) -> list:
     return out
 
 
+def _eisenstein_int_coeffs(power: int, scale: int, n_terms: int) -> list:
+    """The first n_terms coefficients of 1 + scale sum sigma_power(n) q^n."""
+    sig = _sigma_list(power, n_terms)
+    return [scale * sig[n] if n else 1 for n in range(n_terms)]
+
+
 def _e4_int_coeffs(n_terms: int) -> list:
     """The first n_terms coefficients of E4 = 1 + 240 sum sigma_3(n) q^n."""
-    sig = _sigma_list(3, n_terms)
-    return [240 * sig[n] if n else 1 for n in range(n_terms)]
+    return _eisenstein_int_coeffs(3, 240, n_terms)
+
+
+def _e8_int_coeffs(n_terms: int) -> list:
+    """The first n_terms coefficients of E8 = E4^2 = 1 + 480 sum sigma_7(n) q^n:
+    M_8(SL_2(Z)) has dimension 1, so E4^2 is the Eisenstein series E8."""
+    return _eisenstein_int_coeffs(7, 480, n_terms)
 
 
 def eisenstein_e4(trunc: Rat) -> "QSeries":
@@ -382,7 +404,7 @@ def eisenstein_e4(trunc: Rat) -> "QSeries":
 
 def delta_int_coeffs(n_terms: int) -> list:
     """tau(1..n_terms): Delta = q prod (1-q^n)^24, integer coefficients."""
-    return _int_power(euler_phi_int_coeffs(n_terms), 24, n_terms)
+    return _phi_power_table({24: n_terms})[24]
 
 
 # Shorter operand length from which one packed big-int product replaces the
@@ -400,15 +422,28 @@ def _int_conv(a: list, b: list, n_out: int) -> list:
     lists whose shorter operand has at least _KRONECKER_MIN_LEN terms go
     through Kronecker substitution; everything else runs the schoolbook loop.
     A square (a is b) scans its operand once, stays one object when cut to
-    n_out, and is packed once.
+    n_out, and is packed once.  Every operand is scanned once, for its type
+    and its largest entry together (_int_top).
     """
     square = a is b
     a = a[:n_out]
     b = a if square else b[:n_out]
-    if (min(len(a), len(b)) >= _KRONECKER_MIN_LEN and set(map(type, a)) == {int}
-            and (square or set(map(type, b)) == {int})):
-        return _kronecker_conv(a, b, n_out)
+    if min(len(a), len(b)) >= _KRONECKER_MIN_LEN:
+        try:
+            top = _int_top(a, b)
+        except TypeError:  # an entry that is not an int keeps the loop
+            pass
+        else:
+            return _kronecker_conv(a, b, n_out, top)
     return _schoolbook_conv(a, b, n_out)
+
+
+def _int_top(a: list, b: list) -> int:
+    """max|a| max|b| for nonempty int lists, in one scan of each operand (of
+    one, for a square b is a): operator.index reads each entry as an int,
+    and raises TypeError on any entry that is not one, a Fraction among them."""
+    top = max(map(abs, map(index, a)))
+    return top * (top if b is a else max(map(abs, map(index, b))))
 
 
 def _schoolbook_conv(a: list, b: list, n_out: int) -> list:
@@ -431,7 +466,7 @@ def _schoolbook_conv(a: list, b: list, n_out: int) -> list:
 _DECIMAL_MIN_BITS = 200_000
 
 
-def _kronecker_conv(a: list, b: list, n_out: int) -> list:
+def _kronecker_conv(a: list, b: list, n_out: int, top: Optional[int] = None) -> list:
     """The truncated product of two nonempty int lists by one big-int product.
 
     Each list is packed into a number with one slot per coefficient,
@@ -442,9 +477,10 @@ def _kronecker_conv(a: list, b: list, n_out: int) -> list:
     to at least _DECIMAL_MIN_BITS bits and a slot has fewer digits than the
     int/str conversion limit allows; every other slot is two's complement
     bytes (_binary_slot_product).  Either packer packs a square (b is a) once.
+    ``top`` is max|a| max|b| when the caller has scanned for it (_int_top).
     """
-    top_a = max(map(abs, a))
-    top = top_a * (top_a if b is a else max(map(abs, b)))
+    if top is None:
+        top = _int_top(a, b)
     if not top:
         return [0] * n_out
     short = min(len(a), len(b))
@@ -600,6 +636,36 @@ def _miller_power(h: list, e: int, n_out: int) -> list:
     return u
 
 
+def _phi_power_table(sizes: dict) -> dict:
+    """exponent c -> the first sizes[c] coefficients of phi^c, for ints
+    c != 0, phi = prod_{n>=1} (1 - q^n); each power is computed once.
+
+    An even c > 0 is the square of phi^(c/2), which joins the table at the
+    longest length any power above it needs; so phi^24 is phi^3 squared three
+    times.  An odd c > 0 is a power of Jacobi's phi^3 when 3 divides it and
+    of phi otherwise, by repeated squaring; a c < 0 is Miller's recurrence
+    on phi's sparse list.
+    """
+    need = dict(sizes)
+    for c, size in sizes.items():
+        while c > 0 and c % 2 == 0:
+            c //= 2
+            need[c] = max(need.get(c, 0), size)
+    table = {}
+    for c in sorted(need):
+        n = need[c]
+        if c < 0:
+            table[c] = _miller_power(euler_phi_int_coeffs(n), c, n)
+        elif c % 2 == 0:
+            half = table[c // 2]
+            table[c] = _int_conv(half, half, n)
+        elif c % 3 == 0:
+            table[c] = _int_power(_phi_cube_int_coeffs(n), c // 3, n)
+        else:
+            table[c] = _int_power(euler_phi_int_coeffs(n), c, n)
+    return table
+
+
 def _int_series_inverse(a: list, n_out: int) -> list:
     """First n_out coefficients of 1/a for a power series with a[0] != 0.
 
@@ -628,9 +694,7 @@ def delta(trunc: Rat) -> "QSeries":
 def j_int_coeffs(n_terms: int) -> list:
     """[c(-1), c(0), c(1), ...] of J = E4^3/Delta - 744, n_terms entries past c(0)."""
     n = n_terms + 2
-    e4 = _e4_int_coeffs(n)
-    e8 = _int_conv(e4, e4, n)
-    e12 = _int_conv(e8, e4, n)
+    e12 = _int_conv(_e8_int_coeffs(n), _e4_int_coeffs(n), n)
     inv = _miller_power(euler_phi_int_coeffs(n), -24, n)  # q / Delta
     j = _int_conv(e12, inv, n)                            # q * (J + 744)
     j[1] -= 744

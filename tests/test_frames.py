@@ -18,7 +18,9 @@ from replicaq.frames import (FrameShape, FrameShapeError,
                              weak_multiplicativity, partitions_of,
                              classify_degree24, euler_factor_check,
                              _product_int_coeffs, _log_derivative_coeffs,
-                             _first_mult_failure, _coprime_splits, _screened_partitions)
+                             _first_mult_failure, _coprime_splits, _screened_partitions,
+                             _multiplicativity_test, _phi_power_sizes)
+from replicaq.qseries import _phi_power_table
 import replicaq.frames as frames
 
 
@@ -167,6 +169,11 @@ SHAPES = st.builds(
     st.sampled_from([1, 1, 2, 3, 4]))
 
 
+def full_recurrence(exps, n_terms):
+    """b_0..b_n_terms by the plain log-derivative recurrence on the q grid."""
+    return list(frames._log_derivative_series(exps, n_terms))
+
+
 class TestFactorRoute:
     """The factor route against the log-derivative recurrence, its oracle."""
 
@@ -215,21 +222,24 @@ class TestFactorRoute:
         assert not [x for x in operands if x[:1] == [1] and not any(x[1:])]
 
     def test_recurrence_on_the_gcd_grid_is_the_full_recurrence(self):
-        # the list runs on the q^g grid, g the gcd of the parts; the generator
-        # alone is the full recurrence on the q grid (the screen runs its
-        # step, _log_derivative_step, in the pruned walk)
-        def full(exps, n_terms):
-            return list(frames._log_derivative_series(exps, n_terms))
-
+        # the list runs by divide and conquer on the q^g grid, g the gcd of
+        # the parts; the generator alone is the plain recurrence on the q
+        # grid (the screen runs its step, _log_derivative_step, in the
+        # pruned walk)
         shapes = [s.exponents() for s in classify_degree24(100)]
         assert len(shapes) == 30 and sum(gcd(*exps) > 1 for exps in shapes) == 18
         for exps in shapes:
-            assert _log_derivative_coeffs(exps, 300) == full(exps, 300), exps
-        scaled = [exps for exps in (FrameShape(parts).exponents() for parts in partitions_of(24))
-                  if gcd(*exps) > 1]
-        assert scaled
-        for exps in scaled:
-            assert _log_derivative_coeffs(exps, 120) == full(exps, 120), exps
+            assert _log_derivative_coeffs(exps, 300) == full_recurrence(exps, 300), exps
+        every = [FrameShape(parts).exponents() for parts in partitions_of(24)]
+        assert len(every) == 1575 and any(gcd(*exps) > 1 for exps in every)
+        for exps in every:
+            assert _log_derivative_coeffs(exps, 120) == full_recurrence(exps, 120), exps
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(SHAPES, st.sampled_from([0, 1, 47, 48, 49, 1000]))
+    def test_divide_and_conquer_on_sampled_shapes(self, exps, n_terms):
+        # either sign, gcd above 1, and lengths about the leaf of 48 terms
+        assert _log_derivative_coeffs(exps, n_terms) == full_recurrence(exps, n_terms)
 
     def test_inexact_recurrence_raises(self):
         # a non-integral exponent makes n b_n indivisible by n; no rounding
@@ -273,6 +283,51 @@ class TestMultiplicativity:
             weak_multiplicativity(tau + QSeries(7, 1, [Fraction(1, 2)], 40), 38)
         with pytest.raises(ValueError, match="c\\(1\\)"):
             weak_multiplicativity(tau * 2, 38)
+
+
+def tau(n_terms):
+    """[tau(1)..tau(n_terms)], a multiplicative list, by the plain recurrence."""
+    return full_recurrence({1: 24}, n_terms - 1)
+
+
+class TestMultiplicativityTest:
+    """The test over one coprime pair per N against the scan over all pairs."""
+
+    def test_same_verdict_as_the_pair_scan_on_every_partition(self):
+        # the factor-route lists of all 1575 partitions to c(300), powers of
+        # phi from one table; 32 pass the screen to c(42), and fewer these
+        every = [FrameShape(parts).exponents() for parts in partitions_of(24)]
+        table = _phi_power_table(_phi_power_sizes(every, 299))
+        test = _multiplicativity_test(300)
+        verdicts = Counter()
+        for exps in every:
+            c = _product_int_coeffs(exps, 299, table)
+            assert c == _product_int_coeffs(exps, 299), exps
+            verdict = _first_mult_failure(c, 300) is None
+            assert test(c) is verdict, exps
+            verdicts[verdict] += 1
+        assert verdicts == {True: 30, False: 1545}
+
+    @pytest.mark.parametrize("n", [6, 12, 30, 299])
+    def test_a_changed_coefficient_fails(self, n):
+        # c(6) = c(2) c(3) and c(12) = c(4) c(3) are each the one pair of N
+        c = tau(300)
+        test = _multiplicativity_test(300)
+        assert test(c) and _first_mult_failure(c, 300) is None
+        c[n - 1] += 1
+        assert not test(c) and _first_mult_failure(c, 300) is not None
+
+    def test_a_changed_prime_power_fails_through_its_multiples(self):
+        # c(4) sits in no N it is the whole of; it enters as the q of N = 12
+        c = tau(300)
+        c[3] += 1
+        assert not _multiplicativity_test(300)(c)
+        assert _first_mult_failure(c, 300)[:2] == (3, 4)
+
+    def test_bound_below_the_second_test_raises(self):
+        assert _multiplicativity_test(10)(tau(10))
+        with pytest.raises(ValueError, match="at least 10"):
+            _multiplicativity_test(9)
 
 
 class TestClassification:
@@ -349,8 +404,10 @@ class TestScreen:
         monkeypatch.setattr(frames, "_log_derivative_step", checked)
         assert len(_screened_partitions(splits)) == 32
         # 1315 of the 1575 partitions fail at c(6); taking c(1)..c(6) of each
-        # partition apart would cost more steps than the whole walk
-        assert len(taken) < 6 * 1575
+        # partition apart would cost more steps than the whole walk.  One
+        # step per prefix, solved for the multiplicity its pairs force, takes
+        # 3513; one step per child took 4770
+        assert len(taken) <= 3513
 
     def test_frame_shapes_are_built_for_the_survivors_only(self, monkeypatch):
         built = []
@@ -362,6 +419,18 @@ class TestScreen:
         monkeypatch.setattr(frames, "FrameShape", counted)
         assert len(classify_degree24(702)) == 30
         assert len(built) == 32
+
+    def test_the_recheck_builds_one_table_of_powers(self, monkeypatch):
+        tables = []
+        real = frames._phi_power_table
+
+        def counted(sizes):
+            tables.append(sizes)
+            return real(sizes)
+
+        monkeypatch.setattr(frames, "_phi_power_table", counted)
+        assert len(classify_degree24(702)) == 30
+        assert tables == [{24: 702, 8: 702, 6: 702, 4: 702, 2: 702, 3: 702, 1: 702, 12: 351}]
 
     @pytest.mark.parametrize("bound", [100, 702, 3000])
     def test_classification_is_the_full_scan_then_the_recheck(self, bound, fully_scanned):

@@ -16,9 +16,10 @@ from replicaq.qseries import (QSeries, GridError, TruncationError, agree, eta,
                               _exponents_below,
                               eisenstein_e4, delta, delta_int_coeffs, j_oracle,
                               j_int_coeffs, euler_phi_int_coeffs, _grid_points,
-                              _e4_int_coeffs, _int_conv, _int_series_inverse, _int_power,
-                              _kronecker_conv, _miller_power, _schoolbook_conv,
-                              _KRONECKER_MIN_LEN)
+                              _e4_int_coeffs, _e8_int_coeffs, _int_conv,
+                              _int_series_inverse, _int_power, _kronecker_conv,
+                              _miller_power, _phi_cube_int_coeffs, _phi_power_table,
+                              _schoolbook_conv, _KRONECKER_MIN_LEN)
 from replicaq import frames, qseries
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -541,6 +542,32 @@ class TestKronecker:
             assert _int_power(a, e, n_out) == want
 
 
+class TestOperandScans:
+    def test_each_operand_is_read_once_for_type_and_size(self, monkeypatch):
+        # one scan per operand, one for a square, finds the type and the
+        # largest entry that fix the packed path and its slot width
+        read = []
+        monkeypatch.setattr(qseries, "index", lambda x: read.append(x) or operator.index(x))
+        a, b = list(range(-3, LONG + 2)), [7, 0, -2] * LONG
+        full = len(a) + len(b) - 1
+        assert _int_conv(a, b, full) == _schoolbook_conv(a, b, full)
+        assert len(read) == len(a) + len(b)
+        read.clear()
+        assert _int_conv(a, a, LONG + 1) == _schoolbook_conv(a, a, LONG + 1)
+        assert len(read) == LONG + 1
+
+    def test_a_fraction_anywhere_keeps_the_loop(self, monkeypatch):
+        taken = spy_slot_paths(monkeypatch)
+        for at in (0, LONG // 2, LONG + 4):
+            a = [3] * (LONG + 5)
+            a[at] = Fraction(1, 3)
+            for x, y in ((a, a[::-1]), ([2] * (LONG + 5), a), (a, a)):
+                out = _int_conv(x, y, LONG + 5)
+                assert out == naive_product(x, y, LONG + 5)
+                assert all(type(v) is Fraction for v in out[at:])
+        assert taken == []
+
+
 class TestSlotWidths:
     """The packed product at every slot width from one byte to past a machine
     word, against the schoolbook loop."""
@@ -777,6 +804,41 @@ class TestMillerPower:
         want = _int_conv(e12, _int_series_inverse(delta_int_coeffs(n), n), n)
         want[1] -= 744
         assert j_int_coeffs(1000) == want
+
+
+class TestPhiPowers:
+    """Jacobi's phi^3, the table of powers of phi, and E8 = E4^2."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3000])
+    def test_jacobi_cube_is_the_cube_of_phi(self, n):
+        assert _phi_cube_int_coeffs(n) == _int_power(euler_phi_int_coeffs(n), 3, n)
+
+    def test_table_holds_each_power_to_its_length(self):
+        # 12 is asked for at a greater length than 24 needs of it, 5 and 9
+        # are odd, 9 a power of phi^3, and the negative powers use Miller
+        sizes = {24: 300, 12: 500, 8: 40, 5: 200, 9: 100, -3: 150, -24: 60, 1: 7}
+        table = _phi_power_table(sizes)
+        for c, n in sizes.items():
+            phi = euler_phi_int_coeffs(n)
+            want = _miller_power(phi, c, n) if c < 0 else _int_power(phi, c, n)
+            assert len(table[c]) >= n and table[c][:n] == want, c
+
+    @pytest.mark.parametrize("sizes, products", [
+        ({24: 200}, 3),                                   # phi^3 squared three times
+        ({1: 200, 2: 200, 4: 200, 8: 200}, 3),             # phi squared three times
+        ({24: 200, 12: 100, 8: 200, 6: 200, 4: 200, 3: 200, 2: 200, 1: 200}, 6)])
+    def test_an_even_power_is_the_square_of_its_half(self, sizes, products, monkeypatch):
+        calls = []
+        real = qseries._int_conv
+        monkeypatch.setattr(qseries, "_int_conv",
+                            lambda a, b, n: calls.append(a is b) or real(a, b, n))
+        _phi_power_table(sizes)
+        assert calls == [True] * products
+
+    @pytest.mark.parametrize("n", [1, 2, 1000])
+    def test_e8_is_the_square_of_e4(self, n):
+        e4 = _e4_int_coeffs(n)
+        assert _e8_int_coeffs(n) == _int_conv(e4, e4, n)
 
 
 class TestOracles:
