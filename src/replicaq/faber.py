@@ -5,9 +5,10 @@ The recursion is the canonical construction; pole-killing elimination and the
 Hessenberg determinant are independent verification paths.  The recursion is
 derived from the log generating function and reproduces the classical closed
 forms F_2 = z^2 - 2 a_1 and F_3 = z^3 - 3 a_1 z - 3 a_2.  ``_FaberRows`` runs
-the same recursion on the q-expansions of F_n(f) and answers ``h`` and
-``correction`` as ``grunsky.GrunskyCalculator`` does, so the Faber route to
-the Grunsky table, ``replicate`` and the basis descent take it as their engine.
+the same recursion on the q-expansions of F_n(f) and answers ``b``, ``h``
+and ``correction`` as ``grunsky.GrunskyCalculator`` does, so the Faber route
+to the Grunsky table, ``replicate`` and the basis descent take it as their
+engine.
 """
 
 from __future__ import annotations
@@ -102,22 +103,33 @@ class _FaberRows:
         return s
 
     def extend(self, n: int, m: int) -> list:
-        """Row n grown to hold entry m; row j < n then holds entry m + n - j."""
+        """Row n grown to hold entry m; row j < n then holds entry m + n - j.
+        A row that already holds entry m comes back as it is."""
         a, rows = self.a, self.rows
+        if n < len(rows) and len(rows[n]) > m:
+            return rows[n]
         if len(a) < m + n:
             raise TruncationError(f"Faber row {n} to q^{m} needs a_{m + n - 1}")
         while len(rows) <= n:
             rows.append([0])
         for j in range(2, n + 1):
-            row, prev, s = rows[j], rows[j - 1], self._sums(j)
-            for e in range(len(row), m + n - j + 1):
-                row.append(a[e + j - 1] + prev[e + 1] + s(e))
+            row, stop = rows[j], m + n - j + 1
+            if len(row) < stop:
+                prev, s = rows[j - 1], self._sums(j)
+                for e in range(len(row), stop):
+                    row.append(a[e + j - 1] + prev[e + 1] + s(e))
         return rows[n]
+
+    def b(self, r: int, s: int):
+        """b_{r,s} = [q^s] F_r(f) = r h_{r,s}, the stored row entry: an int
+        when a is integral."""
+        _ordered(r, s)
+        return self.extend(r, s)[s]
 
     def h(self, r: int, s: int) -> Fraction:
         """h_{r,s} = b_{r,s} / r for r <= s, in either argument order."""
         r, s = _ordered(r, s)
-        return Fraction(self.extend(r, s)[s], r)
+        return Fraction(self.b(r, s), r)
 
     def correction(self, r: int, s: int) -> Fraction:
         """h_{r,s} - a_{r+s-1}, from a_1..a_{r+s-2} only, and not cached.
@@ -160,22 +172,35 @@ def faber_by_recursion(coeffs: Sequence, n: int) -> FaberPolynomial:
 
 
 def faber_by_elimination(f: QSeries, n: int) -> FaberPolynomial:
-    """Kill every pole of f^n below order n with lower powers of f."""
+    """Kill the terms of f^n at q^-j, 0 <= j < n, with lower powers of f.
+
+    The powers f^j are coefficient lists on f's own grid, f^j at exponents
+    -j + k*step for k < size, where size reaches exponent 0 in f^n.  The
+    combination x = f^n - sum c_j f^j keeps to the grid of f^n: c_j is the
+    coefficient of x at q^-j, which is nonzero only when -j lies on that grid
+    (at index k = (n - j) / step), and then f^j, whose grid -j + k*step is the
+    same one, is subtracted in place from index k on."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
     if not f.is_normalized():
         raise ValueError("elimination needs a normalized series q^-1 + O(q)")
     if f.trunc < n + 1:
         raise TruncationError(f"need trunc >= {n + 1}, have {f.trunc}")
-    powers = [f ** 0]
+    p, q = f.step.numerator, f.step.denominator
+    size = n * q // p + 1
+    base = f.coeffs[:size]
+    base += [0] * (size - len(base))
+    powers = [[1] + [0] * (size - 1)]
     for _ in range(n):
-        powers.append(powers[-1] * f)
+        powers.append(_int_conv(powers[-1], base, size))
     combo = powers[n]
     poly = [0] * n + [1]  # ascending
     for j in range(n - 1, -1, -1):
-        c = combo.coeff(-j)
+        k, off = divmod((n - j) * q, p)
+        c = 0 if off else combo[k]
         if c:
-            combo = combo - powers[j] * c
+            for i, x in enumerate(powers[j][:size - k], k):
+                combo[i] -= c * x
             poly[j] = -c
     return _to_poly(poly)
 

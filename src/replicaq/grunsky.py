@@ -71,8 +71,8 @@ class GrunskyCalculator:
     gcd(r, s) h_{r,s} is an integer, so an int sum that g / gcd(r, s) leaves
     a remainder in raises ArithmeticError.  ``a`` holds a[k] = a_k with
     a[0] = 0, read through ``faber._coeff_list`` as ``faber._FaberRows``
-    reads it, and a caller may append to it.  ``h`` and ``correction`` are
-    the contract that ``faber._FaberRows`` answers too.
+    reads it, and a caller may append to it.  ``b``, ``h`` and ``correction``
+    are the contract that ``faber._FaberRows`` answers too.
     """
 
     def __init__(self, coeffs: Sequence):
@@ -82,6 +82,13 @@ class GrunskyCalculator:
     def h(self, r: int, s: int) -> Fraction:
         r, s = _ordered(r, s)
         return Fraction(self._scaled(r, s), r + s)
+
+    def b(self, r: int, s: int):
+        """b_{r,s} = r h_{r,s} = r K / (r+s) in either argument order: an int
+        when K is, since (r+s) / gcd(r, s) divides K and gcd(r, s) divides r."""
+        g = r + s
+        K = r * self._scaled(*_ordered(r, s))
+        return K // g if type(K) is int else K / g
 
     def correction(self, r: int, s: int) -> Fraction:
         """h_{r,s} - a_{r+s-1}, the double sum of the recursion: it reads only
@@ -136,12 +143,15 @@ def grunsky_by_recursion(coeffs: Sequence, grade: int) -> GrunskyTable:
 
 def grunsky_from_faber(f: QSeries, grade: int) -> GrunskyTable:
     """h_{m,n} = [q^n] F_m(f) / m for m <= n, read off the Faber rows of f,
-    which need a_1..a_{grade-1} only."""
+    which need a_1..a_{grade-1} only.  The table reads row m to entry
+    grade - m for m <= grade // 2, so one ``extend`` grows every row once."""
     if not f.is_normalized():
         raise ValueError("Grunsky extraction needs a normalized series")
     if f.trunc < grade:
         raise TruncationError(f"need trunc >= {grade}, have {f.trunc}")
-    return _table(_FaberRows(f.coeff_range(1, grade - 1)).h, grade)
+    rows = _FaberRows(f.coeff_range(1, grade - 1))
+    rows.extend(grade // 2, grade - grade // 2)
+    return _table(rows.h, grade)
 
 
 # -- bivariate generating function ---------------------------------------

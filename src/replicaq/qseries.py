@@ -134,7 +134,7 @@ class QSeries:
         """Coefficients at integer exponents lo..hi inclusive, as Fractions:
         the benchmark's ``workloads.plain`` renders only Fractions as decimal
         strings, so an int here would compare unequal to its reference."""
-        return list(map(_as_fraction, self.coeff_range(lo, hi)))
+        return list(map(Fraction, self.coeff_range(lo, hi)))
 
     def exponents(self):
         return [self.lead_exp + i * self.step for i in range(len(self.coeffs))]

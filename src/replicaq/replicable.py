@@ -114,31 +114,35 @@ def _mobius(n: int) -> int:
 
 
 def _replicate(f: QSeries, k: int, trunc: int, engine) -> QSeries:
-    """h_i^(k) = k sum_{d|k} mu(d) h_{k/d, dki}, with h = engine(a).h over
-    a = [a_1, ..., a_top], the coefficients of f that the sum reads."""
+    """h_i^(k) = k sum_{d|k} mu(d) h_{k/d, dki} = sum_{d|k} mu(d) d b_{k/d, dki},
+    since k h_{r,s} = d b_{r,s} for r = k/d, with b = engine(a).b over
+    a = [a_1, ..., a_top], the coefficients of f that the sum reads.  The b
+    are ints on integral a, so no Fraction is built there."""
     if k < 1:
         raise ValueError("replicate index must be positive")
     if not f.is_normalized():
         raise ValueError("replication needs a normalized series q^-1 + O(q)")
-    terms = [(mu, k // d, d * k) for d in range(1, k + 1)
+    terms = [(mu * d, k // d, d * k) for d in range(1, k + 1)
              if k % d == 0 and (mu := _mobius(d))]
     top = max(r + step * (trunc - 1) - 1 for _, r, step in terms)
     if f.trunc <= top:
         raise TruncationError(
             f"replicate({k}) to {trunc} terms reads a_{top}, beyond trunc={f.trunc}")
-    h = engine(f.coeff_range(1, top)).h
+    b = engine(f.coeff_range(1, top)).b
     coeffs = [1] + [0] * trunc  # exponents -1, 0, 1, ..., trunc-1
-    for i in range(1, trunc):
-        coeffs[i + 1] = k * sum(mu * h(r, step * i) for mu, r, step in terms)
+    # highest i first: the first b of each term grows its Faber row once,
+    # and every later one reads an entry the row already holds
+    for i in range(trunc - 1, 0, -1):
+        coeffs[i + 1] = sum(c * b(r, step * i) for c, r, step in terms)
     return QSeries(-1, 1, coeffs, trunc)
 
 
 def replicate(f: QSeries, k: int, trunc: int) -> QSeries:
     """k-th replication power via h_i^(k) = k sum_{d|k} mu(d) h_{k/d, dki}.
 
-    Each h_{r,s} is read off row r <= k of the Faber series of f, built in
-    ints when f's coefficients are integral; ``replicate_by_grunsky`` is the
-    independent check route.
+    Each b_{r,s} = r h_{r,s} is the stored entry s of row r <= k of the Faber
+    series of f, an int when f's coefficients are integral, so the sum runs
+    in ints there; ``replicate_by_grunsky`` is the independent check route.
     """
     return _replicate(f, k, trunc, _FaberRows)
 

@@ -70,8 +70,33 @@ class TestThreeWayAgreement:
         f = QSeries(-1, 1, [1, 0] + a, len(a) + 1)
         rec = faber_by_recursion(a, n)
         assert faber_by_determinant(a, n) == rec
-        if n >= 1:
-            assert faber_by_elimination(f, n) == rec
+        assert faber_by_elimination(f, n) == rec
+
+
+class TestElimination:
+    """Elimination works on coefficient lists on f's own grid."""
+
+    # terms of f at fractional exponents (q^(1/2), q^(3/2), q^(7/2)) meet at
+    # integer exponents in its powers, so a route that read only the integer
+    # exponents of f (a_1, a_2, ...) would get other polynomials
+    OFF_GRID = [
+        (QSeries(-1, Fraction(3, 2), [1, 5, 7, 2], 20),
+         {3: (1, 0, 0, -96), 4: (1, 0, 0, -178, 0)}),
+        (QSeries(-1, Fraction(1, 2), [1, 0, 0, 3, 1, 4], 20),
+         {3: (1, 0, -3, -27), 4: (1, 0, -4, -54, -142)}),
+    ]
+
+    @pytest.mark.parametrize("f, want", OFF_GRID, ids=["step_3/2", "step_1/2"])
+    def test_series_off_the_integer_grid(self, f, want):
+        assert f.is_normalized()
+        for n, coeffs in want.items():
+            got = faber_by_elimination(f, n)
+            assert got.coeffs == coeffs and all(type(c) is Fraction for c in got.coeffs)
+            # F_n(f) keeps q^-n and has no term at q^-j for 0 <= j < n; the
+            # poles at fractional exponents are out of reach of z^j
+            series = got(f)
+            assert series.coeff(-n) == 1
+            assert all(series.coeff(-j) == 0 for j in range(n))
 
 
 class TestRouteIndependence:

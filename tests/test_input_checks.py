@@ -93,8 +93,12 @@ def test_frames(call, error, expected):
      "elimination needs a normalized series"),
     (lambda: faber_by_elimination(j_oracle(10) + 1, 3), ValueError,
      "elimination needs a normalized series"),
+    (lambda: faber_by_elimination(QSeries(-2, 1, [1, 0, 0, 5], 10), 3), ValueError,
+     "elimination needs a normalized series"),
+    (lambda: faber_by_elimination(QSeries(-1, Fraction(1, 2), [1, 3], 10), 3), ValueError,
+     "elimination needs a normalized series"),
     (lambda: faber_by_elimination(j_oracle(3), 3), TruncationError, "need trunc >= 4, have 3"),
-], ids=["not normalized", "constant term", "too short"])
+], ids=["not normalized", "constant term", "double pole", "term at q^(-1/2)", "too short"])
 def test_faber(call, error, expected):
     check(call, error, expected)
 

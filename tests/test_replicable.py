@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import replicaq.faber as faber
+import replicaq.grunsky as grunsky
 from replicaq import checks
 import replicaq.replicable as replicable
 from replicaq.qseries import QSeries, TruncationError, j_oracle, j_int_coeffs
@@ -135,6 +136,21 @@ class TestReplicateRoutes:
         a = data.draw(st.lists(integers if integral else rationals, min_size=n, max_size=n))
         f = QSeries(-1, 1, [1, 0] + a, n + 1)
         assert replicate(f, k, T) == replicate_by_grunsky(f, k, T)
+
+    @pytest.mark.parametrize("route", [replicate, replicate_by_grunsky])
+    @pytest.mark.parametrize("spec", ["j", "eta:1^24/2^24+24"])
+    def test_integral_input_runs_in_ints(self, route, spec, monkeypatch):
+        """On J and 2B neither engine builds a Fraction, and the replicate
+        stores int coefficients."""
+        def refuse(*args):
+            raise AssertionError("a Fraction was built on integral input")
+
+        f = realize(parse_function_spec(spec), 6 * 6 * 8 + 1)
+        monkeypatch.setattr(faber, "Fraction", refuse)
+        monkeypatch.setattr(grunsky, "Fraction", refuse)
+        for k in (2, 3, 4, 6):
+            g = route(f, k, 8)
+            assert g.coeffs and all(type(c) is int for c in g.coeffs), (spec, k)
 
 
 class TestPowerMapTable:
@@ -349,7 +365,7 @@ ENGINES = {"faber": faber._FaberRows, "grunsky": GrunskyCalculator}
 
 class TestEngineContract:
     """Both h_{r,s} engines over [a_1, ..., a_top] answer h and correction in
-    either argument order, as Fractions.  The correction is what each descent
+    either argument order, as Fractions, and b_{r,s} = r h_{r,s}.  The correction is what each descent
     step solves with at grade N: h_{r,s} less a_{N-1}, from a_1..a_{N-2}
     alone, so an engine over a list one short raises if it reads a_{N-1}."""
 
@@ -367,10 +383,27 @@ class TestEngineContract:
             assert short.correction(r, N - r) == short.correction(N - r, r) == h - a[-1], r
 
     @pytest.mark.parametrize("engine", ENGINES.values(), ids=ENGINES.keys())
+    @PROPERTY
+    @given(data=st.data())
+    def test_b_is_r_times_h(self, engine, data):
+        """b_{r,s} = r h_{r,s} in both argument orders, r > s among them, and
+        an int exactly when the coefficients are integral."""
+        N = data.draw(st.integers(2, 24))
+        coeff = data.draw(st.sampled_from([st.integers(-9, 9), rationals]))
+        a = data.draw(st.lists(coeff, min_size=N - 1, max_size=N - 1))
+        e = engine(a)
+        integral = all(Fraction(v).denominator == 1 for v in a)
+        for r in range(1, N):
+            s = N - r
+            b = e.b(r, s)
+            assert b == r * e.h(r, s) and e.b(s, r) == s * e.h(r, s), (r, s)
+            assert type(b) is int if integral else type(b) in (int, Fraction)
+
+    @pytest.mark.parametrize("engine", ENGINES.values(), ids=ENGINES.keys())
     def test_index_below_one_rejected(self, engine):
         e = engine([j_to(12).coeff(k) for k in range(1, 12)])
         for r, s in ((0, 3), (3, 0), (-1, 4)):
-            for method in (e.h, e.correction):
+            for method in (e.b, e.h, e.correction):
                 with pytest.raises(ValueError, match="indices start at 1"):
                     method(r, s)
 
