@@ -174,32 +174,26 @@ def faber_by_recursion(coeffs: Sequence, n: int) -> FaberPolynomial:
 def faber_by_elimination(f: QSeries, n: int) -> FaberPolynomial:
     """Kill the terms of f^n at q^-j, 0 <= j < n, with lower powers of f.
 
-    The powers f^j are coefficient lists on f's own grid, f^j at exponents
-    -j + k*step for k < size, where size reaches exponent 0 in f^n.  The
-    combination x = f^n - sum c_j f^j keeps to the grid of f^n: c_j is the
-    coefficient of x at q^-j, which is nonzero only when -j lies on that grid
-    (at index k = (n - j) / step), and then f^j, whose grid -j + k*step is the
-    same one, is subtracted in place from index k on."""
+    A normalized f has integer exponents, so the powers f^j are coefficient
+    lists from q^-j, n + 1 entries each, enough to reach q^0 in f^n.  The
+    combination x = f^n - sum c_j f^j has c_j = its coefficient at q^-j,
+    index n - j, and f^j is subtracted in place from that index on."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
     if not f.is_normalized():
         raise ValueError("elimination needs a normalized series q^-1 + O(q)")
     if f.trunc < n + 1:
         raise TruncationError(f"need trunc >= {n + 1}, have {f.trunc}")
-    p, q = f.step.numerator, f.step.denominator
-    size = n * q // p + 1
-    base = f.coeffs[:size]
-    base += [0] * (size - len(base))
-    powers = [[1] + [0] * (size - 1)]
+    base = f.coeff_range(-1, n - 1)
+    powers = [[1] + [0] * n]
     for _ in range(n):
-        powers.append(_int_conv(powers[-1], base, size))
+        powers.append(_int_conv(powers[-1], base, n + 1))
     combo = powers[n]
     poly = [0] * n + [1]  # ascending
     for j in range(n - 1, -1, -1):
-        k, off = divmod((n - j) * q, p)
-        c = 0 if off else combo[k]
+        c = combo[n - j]
         if c:
-            for i, x in enumerate(powers[j][:size - k], k):
+            for i, x in enumerate(powers[j][:j + 1], n - j):
                 combo[i] -= c * x
             poly[j] = -c
     return _to_poly(poly)

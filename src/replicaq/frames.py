@@ -15,7 +15,8 @@ from math import ceil, gcd, isqrt
 from operator import itemgetter, mul
 from typing import NamedTuple, Optional
 
-from .qseries import QSeries, Rat, _grid_points, _int_conv, _phi_power_table
+from .qseries import (QSeries, Rat, _grid_points, _int_conv, _phi_power_table,
+                      _sigma_list)
 
 
 class FrameShapeError(ValueError):
@@ -165,16 +166,11 @@ def _product_int_coeffs(exponents: dict, n_terms: int, table: Optional[dict] = N
 def _log_derivative_weights(exponents: dict, n_terms: int) -> list:
     """s_0..s_n_terms, s_0 = 0: q d/dq log prod_k phi(q^k)^(c_k) is
     -sum_i s_i q^i, s_i = sum_{k | i} k sigma(i/k) c_k."""
-    e = [0] * (n_terms + 1)  # e[t] = sum of c_k over parts k dividing t
+    sigma = _sigma_list(1, n_terms)
+    s = [0] * (n_terms + 1)
     for k, c in exponents.items():
-        for t in range(k, n_terms + 1, k):
-            e[t] += c
-    s = [0] * (n_terms + 1)  # s[i] = sum over t | i of t * e[t]
-    for t in range(1, n_terms + 1):
-        if e[t]:
-            te = t * e[t]
-            for i in range(t, n_terms + 1, t):
-                s[i] += te
+        for i in range(k, n_terms + 1, k):
+            s[i] += k * c * sigma[i // k]
     return s
 
 
@@ -319,35 +315,46 @@ def partitions_of(n: int):
 
 
 def _coprime_splits(bound: int) -> list:
-    """splits[N] = the pairs (m, n), 1 < m < n, gcd(m, n) = 1, with m n = N <= bound."""
-    splits = [[] for _ in range(bound + 1)]
-    for m in range(2, bound):
-        for n in range(m + 1, bound // m + 1):
-            if gcd(m, n) == 1:
-                splits[m * n].append((m, n))
+    """splits[N] = (q, N/q) for N <= bound, q the full power of N's least
+    prime: one coprime pair per N; () for N < 2 and the prime powers."""
+    least = list(range(bound + 1))  # least[N] = the least prime factor of N
+    for p in range(2, isqrt(bound) + 1):
+        if least[p] == p:
+            for N in range(p * p, bound + 1, p):
+                if least[N] == N:
+                    least[N] = p
+    splits = [()] * (bound + 1)
+    for N in range(2, bound + 1):
+        p = least[N]
+        m = N // p
+        if least[m] == p:
+            if splits[m]:  # m = q n with q a power of p: N = (p q) n
+                q, n = splits[m]
+                splits[N] = (p * q, n)
+        elif m > 1:  # p divides N once
+            splits[N] = (p, m)
     return splits
 
 
 def _screened_partitions(splits: list) -> list:
     """The partitions of 24, in partitions_of order, whose coefficients
     c(N) = b_(N-1) (a product of degree 24 leads with q^1) satisfy
-    c(mn) = c(m) c(n) for every pair in ``splits``, len(splits) > 25.
+    c(N) = c(q) c(N/q) for the pair (q, N/q) = splits[N] of every
+    N < len(splits), len(splits) > 25.  By induction on N this is
+    c(mn) = c(m) c(n) for every coprime pair with mn < len(splits).
 
     One depth-first walk fixes the multiplicity c_k of the part k for
     k = 1, 2, ..; parts >= k + 1 leave b_0..b_k unchanged, so once c_1..c_k
     are fixed those coefficients are final.  Adding c_k parts of size k adds
     k c_k to s_k, so b_k = b_k(c_k = 0) - c_k: a prefix takes
-    one recurrence step for all its children.  Where k + 1 = mn for pairs in
-    ``splits``, they force c_k = b_k(0) - c(m) c(n), and the walk tries that
-    one value; where they disagree, none.  A complete partition runs on to
-    b_(len(splits) - 2), stopping at its first failing pair.  Every prefix
-    shares one set of the recurrence's s and b lists.
+    one recurrence step for all its children.  Where k + 1 = qn has a pair,
+    it forces c_k = b_k(0) - c(q) c(n), and the walk tries that one value.
+    After the last part the walk goes on with c_k = 0, stopping at the first
+    failing pair, and keeps the partition once it passes k = len(splits) - 2.
+    Every prefix shares one set of the recurrence's s and b lists.
     """
     top = len(splits) - 2
-    sigma = [0] * (top + 1)  # sigma[n] = the sum of the divisors of n
-    for d in range(1, top + 1):
-        for n in range(d, top + 1, d):
-            sigma[n] += d
+    sigma = _sigma_list(1, top)
     # s_i = sum_{t | i} t e_t with e_t = sum_{d | t} c_d is sum_{d | i} d sigma(i/d) c_d
     divisors = [[d for d in range(1, i) if i % d == 0] for i in range(top + 1)]
     weights = [[d * sigma[i // d] for d in ds] for i, ds in enumerate(divisors)]
@@ -356,38 +363,25 @@ def _screened_partitions(splits: list) -> list:
     b = [1] * (top + 1)
     out = []
 
-    def settle(i):
-        """s_i and b_i with c_i = 0, from the parts fixed below i; b_i."""
-        s[i] = sum(map(mul, weights[i], map(mult.__getitem__, divisors[i])))
-        b[i] = bi = _log_derivative_step(s, b, i)
-        return bi
-
-    def completes(k):
-        """Whether c_i = 0 for every i > k passes every pair to the end."""
-        for i in range(k + 1, top + 1):
-            bi = settle(i)
-            for m, n in splits[i + 1]:
-                if b[m - 1] * b[n - 1] != bi:
-                    return False
-        return True
-
     def walk(k, remaining):
-        bk = settle(k)
-        wanted = {b[m - 1] * b[n - 1] for m, n in splits[k + 1]}
-        if len(wanted) > 1:
+        if k > top:
+            out.append(tuple(d for d in range(1, top + 1) for _ in range(mult[d])))
             return
-        s0 = s[k]
-        counts = [bk - v for v in wanted] or range(remaining // k, -1, -1)  # more k's first
+        # s_k and b_k with c_k = 0, from the parts fixed below k
+        s[k] = s0 = sum(map(mul, weights[k], map(mult.__getitem__, divisors[k])))
+        b[k] = bk = _log_derivative_step(s, b, k)
+        if splits[k + 1]:
+            q, n = splits[k + 1]
+            counts = (bk - b[q - 1] * b[n - 1],)
+        else:
+            counts = range(remaining // k, -1, -1)  # more k's first
         for c in counts:
             left = remaining - k * c
             if c < 0 or left < 0 or 0 < left <= k:  # no parts above k sum to 0 < left <= k
                 continue
             mult[k] = c
             s[k], b[k] = s0 + k * c, bk - c
-            if left:
-                walk(k + 1, left)
-            elif completes(k):
-                out.append(tuple(d for d in range(1, k + 1) for _ in range(mult[d])))
+            walk(k + 1, left)
         mult[k] = 0
 
     walk(1, 24)
@@ -396,30 +390,16 @@ def _screened_partitions(splits: list) -> list:
 
 def _multiplicativity_test(bound: int):
     """The test of a list [c(1)..c(bound)] whether c(N) = c(q) c(N/q) for
-    every N <= bound that is not a prime power, q the full power of N's least
-    prime: a test over coprime pairs (q, N/q), one per N.  By induction on N it
-    passes exactly when c(mn) = c(m) c(n) for every coprime pair with
-    mn <= bound, the pairs _first_mult_failure scans; it says only whether
-    one fails, not which one first.  Needs bound >= 10, the second such N."""
+    every N <= bound that is not a prime power, (q, N/q) = _coprime_splits'
+    pair of N.  By induction on N it passes exactly when c(mn) = c(m) c(n)
+    for every coprime pair with mn <= bound, the pairs _first_mult_failure
+    scans; it says only whether one fails, not which one first.  Needs
+    bound >= 10, the second such N."""
     if bound < 10:
         raise ValueError("the multiplicativity test needs a bound of at least 10")
-    least = list(range(bound + 1))  # least[N] = the least prime factor of N
-    for p in range(2, isqrt(bound) + 1):
-        if least[p] == p:
-            for N in range(p * p, bound + 1, p):
-                if least[N] == N:
-                    least[N] = p
-    full = [1] * (bound + 1)  # full[N] = the full power of least[N] in N
-    whole, head, tail = [], [], []
-    for N in range(2, bound + 1):
-        p = least[N]
-        full[N] = q = p * full[N // p] if least[N // p] == p else p
-        if q < N:
-            whole.append(N - 1)
-            head.append(q - 1)
-            tail.append(N // q - 1)
-
-    whole, head, tail = (itemgetter(*xs) for xs in (whole, head, tail))  # two or more: tuples
+    pairs = [qn for qn in _coprime_splits(bound) if qn]
+    whole, head, tail = (itemgetter(*xs) for xs in (  # two or more: tuples
+        [q * n - 1 for q, n in pairs], [q - 1 for q, _ in pairs], [n - 1 for _, n in pairs]))
 
     def test(c: list) -> bool:
         return whole(c) == tuple(map(mul, head(c), tail(c)))

@@ -140,12 +140,15 @@ class QSeries:
         return [self.lead_exp + i * self.step for i in range(len(self.coeffs))]
 
     def is_normalized(self) -> bool:
-        """Simple pole with unit residue and zero constant term: q^-1 + O(q)."""
+        """q^-1 + O(q) on integer exponents: a simple pole with unit residue,
+        zero constant term, and every nonzero term at an integer exponent."""
         if self.is_zero or self.lead_exp != -1 or self.coeffs[0] != 1:
             return False
-        # exponents -1 + i*step in (-1, 0] are those with 1 <= i <= 1/step
-        last = self.step.denominator // self.step.numerator
-        return not any(self.coeffs[1:last + 1])
+        # on a step p/d, -1 + i*step is an integer exactly when d divides i,
+        # and the exponents in (-1, 0] are those with 1 <= i <= 1/step
+        p, d = self.step.numerator, self.step.denominator
+        return not any(self.coeffs[1:d // p + 1]) and not any(
+            any(self.coeffs[r::d]) for r in range(1, d))
 
     def truncate(self, new_trunc: Rat) -> "QSeries":
         new_trunc = _as_fraction(new_trunc)

@@ -10,7 +10,8 @@ from replicaq import faber
 from replicaq.qseries import QSeries, TruncationError, j_oracle
 from replicaq.faber import (FaberPolynomial, faber_by_recursion,
                             faber_by_elimination, faber_by_determinant, _FaberRows)
-from replicaq.grunsky import GrunskyCalculator, grunsky_by_recursion
+from replicaq.grunsky import GrunskyCalculator, grunsky_by_recursion, grunsky_from_faber
+from replicaq.replicable import ReplicationFamily, replicate, replicate_by_grunsky
 from replicaq.checks import symmetric_function_comparisons
 
 
@@ -74,29 +75,31 @@ class TestThreeWayAgreement:
 
 
 class TestElimination:
-    """Elimination works on coefficient lists on f's own grid."""
+    """Elimination works on the integer exponents of a normalized series."""
 
-    # terms of f at fractional exponents (q^(1/2), q^(3/2), q^(7/2)) meet at
-    # integer exponents in its powers, so a route that read only the integer
-    # exponents of f (a_1, a_2, ...) would get other polynomials
-    OFF_GRID = [
-        (QSeries(-1, Fraction(3, 2), [1, 5, 7, 2], 20),
-         {3: (1, 0, 0, -96), 4: (1, 0, 0, -178, 0)}),
-        (QSeries(-1, Fraction(1, 2), [1, 0, 0, 3, 1, 4], 20),
-         {3: (1, 0, -3, -27), 4: (1, 0, -4, -54, -142)}),
-    ]
+    # terms of f at fractional exponents (q^(1/2), q^(3/2), q^(7/2)) would
+    # meet at integer exponents in its powers, where the routes that read
+    # a_1, a_2, .. cannot see them: such a series is not normalized, and
+    # every route that needs one refuses it
+    OFF_GRID = [QSeries(-1, Fraction(3, 2), [1, 5, 7, 2], 20),
+                QSeries(-1, Fraction(1, 2), [1, 0, 0, 3, 1, 4], 20)]
 
-    @pytest.mark.parametrize("f, want", OFF_GRID, ids=["step_3/2", "step_1/2"])
-    def test_series_off_the_integer_grid(self, f, want):
+    @pytest.mark.parametrize("f", OFF_GRID, ids=["step_3/2", "step_1/2"])
+    def test_series_off_the_integer_grid(self, f):
+        assert not f.is_normalized()
+        for route in (lambda: faber_by_elimination(f, 3), lambda: replicate(f, 2, 3),
+                      lambda: replicate_by_grunsky(f, 2, 3), lambda: grunsky_from_faber(f, 6),
+                      lambda: ReplicationFamily(f), lambda: ReplicationFamily(j_oracle(20), {2: f})):
+            with pytest.raises(ValueError, match="normalized"):
+                route()
+
+    def test_integer_terms_on_a_finer_grid(self):
+        # zeros at the half-integers change nothing: the same series on step 1
+        a = [0, 3, 1, 4, 0, -2]
+        f = QSeries(-1, Fraction(1, 2), [x for c in [1, *a] for x in (c, 0)], 20)
         assert f.is_normalized()
-        for n, coeffs in want.items():
-            got = faber_by_elimination(f, n)
-            assert got.coeffs == coeffs and all(type(c) is Fraction for c in got.coeffs)
-            # F_n(f) keeps q^-n and has no term at q^-j for 0 <= j < n; the
-            # poles at fractional exponents are out of reach of z^j
-            series = got(f)
-            assert series.coeff(-n) == 1
-            assert all(series.coeff(-j) == 0 for j in range(n))
+        for n in range(7):
+            assert faber_by_elimination(f, n) == faber_by_recursion(a[1:], n)
 
 
 class TestRouteIndependence:

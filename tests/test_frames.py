@@ -379,33 +379,41 @@ class TestScreen:
         assert len(fully_scanned) == 32
         assert _screened_partitions(_coprime_splits(42)) == fully_scanned
 
-    def test_splits_are_the_coprime_pairs(self):
-        splits = _coprime_splits(42)
-        assert len(splits) == 43
-        assert splits[6] == [(2, 3)] and splits[12] == [(3, 4)] and splits[8] == []
-        assert splits[30] == [(2, 15), (3, 10), (5, 6)]
+    def test_each_split_is_the_least_prime_power_pair(self):
+        # one coprime pair per N: the full power q of N's least prime, and N/q
+        splits = _coprime_splits(2000)
+        assert len(splits) == 2001 and splits[0] == splits[1] == ()
+        for N in range(2, 2001):
+            p = next(d for d in range(2, N + 1) if N % d == 0)
+            q = p
+            while N % (q * p) == 0:
+                q *= p
+            if q == N:  # a prime power
+                assert splits[N] == (), N
+            else:
+                assert splits[N] == (q, N // q) and gcd(q, N // q) == 1, N
 
     def test_screen_stops_at_the_first_failing_pair(self, monkeypatch):
-        # the walk takes b_n only where b_0..b_(n-1) pass every pair with
-        # mn <= n, and takes it once for all the completions of its prefix
-        # (s_1..s_n fix the parts up to n)
-        splits = _coprime_splits(42)
+        # the walk takes b_n only where b_0..b_(n-1) pass every coprime pair
+        # with mn <= n, and takes it once for all the completions of its
+        # prefix (s_1..s_n fix the parts up to n)
+        pairs = [(m, k) for m in range(2, 42) for k in range(m + 1, 42 // m + 1)
+                 if gcd(m, k) == 1]
         taken = set()
         step = frames._log_derivative_step
 
         def checked(s, b, n):
-            assert all(b[m - 1] * b[k - 1] == b[m * k - 1]
-                       for N in range(n + 1) for m, k in splits[N])
+            assert all(b[m - 1] * b[k - 1] == b[m * k - 1] for m, k in pairs if m * k <= n)
             key = (n, tuple(s[1:n + 1]))
             assert key not in taken
             taken.add(key)
             return step(s, b, n)
 
         monkeypatch.setattr(frames, "_log_derivative_step", checked)
-        assert len(_screened_partitions(splits)) == 32
+        assert len(_screened_partitions(_coprime_splits(42))) == 32
         # 1315 of the 1575 partitions fail at c(6); taking c(1)..c(6) of each
         # partition apart would cost more steps than the whole walk.  One
-        # step per prefix, solved for the multiplicity its pairs force, takes
+        # step per prefix, solved for the multiplicity its pair forces, takes
         # 3513; one step per child took 4770
         assert len(taken) <= 3513
 

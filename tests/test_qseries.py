@@ -115,7 +115,8 @@ class TestConstruction:
         zeros = max(0, int(1 / step) - 1 + shift)
         f = QSeries(lead, step, [lead_coeff] + [0] * zeros + [1] + tail, lead + known * step)
         want = (not f.is_zero and f.lead_exp == -1 and f.coeffs[0] == 1
-                and all(c == 0 for e, c in zip(f.exponents(), f.coeffs) if -1 < e <= 0))
+                and all(c == 0 for e, c in zip(f.exponents(), f.coeffs) if -1 < e <= 0)
+                and all(e.denominator == 1 for e, c in zip(f.exponents(), f.coeffs) if c))
         assert f.is_normalized() == want
 
     @pytest.mark.parametrize("lead, step", [(-1, 1), (3, 1), (Fraction(1, 24), 1),
